@@ -32,7 +32,7 @@ use h2priv_campaign::inject::{InjectKind, InjectSchedule, InjectSpec};
 use h2priv_campaign::journal::{self, Journal};
 use h2priv_campaign::record::{self, LineBody};
 use h2priv_campaign::supervisor::{self, SupervisorConfig, WorkerCmd};
-use h2priv_core::campaign::{CampaignSpec, CAMPAIGN_EXPERIMENTS};
+use h2priv_core::campaign::{CampaignExperiment, CampaignSpec, CAMPAIGN_EXPERIMENTS};
 
 /// Crashes attributable to one cell before the range is declared
 /// poisoned.
@@ -44,8 +44,12 @@ fn usage_exit() -> ! {
          [--resume] [--heartbeat-ms N] [--max-respawns N] [--fail-on-crash] \
          [--inject-kill shard=N,trial=K[,repeat]] [--inject-stall ...] [--quiet]"
     );
-    oerror!("experiments: {}", CAMPAIGN_EXPERIMENTS.join(", "));
+    oerror!("experiments: {}", experiment_names());
     std::process::exit(2)
+}
+
+fn experiment_names() -> String {
+    CAMPAIGN_EXPERIMENTS.map(|e| e.name).join(", ")
 }
 
 fn fail(message: &str) -> ! {
@@ -77,23 +81,22 @@ fn main() {
     let Some(experiment) = positional(1) else {
         usage_exit();
     };
-    let default_trials = match experiment.as_str() {
-        "table1" => 100,
-        _ => 50,
-    };
-    let trials = h2priv_bench::count_arg(
-        2,
-        "trials",
-        default_trials,
-        &format!("<experiment> [trials={default_trials}] --journal FILE ..."),
-    );
-    let Some(spec) = CampaignSpec::for_experiment(&experiment, trials) else {
+    let Some(exp) = CampaignExperiment::named(&experiment) else {
         oerror!(
             "error: unknown experiment {experiment:?} (expected one of: {})",
-            CAMPAIGN_EXPERIMENTS.join(", ")
+            experiment_names()
         );
         std::process::exit(2);
     };
+    let default_trials = exp.default_trials;
+    let trials = h2priv_bench::count_arg(
+        2,
+        "trials",
+        default_trials as u64,
+        &format!("<experiment> [trials={default_trials}] --journal FILE ..."),
+    );
+    let spec =
+        CampaignSpec::for_experiment(exp.name, trials).expect("campaign experiments have a spec");
     let Some(journal_path) = flag_value("--journal") else {
         oerror!("error: --journal FILE is required (the append-only trial journal)");
         usage_exit();
@@ -162,7 +165,7 @@ fn main() {
     let start_cell = folder.next_cell();
     let worker_program = std::env::current_exe()
         .ok()
-        .and_then(|p| p.parent().map(|d| d.join(spec.worker_bin())))
+        .and_then(|p| p.parent().map(|d| d.join(exp.worker_bin)))
         .unwrap_or_else(|| fail("cannot locate worker binary next to the campaign binary"));
     let cmd = WorkerCmd {
         program: worker_program,

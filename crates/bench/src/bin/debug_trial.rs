@@ -117,21 +117,6 @@ fn main() {
             }
         }
     }
-    oinfo!("\n-- server diag: {:?}", trial.result.server_diag);
-    oinfo!(
-        "-- blocked log (first/last 6): {:?}",
-        trial.result.server_diag2.iter().take(6).collect::<Vec<_>>()
-    );
-    oinfo!(
-        "--                        tail: {:?}",
-        trial
-            .result
-            .server_diag2
-            .iter()
-            .rev()
-            .take(6)
-            .collect::<Vec<_>>()
-    );
     oinfo!("\n-- client request records (objects of interest) --");
     for (obj, label) in &interest {
         for r in trial

@@ -11,19 +11,19 @@
 //! ```
 
 use h2priv_bench::{flag_value, jobs_arg, obs, odetail, oinfo, out, shard, trials_arg};
-use h2priv_core::campaign::defense_matrix_report;
+use h2priv_core::campaign::{defense_matrix_report, DEFENSE_MATRIX};
 use h2priv_core::experiments::defense_matrix;
 use h2priv_core::report::{pct, render_table};
 
 fn main() {
-    if shard::maybe_worker("defense_matrix", 25) {
+    if shard::maybe_worker(&DEFENSE_MATRIX) {
         return;
     }
     let o = obs::init();
-    let trials = trials_arg(25);
+    let trials = trials_arg(DEFENSE_MATRIX.default_trials);
     let jobs = jobs_arg();
     odetail!("defense matrix: {trials} attacked downloads per (attack, transport, defense) cell");
-    let rows = defense_matrix(trials, 83_000, jobs);
+    let rows = defense_matrix(trials, DEFENSE_MATRIX.base_seed, jobs);
     let table: Vec<Vec<String>> = rows
         .iter()
         .map(|r| {

@@ -9,19 +9,24 @@
 //! ```
 
 use h2priv_bench::{jobs_arg, obs, odetail, oinfo, out, shard, trials_arg};
-use h2priv_core::campaign::robustness_report;
+use h2priv_core::campaign::{robustness_report, ROBUSTNESS_SWEEP};
 use h2priv_core::experiments::{robustness_sweep, ROBUSTNESS_INTENSITIES};
 use h2priv_core::report::{pct, pct_opt, render_table};
 
 fn main() {
-    if shard::maybe_worker("robustness_sweep", 50) {
+    if shard::maybe_worker(&ROBUSTNESS_SWEEP) {
         return;
     }
     let o = obs::init();
-    let trials = trials_arg(50);
+    let trials = trials_arg(ROBUSTNESS_SWEEP.default_trials);
     let jobs = jobs_arg();
     odetail!("robustness sweep: {trials} attacked downloads per intensity...");
-    let rows = robustness_sweep(trials, 81_000, &ROBUSTNESS_INTENSITIES, jobs);
+    let rows = robustness_sweep(
+        trials,
+        ROBUSTNESS_SWEEP.base_seed,
+        &ROBUSTNESS_INTENSITIES,
+        jobs,
+    );
     let table: Vec<Vec<String>> = rows
         .iter()
         .map(|r| {

@@ -6,18 +6,19 @@
 //! ```
 
 use h2priv_bench::{jobs_arg, obs, odetail, oinfo, shard, trials_arg};
+use h2priv_core::campaign::TABLE1;
 use h2priv_core::experiments::table1;
 use h2priv_core::report::{pct, render_table, to_json};
 
 fn main() {
-    if shard::maybe_worker("table1", 100) {
+    if shard::maybe_worker(&TABLE1) {
         return;
     }
     let o = obs::init();
-    let trials = trials_arg(100);
+    let trials = trials_arg(TABLE1.default_trials);
     let jobs = jobs_arg();
     odetail!("Table I: {trials} downloads per jitter value...");
-    let rows = table1(trials, 11_000, jobs);
+    let rows = table1(trials, TABLE1.base_seed, jobs);
     let table: Vec<Vec<String>> = rows
         .iter()
         .map(|r| {

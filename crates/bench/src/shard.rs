@@ -25,7 +25,7 @@
 use std::io::Write;
 
 use h2priv_campaign::record;
-use h2priv_core::campaign::CampaignSpec;
+use h2priv_core::campaign::{CampaignExperiment, CampaignSpec};
 
 use crate::{flag_present, flag_value, flag_values, oerror, trials_arg};
 
@@ -55,16 +55,15 @@ fn inject_cells(flag: &str) -> Vec<u64> {
 /// Runs the binary's shard-worker mode when `--shard-worker` is on the
 /// command line; returns `false` (do the normal thing) otherwise.
 ///
-/// `experiment` is this binary's campaign experiment name and
-/// `default_trials` its usual trial default (used when the supervisor
-/// does not pass a count).
-pub fn maybe_worker(experiment: &str, default_trials: usize) -> bool {
+/// `experiment` is this binary's campaign experiment; its default trial
+/// count applies when the supervisor does not pass a count.
+pub fn maybe_worker(experiment: &CampaignExperiment) -> bool {
     if !flag_present("--shard-worker") {
         return false;
     }
-    let trials = trials_arg(default_trials);
-    let spec = CampaignSpec::for_experiment(experiment, trials as u64)
-        .unwrap_or_else(|| panic!("binary {experiment} is not a campaign experiment"));
+    let trials = trials_arg(experiment.default_trials);
+    let spec = CampaignSpec::for_experiment(experiment.name, trials as u64)
+        .expect("campaign experiments have a spec");
     let cells = flag_value("--cells").and_then(|v| parse_cells(&v));
     let Some((start, end)) = cells else {
         oerror!("error: --shard-worker requires --cells A-B (half-open, A < B)");

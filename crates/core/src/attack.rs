@@ -41,6 +41,16 @@ pub enum TransportKind {
     Quic,
 }
 
+impl TransportKind {
+    /// Stable report label: the victim's HTTP version and transport.
+    pub fn label(self) -> &'static str {
+        match self {
+            TransportKind::Tcp => "h2-tcp",
+            TransportKind::Quic => "h3-quic",
+        }
+    }
+}
+
 /// Configuration of the adversary.
 #[derive(Debug, Clone)]
 pub struct AttackConfig {

@@ -26,8 +26,56 @@ use crate::experiments::{
 use crate::report::to_json;
 use h2priv_util::json::Json;
 
-/// The experiments the campaign runner can shard, by CLI name.
-pub const CAMPAIGN_EXPERIMENTS: &[&str] = &["robustness_sweep", "table1", "defense_matrix"];
+/// An experiment the campaign runner can shard: the one place its
+/// base seed, default trial count and worker bin are written down, read
+/// by the campaign runner and by the standalone bin alike.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CampaignExperiment {
+    /// CLI name.
+    pub name: &'static str,
+    /// Base seed (the standalone bin's, so campaign output is the
+    /// experiment output).
+    pub base_seed: u64,
+    /// Default trials per batch.
+    pub default_trials: usize,
+    /// The bench binary that hosts the `--shard-worker` mode.
+    pub worker_bin: &'static str,
+}
+
+/// Table I.
+pub const TABLE1: CampaignExperiment = CampaignExperiment {
+    name: "table1",
+    base_seed: 11_000,
+    default_trials: 100,
+    worker_bin: "table1_jitter",
+};
+
+/// The fault-intensity robustness sweep.
+pub const ROBUSTNESS_SWEEP: CampaignExperiment = CampaignExperiment {
+    name: "robustness_sweep",
+    base_seed: 81_000,
+    default_trials: 50,
+    worker_bin: "robustness_sweep",
+};
+
+/// The attack × defense × transport matrix.
+pub const DEFENSE_MATRIX: CampaignExperiment = CampaignExperiment {
+    name: "defense_matrix",
+    base_seed: 83_000,
+    default_trials: 25,
+    worker_bin: "defense_matrix",
+};
+
+/// The experiments the campaign runner can shard.
+pub const CAMPAIGN_EXPERIMENTS: [CampaignExperiment; 3] =
+    [ROBUSTNESS_SWEEP, TABLE1, DEFENSE_MATRIX];
+
+impl CampaignExperiment {
+    /// Looks an experiment up by CLI name.
+    pub fn named(name: &str) -> Option<CampaignExperiment> {
+        CAMPAIGN_EXPERIMENTS.into_iter().find(|e| e.name == name)
+    }
+}
 
 /// One batch of a campaign: a label for operators and a trial budget.
 #[derive(Debug, Clone)]
@@ -56,56 +104,31 @@ impl CampaignSpec {
     /// Builds the spec for a named experiment, or `None` for an unknown
     /// name.
     pub fn for_experiment(name: &str, trials: u64) -> Option<CampaignSpec> {
-        match name {
-            "robustness_sweep" => Some(CampaignSpec {
-                experiment: name.to_string(),
-                trials,
-                base_seed: 81_000,
-                batches: ROBUSTNESS_INTENSITIES
-                    .iter()
-                    .map(|x| BatchSpec {
-                        label: format!("intensity_{x}"),
-                        trials,
-                    })
-                    .collect(),
-            }),
-            "table1" => Some(CampaignSpec {
-                experiment: name.to_string(),
-                trials,
-                base_seed: 11_000,
-                batches: TABLE1_JITTERS_MS
-                    .iter()
-                    .map(|ms| BatchSpec {
-                        label: format!("jitter_{ms}ms"),
-                        trials,
-                    })
-                    .collect(),
-            }),
-            "defense_matrix" => Some(CampaignSpec {
-                experiment: name.to_string(),
-                trials,
-                base_seed: 83_000,
-                batches: defense_matrix_batches()
-                    .iter()
-                    .map(|b| BatchSpec {
-                        label: format!("{}/{}/{}", b.attack, b.transport, b.defense.label()),
-                        trials,
-                    })
-                    .collect(),
-            }),
-            _ => None,
-        }
-    }
-
-    /// The bench binary that hosts this experiment's `--shard-worker`
-    /// mode.
-    pub fn worker_bin(&self) -> &'static str {
-        match self.experiment.as_str() {
-            "robustness_sweep" => "robustness_sweep",
-            "table1" => "table1_jitter",
-            "defense_matrix" => "defense_matrix",
+        let exp = CampaignExperiment::named(name)?;
+        let labels: Vec<String> = match name {
+            "robustness_sweep" => ROBUSTNESS_INTENSITIES
+                .iter()
+                .map(|x| format!("intensity_{x}"))
+                .collect(),
+            "table1" => TABLE1_JITTERS_MS
+                .iter()
+                .map(|ms| format!("jitter_{ms}ms"))
+                .collect(),
+            "defense_matrix" => defense_matrix_batches()
+                .iter()
+                .map(|b| format!("{}/{}/{}", b.attack, b.transport, b.defense.label()))
+                .collect(),
             other => unreachable!("unknown campaign experiment {other}"),
-        }
+        };
+        Some(CampaignSpec {
+            experiment: name.to_string(),
+            trials,
+            base_seed: exp.base_seed,
+            batches: labels
+                .into_iter()
+                .map(|label| BatchSpec { label, trials })
+                .collect(),
+        })
     }
 
     /// Total cells in the campaign.
@@ -360,6 +383,12 @@ impl CampaignFolder {
     /// # Errors
     /// Rejects out-of-order cells and malformed payloads.
     pub fn push(&mut self, batch: u64, trial: u64, payload: &Json) -> Result<(), String> {
+        let total = self.spec.total_cells();
+        if self.next >= total {
+            return Err(format!(
+                "cell ({batch}, {trial}) past the end of the campaign ({total} cells)"
+            ));
+        }
         let expect = self.spec.cell(self.next);
         if (batch, trial) != expect {
             return Err(format!(
@@ -375,8 +404,7 @@ impl CampaignFolder {
         self.next += 1;
         // Batch boundary (or end of campaign): emit the finished row and
         // reset the accumulator. Bounded memory: at most one open batch.
-        let batch_done =
-            self.next >= self.spec.total_cells() || self.spec.cell(self.next).0 != batch;
+        let batch_done = self.next >= total || self.spec.cell(self.next).0 != batch;
         if batch_done {
             match &mut self.fold {
                 Fold::Robustness { accum, rows } => {
@@ -447,6 +475,44 @@ mod tests {
     #[test]
     fn unknown_experiment_is_none() {
         assert!(CampaignSpec::for_experiment("nope", 5).is_none());
+    }
+
+    #[test]
+    fn experiment_table_pins_seeds_and_defaults() {
+        let pinned: Vec<_> = CAMPAIGN_EXPERIMENTS
+            .iter()
+            .map(|e| (e.name, e.base_seed, e.default_trials))
+            .collect();
+        assert_eq!(
+            pinned,
+            [
+                ("robustness_sweep", 81_000, 50),
+                ("table1", 11_000, 100),
+                ("defense_matrix", 83_000, 25),
+            ]
+        );
+        for e in CAMPAIGN_EXPERIMENTS {
+            let spec = CampaignSpec::for_experiment(e.name, 1).unwrap();
+            assert_eq!(spec.base_seed, e.base_seed);
+        }
+    }
+
+    #[test]
+    fn folder_rejects_a_cell_past_the_end() {
+        // A journal with one record too many (recovery accepts any run of
+        // consecutively numbered records) must fail the replay, not panic.
+        let spec = CampaignSpec::for_experiment("table1", 1).unwrap();
+        let total = spec.total_cells();
+        let payload = spec.run_cell(0, 0);
+        let mut folder = spec.folder();
+        let mut results = Vec::new();
+        for i in 0..=total {
+            let (batch, trial) = if i < total { spec.cell(i) } else { (0, 0) };
+            results.push(folder.push(batch, trial, &payload));
+        }
+        assert!(results[..total as usize].iter().all(Result::is_ok));
+        let err = results[total as usize].clone().unwrap_err();
+        assert!(err.contains("past the end"), "{err}");
     }
 
     #[test]

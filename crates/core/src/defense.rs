@@ -10,11 +10,9 @@
 //! to chance. [`evaluate_defense`] quantifies that.
 
 use crate::attack::{AttackConfig, TransportKind};
-use crate::experiment::{run_site_trial, IsideWithTrial, TrialOptions};
-use crate::predictor::{predict_from_trace, SizeMap};
+use crate::experiment::{run_isidewith_trial_with, survey_ground_truth, TrialOptions};
 use h2priv_h2::{ClientConfig, ServerConfig, ShapingConfig};
 use h2priv_netsim::rng::SimRng;
-use h2priv_trace::analysis::UnitConfig;
 use h2priv_util::impl_to_json;
 use h2priv_web::{IsideWith, Party, Site, Trigger};
 
@@ -226,42 +224,25 @@ pub fn evaluate_defense(trials: usize, base_seed: u64) -> DefenseReport {
 
     for t in 0..trials {
         let seed = base_seed + 5_000_000 + t as u64;
-        let mut perm_rng = SimRng::new(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1));
-        let iw = IsideWith::generate(&mut perm_rng);
-
-        // Undefended arm.
-        let opts = TrialOptions::new(seed, Some(AttackConfig::full_attack()));
-        let result = run_site_trial(iw.site.clone(), &opts);
-        let prediction = result.predict(&SizeMap::isidewith());
-        let trial = IsideWithTrial {
-            iw: iw.clone(),
-            result,
-            prediction,
-        };
-        undefended_hits += trial.sequence_success().iter().filter(|b| **b).count();
+        let mut opts = TrialOptions::new(seed, Some(AttackConfig::full_attack()));
+        let plain = run_isidewith_trial_with(opts.clone());
+        undefended_hits += plain.sequence_success().iter().filter(|b| **b).count();
 
         // Defended arm: same ground truth, shuffled delivery order.
-        let mut shuffle_rng = SimRng::new(seed ^ 0xDEF5);
-        let defended_site = randomize_image_order(&iw, &mut shuffle_rng);
-        let result = run_site_trial(defended_site, &opts);
-        let prediction = predict_from_trace(
-            &result.trace,
-            &SizeMap::isidewith(),
-            &UnitConfig::default(),
-            None,
-        );
+        opts.defense = Defense::PriorityRandomization;
+        let defended = run_isidewith_trial_with(opts);
         // Ranking inference: does position i of the *inferred* order
         // match the true result order? (The adversary does not know the
         // delivery order was shuffled.)
-        let inferred = prediction.party_sequence();
-        for (i, truth) in iw.result_order.iter().enumerate() {
+        let inferred = defended.prediction.party_sequence();
+        for (i, truth) in defended.iw.result_order.iter().enumerate() {
             if inferred.get(i) == Some(truth) {
                 defended_hits += 1;
             }
         }
         defended_identified += Party::ALL
             .iter()
-            .filter(|p| prediction.contains(&p.to_string()))
+            .filter(|p| defended.prediction.contains(&p.to_string()))
             .count();
     }
 
@@ -302,33 +283,17 @@ pub fn evaluate_push_defense(trials: usize, base_seed: u64) -> PushDefenseReport
 
     for t in 0..trials {
         let seed = base_seed + 6_000_000 + t as u64;
-        let mut perm_rng = SimRng::new(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1));
-        let iw = IsideWith::generate(&mut perm_rng);
-
-        // Plain arm.
-        let opts = TrialOptions::new(seed, Some(AttackConfig::full_attack()));
-        let result = run_site_trial(iw.site.clone(), &opts);
-        let prediction = result.predict(&SizeMap::isidewith());
-        let trial = IsideWithTrial {
-            iw: iw.clone(),
-            result,
-            prediction,
-        };
-        plain_hits += trial.sequence_success().iter().filter(|b| **b).count();
+        let mut opts = TrialOptions::new(seed, Some(AttackConfig::full_attack()));
+        let plain = run_isidewith_trial_with(opts.clone());
+        plain_hits += plain.sequence_success().iter().filter(|b| **b).count();
 
         // Push arm: emblems pushed with the HTML, canonical order.
-        let mut push_opts = TrialOptions::new(seed, Some(AttackConfig::full_attack()));
+        let iw = survey_ground_truth(seed);
         let canonical: Vec<_> = Party::ALL.iter().map(|p| iw.image_of(*p)).collect();
-        push_opts.server.push_manifest = vec![(iw.html, canonical)];
-        let result = run_site_trial(iw.site.clone(), &push_opts);
-        let prediction = result.predict(&SizeMap::isidewith());
-        let trial = IsideWithTrial {
-            iw: iw.clone(),
-            result,
-            prediction,
-        };
-        pushed_hits += trial.sequence_success().iter().filter(|b| **b).count();
-        pushed_identified += trial
+        opts.server.push_manifest = vec![(iw.html, canonical)];
+        let pushed = run_isidewith_trial_with(opts);
+        pushed_hits += pushed.sequence_success().iter().filter(|b| **b).count();
+        pushed_identified += pushed
             .image_outcomes()
             .iter()
             .filter(|o| o.identified)

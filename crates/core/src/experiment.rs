@@ -3,7 +3,7 @@
 //! needs — the client's report, the server's ground truth, the
 //! adversary's capture, and the attack timeline.
 
-use crate::attack::{AttackConfig, AttackEvent, AttackPolicy};
+use crate::attack::{AttackConfig, AttackEvent, AttackPolicy, TransportKind};
 use crate::defense::Defense;
 use crate::metrics::{degree_of_multiplexing, is_serialized, ObjectMux};
 use crate::predictor::{
@@ -73,11 +73,13 @@ pub struct TrialOptions {
     /// Countermeasure under test. [`Defense::None`] (the default)
     /// changes nothing: no config knobs move, no site transformation
     /// runs, no extra RNG draws occur — seeded runs stay byte-identical.
-    /// Applied by the isidewith-level wrappers
-    /// ([`run_isidewith_trial_with`], [`run_isidewith_h3_trial_with`]);
-    /// callers of the raw site-trial entry points set the equivalent
-    /// config knobs themselves.
+    /// Applied by [`run_isidewith_trial_with`]; callers of
+    /// [`run_site_trial`] set the equivalent config knobs themselves.
     pub defense: Defense,
+    /// The victim's stack: HTTP/2 over TCP+TLS ([`TransportKind::Tcp`],
+    /// the default) or HTTP/3 over QUIC. The trial deploys the attack
+    /// monitor for this transport whatever the attack config names.
+    pub transport: TransportKind,
 }
 
 impl TrialOptions {
@@ -94,6 +96,7 @@ impl TrialOptions {
             stall_window: SimDuration::from_secs(30),
             fail_fast: false,
             defense: Defense::None,
+            transport: TransportKind::Tcp,
         }
     }
 }
@@ -155,23 +158,6 @@ pub struct AttackSnapshot {
     pub packets_delayed: u64,
 }
 
-/// Server-side end-of-run diagnostics.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ServerDiag {
-    /// Remaining connection send window.
-    pub conn_send_window: u64,
-    /// DATA bytes still queued in the frame scheduler.
-    pub queued_data_bytes: u64,
-    /// TCP bytes written but untransmitted.
-    pub tcp_bytes_unsent: u64,
-    /// TCP bytes in flight.
-    pub tcp_bytes_in_flight: u64,
-    /// Minimum connection send window seen while pumping.
-    pub min_window_seen: u64,
-    /// Pump stalls on flow control with DATA queued.
-    pub window_blocked_events: u64,
-}
-
 /// Everything collected from one trial.
 #[derive(Debug, Clone)]
 pub struct TrialResult {
@@ -185,16 +171,13 @@ pub struct TrialResult {
     pub trace: Trace,
     /// Middlebox counters.
     pub mbox_stats: MiddleboxStats,
-    /// Server TCP statistics.
+    /// Server TCP statistics (a QUIC trial reports its counters in
+    /// their TCP projection: datagrams as segments, PTOs as RTOs).
     pub server_tcp: TcpStats,
-    /// Client TCP statistics.
+    /// Client TCP statistics (same projection on QUIC).
     pub client_tcp: TcpStats,
     /// Attack timeline (empty snapshot for passive baselines).
     pub attack: AttackSnapshot,
-    /// Server-side end-of-run diagnostics.
-    pub server_diag: ServerDiag,
-    /// Pump-stall log: (time, window, queued DATA bytes).
-    pub server_diag2: Vec<(SimTime, u64, u64)>,
     /// How the trial terminated.
     pub outcome: TrialOutcome,
     /// Total discrete events the simulator dispatched for this trial
@@ -247,112 +230,123 @@ impl TrialResult {
     }
 }
 
-/// Runs one trial of `site`.
+/// Runs one trial of `site` over `opts.transport`.
 pub fn run_site_trial(site: Site, opts: &TrialOptions) -> TrialResult {
-    let mut sim = Simulator::new(opts.seed);
-    let collector = shared_trace();
-    sim.set_capture_sink(collector.clone());
-
-    let mut client_cfg = opts.client.clone();
-    client_cfg.addr = opts.path.client_addr;
-    client_cfg.server_addr = opts.path.server_addr;
-    let mut server_cfg = opts.server.clone();
-    server_cfg.addr = opts.path.server_addr;
-    server_cfg.client_addr = opts.path.client_addr;
-
-    let client = ClientNode::new(site.clone(), client_cfg);
-    let server = ServerNode::new(site, server_cfg);
-
-    let (policy, attack_state): (Box<dyn MiddleboxPolicy>, _) = match &opts.attack {
-        Some(cfg) => {
-            let (p, s) = AttackPolicy::new(cfg.clone());
-            (Box::new(p), Some(s))
-        }
-        None => (Box::new(Passthrough), None),
-    };
-
-    let topo = PathTopology::build(&mut sim, client, policy, server, &opts.path);
-
-    let mut faulted_links = Vec::new();
-    if let Some(cfg) = &opts.faults.client_link {
-        faulted_links.push(topo.client_to_mbox);
-        faulted_links.push(topo.mbox_to_client);
-        sim.attach_faults(topo.client_to_mbox, cfg.clone());
-        sim.attach_faults(topo.mbox_to_client, cfg.clone());
-    }
-    if let Some(cfg) = &opts.faults.server_link {
-        faulted_links.push(topo.mbox_to_server);
-        faulted_links.push(topo.server_to_mbox);
-        sim.attach_faults(topo.mbox_to_server, cfg.clone());
-        sim.attach_faults(topo.server_to_mbox, cfg.clone());
-    }
-
-    let (outcome, stall_detected_at) = {
-        let _sp = telemetry::span("trial.sim_ns");
-        run_with_watchdog(&mut sim, topo.client, opts)
-    };
-    telemetry::gauge("trial.sim_events", sim.stats().events);
-
-    let client_node = sim.node_ref::<ClientNode>(topo.client);
-    let server_node = sim.node_ref::<ServerNode>(topo.server);
-    let mbox = sim.node_ref::<Middlebox>(topo.middlebox);
-
-    let trace = collector.borrow_mut().take_trace();
-    let attack = attack_state
-        .map(|s| {
-            let s = s.borrow();
-            AttackSnapshot {
-                events: s.events.clone(),
-                gets_seen: s.gets_seen,
-                packets_dropped: s.packets_dropped,
-                packets_delayed: s.packets_delayed,
-            }
-        })
-        .unwrap_or_default();
-
-    TrialResult {
-        client: client_node.report(),
-        serve_log: server_node.serve_log().to_vec(),
-        wire_map: server_node.wire_map().clone(),
-        trace,
-        mbox_stats: mbox.stats(),
-        server_tcp: *server_node.tcp_stats(),
-        client_tcp: *client_node.tcp_stats(),
-        attack,
-        server_diag: ServerDiag {
-            conn_send_window: server_node.conn_send_window(),
-            queued_data_bytes: server_node.queued_data_bytes(),
-            tcp_bytes_unsent: server_node.tcp_bytes_unsent(),
-            tcp_bytes_in_flight: server_node.tcp_bytes_in_flight(),
-            min_window_seen: server_node.min_window_seen(),
-            window_blocked_events: server_node.window_blocked_events(),
-        },
-        server_diag2: server_node.blocked_log().to_vec(),
-        outcome,
-        sim_events: sim.stats().events,
-        ended_at: sim.now(),
-        stall_detected_at,
-        fault_stats: faulted_links
-            .iter()
-            .filter_map(|&l| sim.fault_stats(l))
-            .collect(),
-        pad_overhead_bytes: server_node.pad_overhead_bytes(),
-        dummy_cells_sent: server_node.dummy_cells_sent(),
-        split_alt_datagrams: 0,
+    match opts.transport {
+        TransportKind::Tcp => trial_over::<H2>(site, opts),
+        TransportKind::Quic => trial_over::<H3>(site, opts),
     }
 }
 
-/// Runs one trial of `site` over the QUIC/HTTP-3 transport.
-///
-/// Same topology, middlebox policy, fault plan and watchdog as
-/// [`run_site_trial`]; only the endpoints change. The attack config (if
-/// any) should carry [`crate::attack::TransportKind::Quic`] so the
-/// adversary deploys the datagram monitor — the TLS record parser would
-/// desynchronise on QUIC ciphertext. QUIC transport counters are
-/// reported through the [`TrialResult::server_tcp`]/`client_tcp` fields
-/// in their TCP-equivalent projection (datagrams ↦ segments, PTOs ↦
-/// RTOs); H2-specific diagnostics are zeroed.
+/// Runs one trial of `site` over QUIC/HTTP-3, whatever `opts.transport`
+/// says: [`run_site_trial`] with the transport fixed.
 pub fn run_h3_site_trial(site: Site, opts: &TrialOptions) -> TrialResult {
+    trial_over::<H3>(site, opts)
+}
+
+/// What differs between the victim's two stacks. Everything else about
+/// a site trial — topology, attack, faults, watchdog, harvest — is the
+/// one body in [`trial_over`], instantiated per stack.
+trait Endpoints {
+    type Client: Node + 'static;
+    type Server: Node + 'static;
+    /// The wire format the attack monitor parses.
+    const TRANSPORT: TransportKind;
+    fn nodes(
+        site: Site,
+        client: ClientConfig,
+        server: ServerConfig,
+    ) -> (Self::Client, Self::Server);
+    /// Whether the server routes part of its traffic over a second,
+    /// untapped gateway.
+    fn split_path(_server: &ServerConfig) -> bool {
+        false
+    }
+    /// The client's forward-progress fingerprint; reads nothing that
+    /// mutates state or draws from an RNG.
+    fn progress_probe(client: &Self::Client) -> (u64, u64, bool, bool);
+    fn take_report(client: &mut Self::Client) -> ClientReport;
+    /// Client and server transport counters, in their TCP projection.
+    fn transport_stats(client: &Self::Client, server: &Self::Server) -> (TcpStats, TcpStats);
+    /// The server's serve log and wire map.
+    fn ground_truth(server: &Self::Server) -> (&[ServeRecord], &WireMap);
+    /// Defense overhead: padding bytes, dummy cells, split datagrams.
+    fn defense_counters(server: &Self::Server) -> [u64; 3];
+}
+
+/// HTTP/2 over TCP+TLS.
+struct H2;
+
+impl Endpoints for H2 {
+    type Client = ClientNode;
+    type Server = ServerNode;
+    const TRANSPORT: TransportKind = TransportKind::Tcp;
+    fn nodes(site: Site, client: ClientConfig, server: ServerConfig) -> (ClientNode, ServerNode) {
+        (
+            ClientNode::new(site.clone(), client),
+            ServerNode::new(site, server),
+        )
+    }
+    fn progress_probe(client: &ClientNode) -> (u64, u64, bool, bool) {
+        client.progress_probe()
+    }
+    fn take_report(client: &mut ClientNode) -> ClientReport {
+        client.take_report()
+    }
+    fn transport_stats(client: &ClientNode, server: &ServerNode) -> (TcpStats, TcpStats) {
+        (*client.tcp_stats(), *server.tcp_stats())
+    }
+    fn ground_truth(server: &ServerNode) -> (&[ServeRecord], &WireMap) {
+        (server.serve_log(), server.wire_map())
+    }
+    fn defense_counters(server: &ServerNode) -> [u64; 3] {
+        [server.pad_overhead_bytes(), server.dummy_cells_sent(), 0]
+    }
+}
+
+/// HTTP/3 over QUIC.
+struct H3;
+
+impl Endpoints for H3 {
+    type Client = H3ClientNode;
+    type Server = H3ServerNode;
+    const TRANSPORT: TransportKind = TransportKind::Quic;
+    fn nodes(
+        site: Site,
+        client: ClientConfig,
+        server: ServerConfig,
+    ) -> (H3ClientNode, H3ServerNode) {
+        (
+            H3ClientNode::new(site.clone(), client),
+            H3ServerNode::new(site, server),
+        )
+    }
+    fn split_path(server: &ServerConfig) -> bool {
+        server.split_burst > 0
+    }
+    fn progress_probe(client: &H3ClientNode) -> (u64, u64, bool, bool) {
+        client.progress_probe()
+    }
+    fn take_report(client: &mut H3ClientNode) -> ClientReport {
+        client.take_report()
+    }
+    fn transport_stats(client: &H3ClientNode, server: &H3ServerNode) -> (TcpStats, TcpStats) {
+        (client.tcp_stats(), server.tcp_stats())
+    }
+    fn ground_truth(server: &H3ServerNode) -> (&[ServeRecord], &WireMap) {
+        (server.serve_log(), server.wire_map())
+    }
+    fn defense_counters(server: &H3ServerNode) -> [u64; 3] {
+        [
+            server.quic_stats().pad_bytes_sent,
+            0,
+            server.split_alt_datagrams(),
+        ]
+    }
+}
+
+/// Builds, runs and harvests one trial of `site` over the stack `E`.
+fn trial_over<E: Endpoints>(site: Site, opts: &TrialOptions) -> TrialResult {
     let mut sim = Simulator::new(opts.seed);
     let collector = shared_trace();
     sim.set_capture_sink(collector.clone());
@@ -363,13 +357,11 @@ pub fn run_h3_site_trial(site: Site, opts: &TrialOptions) -> TrialResult {
     let mut server_cfg = opts.server.clone();
     server_cfg.addr = opts.path.server_addr;
     server_cfg.client_addr = opts.path.client_addr;
-
-    let client = H3ClientNode::new(site.clone(), client_cfg);
-    let server = H3ServerNode::new(site, server_cfg);
+    let (client, server) = E::nodes(site, client_cfg, server_cfg);
 
     let (policy, attack_state): (Box<dyn MiddleboxPolicy>, _) = match &opts.attack {
         Some(cfg) => {
-            let (p, s) = AttackPolicy::new(cfg.clone());
+            let (p, s) = AttackPolicy::new(cfg.clone().with_transport(E::TRANSPORT));
             (Box::new(p), Some(s))
         }
         None => (Box::new(Passthrough), None),
@@ -379,7 +371,7 @@ pub fn run_h3_site_trial(site: Site, opts: &TrialOptions) -> TrialResult {
     // path is identical either way, so an unsplit trial's topology —
     // node ids, link ids, event order — is untouched by this branch.
     // Faults stay on the primary path only.
-    let topo = if opts.server.split_burst > 0 {
+    let topo = if E::split_path(&opts.server) {
         SplitPathTopology::build(&mut sim, client, policy, server, &opts.path).path
     } else {
         PathTopology::build(&mut sim, client, policy, server, &opts.path)
@@ -401,16 +393,20 @@ pub fn run_h3_site_trial(site: Site, opts: &TrialOptions) -> TrialResult {
 
     let (outcome, stall_detected_at) = {
         let _sp = telemetry::span("trial.sim_ns");
-        run_with_watchdog_probed(&mut sim, opts, |sim| {
-            sim.node_ref::<H3ClientNode>(topo.client).progress_probe()
+        run_with_watchdog(&mut sim, opts, |sim| {
+            E::progress_probe(sim.node_ref(topo.client))
         })
     };
     telemetry::gauge("trial.sim_events", sim.stats().events);
 
-    let client_report = sim.node_mut::<H3ClientNode>(topo.client).take_report();
-    let client_node = sim.node_ref::<H3ClientNode>(topo.client);
-    let server_node = sim.node_ref::<H3ServerNode>(topo.server);
+    let client_report = E::take_report(sim.node_mut(topo.client));
+    let client_node = sim.node_ref::<E::Client>(topo.client);
+    let server_node = sim.node_ref::<E::Server>(topo.server);
     let mbox = sim.node_ref::<Middlebox>(topo.middlebox);
+    let (client_tcp, server_tcp) = E::transport_stats(client_node, server_node);
+    let (serve_log, wire_map) = E::ground_truth(server_node);
+    let [pad_overhead_bytes, dummy_cells_sent, split_alt_datagrams] =
+        E::defense_counters(server_node);
 
     let trace = collector.borrow_mut().take_trace();
     let attack = attack_state
@@ -427,18 +423,13 @@ pub fn run_h3_site_trial(site: Site, opts: &TrialOptions) -> TrialResult {
 
     TrialResult {
         client: client_report,
-        serve_log: server_node.serve_log().to_vec(),
-        wire_map: server_node.wire_map().clone(),
+        serve_log: serve_log.to_vec(),
+        wire_map: wire_map.clone(),
         trace,
         mbox_stats: mbox.stats(),
-        server_tcp: server_node.tcp_stats(),
-        client_tcp: client_node.tcp_stats(),
+        server_tcp,
+        client_tcp,
         attack,
-        server_diag: ServerDiag {
-            conn_send_window: server_node.conn_send_window(),
-            ..ServerDiag::default()
-        },
-        server_diag2: Vec::new(),
         outcome,
         sim_events: sim.stats().events,
         ended_at: sim.now(),
@@ -447,14 +438,15 @@ pub fn run_h3_site_trial(site: Site, opts: &TrialOptions) -> TrialResult {
             .iter()
             .filter_map(|&l| sim.fault_stats(l))
             .collect(),
-        pad_overhead_bytes: server_node.quic_stats().pad_bytes_sent,
-        dummy_cells_sent: 0,
-        split_alt_datagrams: server_node.split_alt_datagrams(),
+        pad_overhead_bytes,
+        dummy_cells_sent,
+        split_alt_datagrams,
     }
 }
 
 /// Drives the simulation in stall-window-sized chunks up to the horizon,
-/// classifying how the trial ends.
+/// classifying how the trial ends. `probe_fn` is the client's
+/// forward-progress probe, so the same loop drives TCP and QUIC trials.
 ///
 /// With `fail_fast` off, the event sequence processed is exactly what a
 /// single `run_until_idle(horizon)` would process — chunk boundaries only
@@ -462,20 +454,6 @@ pub fn run_h3_site_trial(site: Site, opts: &TrialOptions) -> TrialResult {
 /// nothing that mutates state or consumes RNG draws — so default-path
 /// trials stay byte-identical to the pre-watchdog harness.
 fn run_with_watchdog(
-    sim: &mut Simulator,
-    client: NodeId,
-    opts: &TrialOptions,
-) -> (TrialOutcome, Option<SimTime>) {
-    run_with_watchdog_probed(sim, opts, |sim| {
-        sim.node_ref::<ClientNode>(client).progress_probe()
-    })
-}
-
-/// Transport-agnostic watchdog core: the client's forward-progress probe
-/// is supplied by the caller, so the same loop drives TCP and QUIC
-/// trials. The probe must read nothing that mutates state or consumes
-/// RNG draws.
-fn run_with_watchdog_probed(
     sim: &mut Simulator,
     opts: &TrialOptions,
     probe_fn: impl Fn(&Simulator) -> (u64, u64, bool, bool),
@@ -719,7 +697,8 @@ impl RetriedTrial {
 /// original via [`derive_retry_seed`]. Returns the first attempt that
 /// completes, or the last attempt when every one degraded — the caller
 /// always gets a terminated trial with a [`TrialOutcome`], never a hang
-/// or a panic.
+/// or a panic. Serves both transports, as [`run_isidewith_trial_with`]
+/// does.
 ///
 /// Pool-safe: every attempt's state (simulator, RNG streams, shared
 /// trace, watchdog) lives inside the call, and the retry seed is a pure
@@ -754,16 +733,20 @@ pub fn run_isidewith_trial_retrying(opts: TrialOptions, max_retries: u32) -> Ret
     unreachable!("loop always returns on the last attempt");
 }
 
-/// Runs one isidewith trial with explicit options.
+/// The volunteer's survey result for `seed`, drawn on a stream
+/// independent of the trial's own, so attack configs do not perturb it
+/// and a seed yields the same ground truth on both transports.
+pub(crate) fn survey_ground_truth(seed: u64) -> IsideWith {
+    let mut perm_rng = SimRng::new(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1));
+    IsideWith::generate(&mut perm_rng)
+}
+
+/// Runs one isidewith trial with explicit options, over
+/// `opts.transport`, with `opts.defense` applied. The predictor matches
+/// the transport: TLS-record reassembly on TCP, datagram delimiting on
+/// QUIC.
 pub fn run_isidewith_trial_with(mut opts: TrialOptions) -> IsideWithTrial {
-    // Derive the volunteer's survey result from the seed but on an
-    // independent stream, so attack configs do not perturb it.
-    let mut perm_rng = SimRng::new(
-        opts.seed
-            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            .wrapping_add(1),
-    );
-    let iw = IsideWith::generate(&mut perm_rng);
+    let iw = survey_ground_truth(opts.seed);
     // With Defense::None both calls are no-ops (configure leaves every
     // knob alone; transform_site is the same site.clone() an undefended
     // trial always performed), so legacy seeded runs stay byte-identical.
@@ -771,7 +754,11 @@ pub fn run_isidewith_trial_with(mut opts: TrialOptions) -> IsideWithTrial {
     defense.configure(&mut opts.server, &mut opts.client);
     let site = defense.transform_site(&iw, opts.seed);
     let result = run_site_trial(site, &opts);
-    let prediction = result.predict(&SizeMap::isidewith());
+    let map = SizeMap::isidewith();
+    let prediction = match opts.transport {
+        TransportKind::Tcp => result.predict(&map),
+        TransportKind::Quic => result.predict_datagram(&map),
+    };
     IsideWithTrial {
         iw,
         result,
@@ -780,40 +767,11 @@ pub fn run_isidewith_trial_with(mut opts: TrialOptions) -> IsideWithTrial {
 }
 
 /// Runs one isidewith trial over QUIC/HTTP-3 with default options.
-///
-/// The attack config's transport is forced to
-/// [`crate::attack::TransportKind::Quic`] so callers can pass the same
-/// presets they use for the TCP path.
 pub fn run_isidewith_h3_trial(seed: u64, attack: Option<AttackConfig>) -> IsideWithTrial {
-    run_isidewith_h3_trial_with(TrialOptions::new(seed, attack))
-}
-
-/// Runs one isidewith trial over QUIC/HTTP-3 with explicit options.
-///
-/// Uses the same survey-permutation stream as
-/// [`run_isidewith_trial_with`], so a given seed yields the same ground
-/// truth on both transports and any outcome difference is attributable
-/// to the transport alone.
-pub fn run_isidewith_h3_trial_with(mut opts: TrialOptions) -> IsideWithTrial {
-    if let Some(attack) = &mut opts.attack {
-        attack.transport = crate::attack::TransportKind::Quic;
-    }
-    let mut perm_rng = SimRng::new(
-        opts.seed
-            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            .wrapping_add(1),
-    );
-    let iw = IsideWith::generate(&mut perm_rng);
-    let defense = opts.defense;
-    defense.configure(&mut opts.server, &mut opts.client);
-    let site = defense.transform_site(&iw, opts.seed);
-    let result = run_h3_site_trial(site, &opts);
-    let prediction = result.predict_datagram(&SizeMap::isidewith());
-    IsideWithTrial {
-        iw,
-        result,
-        prediction,
-    }
+    run_isidewith_trial_with(TrialOptions {
+        transport: TransportKind::Quic,
+        ..TrialOptions::new(seed, attack)
+    })
 }
 
 #[cfg(test)]
@@ -912,6 +870,39 @@ mod tests {
             "gets_seen = {}",
             trial.result.attack.gets_seen
         );
+    }
+
+    #[test]
+    fn quic_trial_deploys_the_datagram_monitor_whatever_the_attack_names() {
+        // The attack config names TCP; the runner takes the monitor's
+        // transport from the endpoints, so a TLS record parser never
+        // watches QUIC ciphertext.
+        let attack = AttackConfig::jitter_only(SimDuration::from_millis(25));
+        assert_eq!(attack.transport, TransportKind::Tcp);
+        let opts = TrialOptions {
+            transport: TransportKind::Quic,
+            ..TrialOptions::new(5, Some(attack))
+        };
+        let result = run_site_trial(survey_ground_truth(5).site, &opts);
+        assert!(
+            result.attack.gets_seen >= 53,
+            "gets_seen = {}",
+            result.attack.gets_seen
+        );
+    }
+
+    #[test]
+    fn retrying_runner_serves_quic_trials() {
+        let opts = TrialOptions {
+            transport: TransportKind::Quic,
+            ..TrialOptions::new(7, None)
+        };
+        let retried = run_isidewith_trial_retrying(opts, 2);
+        assert_eq!(retried.retries_used(), 0, "clean seed needs no retry");
+        let direct = run_isidewith_h3_trial(7, None);
+        assert_eq!(retried.trial.result.outcome, direct.result.outcome);
+        assert_eq!(retried.trial.result.sim_events, direct.result.sim_events);
+        assert_eq!(retried.trial.result.trace.len(), direct.result.trace.len());
     }
 
     #[test]

@@ -17,12 +17,11 @@
 use crate::attack::{AttackConfig, TransportKind};
 use crate::defense::Defense;
 use crate::experiment::{
-    run_isidewith_h3_trial, run_isidewith_h3_trial_with, run_isidewith_trial,
-    run_isidewith_trial_retrying, run_isidewith_trial_with, run_site_trial, FaultPlan,
-    TrialOptions, TrialOutcome,
+    run_isidewith_trial, run_isidewith_trial_retrying, run_isidewith_trial_with, run_site_trial,
+    FaultPlan, TrialOptions, TrialOutcome,
 };
 use crate::metrics::degree_of_multiplexing;
-use crate::predictor::{SizeMap, HTML_LABEL};
+use crate::predictor::SizeMap;
 use h2priv_netsim::faults::{Duplicate, FaultConfig, GilbertElliott, Reorder};
 use h2priv_netsim::time::{SimDuration, SimTime};
 use h2priv_netsim::units::Bandwidth;
@@ -832,16 +831,15 @@ pub fn transport_transfer(trials: usize, base_seed: u64, jobs: usize) -> Vec<Tra
     }
     let mut rows = Vec::new();
     for (cfg_idx, (label, attack)) in transfer_attack_configs().into_iter().enumerate() {
-        for transport in ["h2-tcp", "h3-quic"] {
-            let batch = telemetry::open_batch(&format!("transfer/{label}/{transport}"));
+        for transport in [TransportKind::Tcp, TransportKind::Quic] {
+            let batch = telemetry::open_batch(&format!("transfer/{label}/{}", transport.label()));
             let per_trial = pool::run_indexed(jobs, trials, |t| {
                 let _tele = telemetry::trial_slot(batch, t as u64);
                 let seed = base_seed + 6_000_000 + (cfg_idx as u64) * 10_000 + t as u64;
-                let trial = if transport == "h2-tcp" {
-                    run_isidewith_trial(seed, Some(attack.clone()))
-                } else {
-                    run_isidewith_h3_trial(seed, Some(attack.clone()))
-                };
+                let trial = run_isidewith_trial_with(TrialOptions {
+                    transport,
+                    ..TrialOptions::new(seed, Some(attack.clone()))
+                });
                 let out = trial.html_outcome();
                 (
                     crate::metrics::is_serialized(out.best_degree),
@@ -867,7 +865,7 @@ pub fn transport_transfer(trials: usize, base_seed: u64, jobs: usize) -> Vec<Tra
             let pct = |n: usize| 100.0 * n as f64 / trials as f64;
             rows.push(TransferRow {
                 attack: label.to_string(),
-                transport: transport.to_string(),
+                transport: transport.label().to_string(),
                 pct_html_serialized: pct(serialized),
                 pct_html_identified: pct(identified),
                 pct_success: pct(success),
@@ -896,7 +894,7 @@ pub struct DefenseMatrixBatch {
 impl DefenseMatrixBatch {
     /// The transport as an enum.
     pub fn transport_kind(&self) -> TransportKind {
-        if self.transport == "h2-tcp" {
+        if self.transport == TransportKind::Tcp.label() {
             TransportKind::Tcp
         } else {
             TransportKind::Quic
@@ -911,18 +909,13 @@ impl DefenseMatrixBatch {
 pub fn defense_matrix_batches() -> Vec<DefenseMatrixBatch> {
     let mut batches = Vec::new();
     for attack in ["full_attack", "jitter_only_50ms"] {
-        for transport in ["h2-tcp", "h3-quic"] {
-            let kind = if transport == "h2-tcp" {
-                TransportKind::Tcp
-            } else {
-                TransportKind::Quic
-            };
+        for transport in [TransportKind::Tcp, TransportKind::Quic] {
             for defense in Defense::ALL {
-                if defense.supported_on(kind) {
+                if defense.supported_on(transport) {
                     batches.push(DefenseMatrixBatch {
                         defense,
                         attack,
-                        transport,
+                        transport: transport.label(),
                     });
                 }
             }
@@ -975,10 +968,8 @@ pub fn defense_matrix_trial(base_seed: u64, bi: usize, t: usize) -> DefenseTrial
     let seed = base_seed + 7_000_000 + (bi as u64) * 10_000 + t as u64;
     let mut opts = TrialOptions::new(seed, Some(defense_matrix_attack(b.attack)));
     opts.defense = b.defense;
-    let trial = match b.transport_kind() {
-        TransportKind::Tcp => run_isidewith_trial_with(opts),
-        TransportKind::Quic => run_isidewith_h3_trial_with(opts),
-    };
+    opts.transport = b.transport_kind();
+    let trial = run_isidewith_trial_with(opts);
     let out = trial.html_outcome();
     let completed = trial.result.outcome == TrialOutcome::Completed;
     let page_ns = match (
@@ -1154,18 +1145,6 @@ pub fn defense_matrix(trials: usize, base_seed: u64, jobs: usize) -> Vec<Defense
         rows.push(accum.row(b, &mut baseline));
     }
     rows
-}
-
-/// Convenience: does the passive baseline multiplex the HTML? Used by
-/// calibration tooling and tests.
-pub fn html_baseline_degree(seed: u64) -> f64 {
-    let trial = run_isidewith_trial(seed, None);
-    trial.html_outcome().best_degree
-}
-
-/// Re-exported success check used by integration tests: the HTML label.
-pub fn html_label() -> &'static str {
-    HTML_LABEL
 }
 
 /// Degree of the two objects of a two-object site trial (test helper).

@@ -4,8 +4,10 @@
 //! invariant that lets the sharded campaign runner claim its output is
 //! *the* experiment output, not an approximation of it.
 
-use h2priv_core::campaign::{robustness_report, table1_report, CampaignSpec};
-use h2priv_core::experiments::{robustness_sweep, table1, ROBUSTNESS_INTENSITIES};
+use h2priv_core::campaign::{
+    defense_matrix_report, robustness_report, table1_report, CampaignSpec,
+};
+use h2priv_core::experiments::{defense_matrix, robustness_sweep, table1, ROBUSTNESS_INTENSITIES};
 use h2priv_util::json::Json;
 
 /// Runs every cell, round-trips its payload through compact JSON text
@@ -34,4 +36,13 @@ fn campaign_fold_matches_table1_report_bytes() {
     let spec = CampaignSpec::for_experiment("table1", 1).unwrap();
     let direct = table1(1, 11_000, 1);
     assert_eq!(fold_report(&spec), table1_report(&direct));
+}
+
+#[test]
+fn campaign_fold_matches_defense_matrix_report_bytes() {
+    // Crosses both transports: every (attack, transport, defense) batch
+    // at one trial each.
+    let spec = CampaignSpec::for_experiment("defense_matrix", 1).unwrap();
+    let direct = defense_matrix(1, 83_000, 1);
+    assert_eq!(fold_report(&spec), defense_matrix_report(&direct));
 }

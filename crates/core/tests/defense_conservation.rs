@@ -5,14 +5,17 @@
 //! exact payload to the application (padding, dummy cells, and decoy
 //! scheduling are stripped/ignored below the application layer), and
 //! (c) stay byte-identical whether trials run on one pool worker or
-//! four, mirroring the undefended `parallel_identity` guarantee.
+//! four, mirroring the undefended `parallel_identity` guarantee. A
+//! six-trial slice of the defense matrix pins (d): the undefended cells
+//! keep their success rates, and padding and shaping still zero out the
+//! H2/TCP attack.
 
 use h2priv_core::attack::AttackConfig;
 use h2priv_core::defense::Defense;
 use h2priv_core::experiment::{
-    run_isidewith_h3_trial_with, run_isidewith_trial_with, IsideWithTrial, TrialOptions,
-    TrialOutcome,
+    run_isidewith_trial_with, IsideWithTrial, TrialOptions, TrialOutcome,
 };
+use h2priv_core::experiments::{defense_matrix_batches, defense_matrix_trial, DefenseAccum};
 use h2priv_core::TransportKind;
 use h2priv_netsim::time::SimDuration;
 use h2priv_util::pool;
@@ -31,10 +34,8 @@ fn attack_for(_transport: TransportKind) -> AttackConfig {
 fn run_cell(defense: Defense, transport: TransportKind, seed: u64) -> IsideWithTrial {
     let mut opts = TrialOptions::new(seed, Some(attack_for(transport)));
     opts.defense = defense;
-    match transport {
-        TransportKind::Tcp => run_isidewith_trial_with(opts),
-        TransportKind::Quic => run_isidewith_h3_trial_with(opts),
-    }
+    opts.transport = transport;
+    run_isidewith_trial_with(opts)
 }
 
 /// Asserts completion and payload conservation, then boils the trial
@@ -146,4 +147,36 @@ fn defense_overhead_counters_fire_only_for_their_defense() {
         split.result.trace.len(),
         plain_h3.result.trace.len()
     );
+}
+
+#[test]
+fn defense_matrix_success_rates_are_pinned() {
+    // (attack, transport, defense) -> % success over the matrix's first
+    // six trials at its base seed. Every other cell is skipped; each
+    // group's `none` batch still folds first, as the overhead columns
+    // require.
+    let pins = [
+        (("full_attack", "h2-tcp", "none"), 100.0 * 5.0 / 6.0),
+        (("full_attack", "h3-quic", "none"), 0.0),
+        (("jitter_only_50ms", "h2-tcp", "none"), 100.0 * 2.0 / 6.0),
+        (("jitter_only_50ms", "h3-quic", "none"), 100.0 * 2.0 / 6.0),
+        (("full_attack", "h2-tcp", "record_padding"), 0.0),
+        (("full_attack", "h2-tcp", "shaping"), 0.0),
+    ];
+    let mut baseline = None;
+    let mut checked = 0;
+    for (bi, b) in defense_matrix_batches().iter().enumerate() {
+        let key = (b.attack, b.transport, b.defense.label());
+        let Some(&(_, want)) = pins.iter().find(|(k, _)| *k == key) else {
+            continue;
+        };
+        let mut accum = DefenseAccum::default();
+        for t in 0..6 {
+            accum.add(&defense_matrix_trial(83_000, bi, t));
+        }
+        let got = accum.row(b, &mut baseline).pct_success;
+        assert_eq!(got, want, "{key:?}");
+        checked += 1;
+    }
+    assert_eq!(checked, pins.len());
 }

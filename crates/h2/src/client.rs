@@ -179,12 +179,14 @@ impl ClientNode {
         }
     }
 
-    /// Builds the post-run report.
-    pub fn report(&self) -> ClientReport {
+    /// Builds the post-run report, taking ownership of the accumulated
+    /// request records — callers read the report once, at end of trial,
+    /// so there is no reason to clone the records.
+    pub fn take_report(&mut self) -> ClientReport {
         ClientReport {
             page_started_at: self.page_started_at,
             page_completed_at: self.page_completed_at,
-            requests: self.requests.clone(),
+            requests: std::mem::take(&mut self.requests),
             objects: self
                 .objects
                 .iter()

@@ -116,9 +116,6 @@ pub struct ServerNode {
     push_alloc: StreamIdAllocator,
     timers: FxHashMap<TimerId, TimerPurpose>,
     dead: bool,
-    min_window_seen: u64,
-    window_blocked_events: u64,
-    blocked_log: Vec<(SimTime, u64, u64)>,
     /// Deadline of the currently scheduled shaping tick, if any.
     shape_tick_at: Option<SimTime>,
     /// Last real activity (GET arrival or real DATA emission) — the
@@ -156,9 +153,6 @@ impl ServerNode {
             push_alloc: StreamIdAllocator::server_push(),
             timers: FxHashMap::default(),
             dead: false,
-            min_window_seen: u64::MAX,
-            window_blocked_events: 0,
-            blocked_log: Vec::new(),
             shape_tick_at: None,
             last_activity_at: None,
             dummy_cells_sent: 0,
@@ -185,41 +179,6 @@ impl ServerNode {
     /// pathology fired).
     pub fn copies_served(&self, object: ObjectId) -> u16 {
         self.copies.get(&object).copied().unwrap_or(0)
-    }
-
-    /// Remaining connection-level send window (diagnostics).
-    pub fn conn_send_window(&self) -> u64 {
-        self.conn_send_window
-    }
-
-    /// DATA bytes still queued in the frame scheduler (diagnostics).
-    pub fn queued_data_bytes(&self) -> u64 {
-        self.sched.queued_data_bytes()
-    }
-
-    /// Bytes written to TCP but not yet transmitted (diagnostics).
-    pub fn tcp_bytes_unsent(&self) -> u64 {
-        self.stack.tcp.bytes_unsent()
-    }
-
-    /// Bytes in flight on TCP (diagnostics).
-    pub fn tcp_bytes_in_flight(&self) -> u64 {
-        self.stack.tcp.bytes_in_flight()
-    }
-
-    /// Minimum connection send window observed while pumping.
-    pub fn min_window_seen(&self) -> u64 {
-        self.min_window_seen
-    }
-
-    /// Times the pump stalled on flow control with DATA queued.
-    pub fn window_blocked_events(&self) -> u64 {
-        self.window_blocked_events
-    }
-
-    /// Log of pump stalls: (time, window, queued DATA bytes).
-    pub fn blocked_log(&self) -> &[(SimTime, u64, u64)] {
-        &self.blocked_log
     }
 
     /// Shaping dummy cells emitted (0 when shaping is off).
@@ -515,20 +474,11 @@ impl ServerNode {
         }
     }
 
-    fn pump_frames(&mut self, now: SimTime) {
+    fn pump_frames(&mut self) {
         while self.stack.tcp.bytes_unsent() < self.cfg.send_watermark {
-            self.min_window_seen = self.min_window_seen.min(self.conn_send_window);
             let Some(qf) = self.sched.pop_next(self.conn_send_window) else {
                 if self.sched.queued_data_bytes() > 0 {
-                    self.window_blocked_events += 1;
                     telemetry::count("h2.window_blocked_events", 1);
-                    if self.blocked_log.len() < 256 {
-                        self.blocked_log.push((
-                            now,
-                            self.conn_send_window,
-                            self.sched.queued_data_bytes(),
-                        ));
-                    }
                 }
                 break;
             };
@@ -553,7 +503,6 @@ impl ServerNode {
         }
         let mut sent_data = false;
         while self.stack.tcp.bytes_unsent() < self.cfg.send_watermark {
-            self.min_window_seen = self.min_window_seen.min(self.conn_send_window);
             let Some(qf) = self.sched.pop_next_shaped(self.conn_send_window, sh.cell) else {
                 break;
             };
@@ -630,7 +579,7 @@ impl ServerNode {
             // Shaped mode: frames leave only on the shaping tick.
             self.ensure_shape_tick(ctx);
         } else {
-            self.pump_frames(ctx.now());
+            self.pump_frames();
         }
         self.stack.pump(ctx);
         if let Some(t) = self.stack.timer_needs_rescheduling() {

@@ -314,12 +314,6 @@ impl QuicConnection {
         self.recovery.cwnd()
     }
 
-    /// Remaining connection-level flow-control credit towards the peer
-    /// (diagnostics; the analogue of the H2 connection send window).
-    pub fn send_credit(&self) -> u64 {
-        self.peer_max_data.saturating_sub(self.conn_data_sent)
-    }
-
     /// Smoothed RTT estimate, if any (diagnostics).
     pub fn srtt(&self) -> Option<SimDuration> {
         self.recovery.srtt()

@@ -147,12 +147,6 @@ impl H3ServerNode {
         self.copies.get(&object).copied().unwrap_or(0)
     }
 
-    /// Remaining connection-level flow-control credit towards the client
-    /// (diagnostics; the analogue of the H2 server's send window).
-    pub fn conn_send_window(&self) -> u64 {
-        self.stack.quic.send_credit()
-    }
-
     /// Datagrams routed via the alternate path when traffic splitting is
     /// enabled (0 otherwise).
     pub fn split_alt_datagrams(&self) -> u64 {
