@@ -1,13 +1,13 @@
 //! Timing benches (built with `--features criterion`): one per
 //! table/figure of the paper, running a small trial batch per iteration. These measure the cost of regenerating
 //! each experiment point and double as smoke tests that the full
-//! pipeline stays runnable; the full-scale numbers come from the
-//! `src/bin/*` experiment binaries.
+//! pipeline stays runnable; the full-scale numbers come from
+//! `run <experiment>`.
 
 use h2priv_bench::timing::{BatchSize, Harness};
 use h2priv_core::attack::AttackConfig;
 use h2priv_core::experiment::run_isidewith_trial;
-use h2priv_core::experiments::{baseline, fig1, fig5, section4d, table1, table2};
+use h2priv_core::experiments::{run, Baseline, Fig1, Fig5, Section4d, Table1, Table2};
 use h2priv_netsim::time::SimDuration;
 use std::cell::Cell;
 
@@ -34,7 +34,7 @@ fn bench_baseline(c: &mut Harness) {
     c.bench_function("baseline/table_3trials", |b| {
         b.iter_batched(
             next_seed,
-            |seed| baseline(3, seed, 1),
+            |seed| run(&Baseline, 3, seed, 1),
             BatchSize::SmallInput,
         )
     });
@@ -54,13 +54,21 @@ fn bench_table1(c: &mut Harness) {
         )
     });
     c.bench_function("table1/rows_2trials", |b| {
-        b.iter_batched(next_seed, |seed| table1(2, seed, 1), BatchSize::SmallInput)
+        b.iter_batched(
+            next_seed,
+            |seed| run(&Table1, 2, seed, 1),
+            BatchSize::SmallInput,
+        )
     });
 }
 
 fn bench_fig5(c: &mut Harness) {
     c.bench_function("fig5/rows_2trials", |b| {
-        b.iter_batched(next_seed, |seed| fig5(2, seed, 1), BatchSize::SmallInput)
+        b.iter_batched(
+            next_seed,
+            |seed| run(&Fig5, 2, seed, 1),
+            BatchSize::SmallInput,
+        )
     });
 }
 
@@ -80,7 +88,13 @@ fn bench_fig6_drops(c: &mut Harness) {
     c.bench_function("fig6_drops/rows_2trials", |b| {
         b.iter_batched(
             next_seed,
-            |seed| section4d(2, seed, &[0.8], 1),
+            |seed| {
+                let drops = Section4d {
+                    rates: &[0.8],
+                    stop_on_reset: true,
+                };
+                run(&drops, 2, seed, 1)
+            },
             BatchSize::SmallInput,
         )
     });
@@ -95,13 +109,21 @@ fn bench_table2(c: &mut Harness) {
         )
     });
     c.bench_function("table2/columns_2trials", |b| {
-        b.iter_batched(next_seed, |seed| table2(2, seed, 1), BatchSize::SmallInput)
+        b.iter_batched(
+            next_seed,
+            |seed| run(&Table2, 2, seed, 1),
+            BatchSize::SmallInput,
+        )
     });
 }
 
 fn bench_fig1(c: &mut Harness) {
     c.bench_function("fig1/both_cases", |b| {
-        b.iter_batched(next_seed, |seed| fig1(seed, 1), BatchSize::SmallInput)
+        b.iter_batched(
+            next_seed,
+            |seed| run(&Fig1, 1, seed, 1),
+            BatchSize::SmallInput,
+        )
     });
 }
 

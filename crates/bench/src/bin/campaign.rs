@@ -1,7 +1,7 @@
 //! Crash-safe sharded campaign runner.
 //!
-//! Shards an experiment's `(batch, trial)` space across supervised
-//! worker processes (the experiment's own bench bin in `--shard-worker`
+//! Shards a registered experiment's `(batch, trial)` space across
+//! supervised worker processes (this binary again, in `--shard-worker`
 //! mode), streams per-trial results into an append-only checksummed
 //! journal, and folds the final report incrementally in global cell
 //! order — so the journal and the report are **byte-identical at any
@@ -9,7 +9,7 @@
 //!
 //! ```sh
 //! cargo run --release -p h2priv-bench --bin campaign -- \
-//!     robustness_sweep [trials=50] --journal camp.jsonl \
+//!     <experiment> [trials] --journal camp.jsonl \
 //!     [--out report.json] [--shards N] [--resume] \
 //!     [--heartbeat-ms N] [--max-respawns N] [--fail-on-crash] \
 //!     [--inject-kill shard=N,trial=K[,repeat]] [--inject-stall ...] [--quiet]
@@ -25,14 +25,14 @@
 use std::time::Duration;
 
 use h2priv_bench::{
-    flag_present, flag_u64, flag_value, flag_values, obs, odetail, oerror, oinfo, out, owarn,
-    positional,
+    experiment_arg, flag_present, flag_u64, flag_value, flag_values, obs, odetail, oerror, oinfo,
+    out, owarn, shard,
 };
 use h2priv_campaign::inject::{InjectKind, InjectSchedule, InjectSpec};
 use h2priv_campaign::journal::{self, Journal};
 use h2priv_campaign::record::{self, LineBody};
 use h2priv_campaign::supervisor::{self, SupervisorConfig, WorkerCmd};
-use h2priv_core::campaign::{CampaignExperiment, CampaignSpec, CAMPAIGN_EXPERIMENTS};
+use h2priv_core::campaign::CampaignSpec;
 
 /// Crashes attributable to one cell before the range is declared
 /// poisoned.
@@ -44,12 +44,7 @@ fn usage_exit() -> ! {
          [--resume] [--heartbeat-ms N] [--max-respawns N] [--fail-on-crash] \
          [--inject-kill shard=N,trial=K[,repeat]] [--inject-stall ...] [--quiet]"
     );
-    oerror!("experiments: {}", experiment_names());
     std::process::exit(2)
-}
-
-fn experiment_names() -> String {
-    CAMPAIGN_EXPERIMENTS.map(|e| e.name).join(", ")
 }
 
 fn fail(message: &str) -> ! {
@@ -78,25 +73,19 @@ fn parse_injections() -> InjectSchedule {
 
 fn main() {
     let _o = obs::init();
-    let Some(experiment) = positional(1) else {
-        usage_exit();
-    };
-    let Some(exp) = CampaignExperiment::named(&experiment) else {
-        oerror!(
-            "error: unknown experiment {experiment:?} (expected one of: {})",
-            experiment_names()
-        );
-        std::process::exit(2);
-    };
-    let default_trials = exp.default_trials;
+    let entry = experiment_arg(1);
+    let default_trials = entry.default_trials;
     let trials = h2priv_bench::count_arg(
         2,
         "trials",
         default_trials as u64,
         &format!("<experiment> [trials={default_trials}] --journal FILE ..."),
     );
-    let spec =
-        CampaignSpec::for_experiment(exp.name, trials).expect("campaign experiments have a spec");
+    let spec = CampaignSpec::new(entry, trials);
+    if flag_present("--shard-worker") {
+        shard::worker(&spec);
+        return;
+    }
     let Some(journal_path) = flag_value("--journal") else {
         oerror!("error: --journal FILE is required (the append-only trial journal)");
         usage_exit();
@@ -164,12 +153,14 @@ fn main() {
 
     let start_cell = folder.next_cell();
     let worker_program = std::env::current_exe()
-        .ok()
-        .and_then(|p| p.parent().map(|d| d.join(exp.worker_bin)))
-        .unwrap_or_else(|| fail("cannot locate worker binary next to the campaign binary"));
+        .unwrap_or_else(|e| fail(&format!("cannot locate the campaign binary: {e}")));
     let cmd = WorkerCmd {
         program: worker_program,
-        args: vec![trials.to_string(), "--shard-worker".to_string()],
+        args: vec![
+            entry.name.to_string(),
+            trials.to_string(),
+            "--shard-worker".to_string(),
+        ],
     };
     let cfg = SupervisorConfig {
         shards,
@@ -177,13 +168,14 @@ fn main() {
         max_respawns_per_slot: flag_u64("--max-respawns", 3) as u32,
         max_cell_attempts: MAX_CELL_ATTEMPTS,
         fail_on_crash: flag_present("--fail-on-crash"),
-        backoff_seed: spec.base_seed,
+        backoff_seed: entry.base_seed,
     };
 
     odetail!(
-        "campaign {experiment}: {total} cells ({} batches x {trials} trials), \
+        "campaign {}: {total} cells ({} batches x {trials} trials), \
          {} to run, {shards} shard(s)",
-        spec.batches.len(),
+        entry.name,
+        spec.batches,
         total - start_cell
     );
 

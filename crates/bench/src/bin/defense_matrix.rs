@@ -1,75 +1,11 @@
-//! The attack × defense × transport matrix: every countermeasure preset
-//! (priority randomization, RFC 8467-style record/datagram padding,
-//! constant-rate shaping with dummy cells, dummy-object injection,
-//! connection-migration traffic splitting) against the full attack and
-//! the jitter-only probe, on HTTP/2-over-TCP and HTTP/3-over-QUIC, with
-//! bandwidth and latency overhead measured against the undefended cell
-//! of each group.
+//! `run defense_matrix` under its own name: the attack × defense ×
+//! transport matrix, with the trial count as the first argument.
 //!
 //! ```sh
-//! cargo run --release -p h2priv-bench --bin defense_matrix -- [trials=25] [--jobs N] [--out path.json] [--trace out.jsonl] [--metrics]
+//! cargo run --release -p h2priv-bench --bin defense_matrix -- [trials=25] [--jobs N] [--out FILE]
 //! ```
 
-use h2priv_bench::{flag_value, jobs_arg, obs, odetail, oinfo, out, shard, trials_arg};
-use h2priv_core::campaign::{defense_matrix_report, DEFENSE_MATRIX};
-use h2priv_core::experiments::defense_matrix;
-use h2priv_core::report::{pct, render_table};
-
 fn main() {
-    if shard::maybe_worker(&DEFENSE_MATRIX) {
-        return;
-    }
-    let o = obs::init();
-    let trials = trials_arg(DEFENSE_MATRIX.default_trials);
-    let jobs = jobs_arg();
-    odetail!("defense matrix: {trials} attacked downloads per (attack, transport, defense) cell");
-    let rows = defense_matrix(trials, DEFENSE_MATRIX.base_seed, jobs);
-    let table: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.attack.clone(),
-                r.transport.clone(),
-                r.defense.clone(),
-                pct(r.pct_success),
-                pct(r.pct_full_ranking),
-                pct(r.pct_completed),
-                format!("{:.0}", r.wire_bytes_avg / 1024.0),
-                format!("{:+.1}%", r.bandwidth_overhead_pct),
-                format!("{:+.1}%", r.latency_overhead_pct),
-            ]
-        })
-        .collect();
-    oinfo!(
-        "{}",
-        render_table(
-            &[
-                "attack",
-                "transport",
-                "defense",
-                "success (%)",
-                "full ranking (%)",
-                "completed (%)",
-                "wire (KiB)",
-                "bw overhead",
-                "latency overhead",
-            ],
-            &table
-        )
-    );
-    oinfo!("reading: padding and shaping starve the size/segmentation channel the");
-    oinfo!("attack identifies objects by; randomization and decoys corrupt the");
-    oinfo!("inferred ranking instead; splitting hides half the bytes from the tap.");
-    oinfo!("each defense buys its reduction with the overhead shown on the right.");
-
-    let json = defense_matrix_report(&rows);
-    let default_path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../results/defense_matrix.json"
-    );
-    let out_path = flag_value("--out").unwrap_or_else(|| default_path.to_string());
-    out::write_result_file(&out_path, &json);
-    odetail!("wrote {out_path}");
-    out::stderr_str(&json);
-    obs::finish(&o);
+    let entry = h2priv_core::experiments::named("defense_matrix").expect("registered");
+    h2priv_bench::run_experiment(entry, 1);
 }

@@ -2,6 +2,8 @@
 
 #![warn(missing_docs)]
 
+use h2priv_core::experiments::{self, named, Registered, EXPERIMENTS};
+
 pub mod obs;
 pub mod oplog;
 pub mod out;
@@ -129,17 +131,26 @@ pub fn flag_value(name: &str) -> Option<String> {
 }
 
 /// Every occurrence of a repeatable `--name V` / `--name=V` flag, in
-/// command-line order.
+/// command-line order. A missing value — an empty one, or the next flag
+/// in its place — prints an error and exits with status 2, before any
+/// trial runs.
 pub fn flag_values(name: &str) -> Vec<String> {
     debug_assert!(VALUE_FLAGS.contains(&name), "unregistered flag {name}");
     let args: Vec<String> = std::env::args().collect();
     let mut out = Vec::new();
     for (i, a) in args.iter().enumerate() {
-        if a == name {
-            out.push(args.get(i + 1).cloned().unwrap_or_default());
+        let value = if a == name {
+            args.get(i + 1).cloned().unwrap_or_default()
         } else if a.len() > name.len() && a.starts_with(name) && a.as_bytes()[name.len()] == b'=' {
-            out.push(a[name.len() + 1..].to_string());
+            a[name.len() + 1..].to_string()
+        } else {
+            continue;
+        };
+        if value.is_empty() || value.starts_with("--") {
+            oerror!("error: {name} requires a value");
+            std::process::exit(2);
         }
+        out.push(value);
     }
     out
 }
@@ -180,27 +191,64 @@ pub fn positional(position: usize) -> Option<String> {
 /// cores; `1` = the legacy sequential path). Results are byte-identical
 /// at any job count, so this only changes wall-clock time.
 pub fn jobs_arg() -> usize {
-    let args: Vec<String> = std::env::args().collect();
-    for (i, a) in args.iter().enumerate() {
-        let value = if let Some(v) = a.strip_prefix("--jobs=") {
-            Some(v.to_string())
-        } else if a == "--jobs" {
-            Some(args.get(i + 1).cloned().unwrap_or_default())
-        } else {
-            None
-        };
-        if let Some(v) = value {
-            return v.parse().unwrap_or_else(|_| {
-                oerror!("error: invalid jobs {v:?} (expected a non-negative integer)");
-                oerror!("usage: [--jobs N]   (0 = all cores, 1 = sequential)");
-                std::process::exit(2);
-            });
-        }
-    }
-    0
+    flag_u64("--jobs", 0) as usize
 }
 
-/// Prints a section banner through the leveled sink.
-pub fn banner(title: &str) {
-    oinfo!("\n=== {title} ===");
+/// The registered experiment named by the positional argument at
+/// `position`; a missing or unknown name prints the registered names
+/// and exits with status 2.
+pub fn experiment_arg(position: usize) -> &'static Registered {
+    let name = positional(position);
+    if let Some(entry) = name.as_deref().and_then(named) {
+        return entry;
+    }
+    match name {
+        Some(name) => oerror!("error: unknown experiment {name:?}"),
+        None => oerror!("error: missing experiment name"),
+    }
+    let names: Vec<&str> = EXPERIMENTS.iter().map(|e| e.name).collect();
+    oerror!("experiments: {}", names.join(", "));
+    std::process::exit(2)
+}
+
+/// The `run` command: runs `entry` in-process at the trial count in the
+/// positional argument at `trials_position` (default: the entry's),
+/// prints its table on stdout, and writes its report to `--out FILE`,
+/// or to stderr without it. Every flag is checked before a trial runs.
+pub fn run_experiment(entry: &Registered, trials_position: usize) {
+    let o = obs::init();
+    let out_path = flag_value("--out");
+    let words: String = (1..trials_position)
+        .filter_map(|p| positional(p).map(|w| w + " "))
+        .collect();
+    let usage = format!(
+        "{words}[trials={}] [--jobs N] [--out FILE] [--trace FILE] [--metrics] [--quiet]",
+        entry.default_trials
+    );
+    let trials = count_arg(
+        trials_position,
+        "trials",
+        entry.default_trials as u64,
+        &usage,
+    ) as usize;
+    let jobs = jobs_arg();
+    odetail!("{}: {trials} trials per batch...", entry.name);
+    let mut folder = entry.experiment.folder();
+    experiments::drive(
+        entry.experiment,
+        trials,
+        entry.base_seed,
+        jobs,
+        &mut *folder,
+    );
+    oinfo!("{}", folder.table());
+    let report = folder.report();
+    match out_path {
+        Some(path) => {
+            out::write_result_file(&path, &report);
+            odetail!("wrote {path}");
+        }
+        None => out::stderr_str(&report),
+    }
+    obs::finish(&o);
 }

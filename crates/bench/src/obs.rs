@@ -15,6 +15,7 @@
 //! jsonl bytes are identical at any `--jobs` level.
 
 use crate::oplog::{self, Level};
+use crate::{flag_present, flag_value};
 use h2priv_util::telemetry;
 
 /// What the operator asked for on the command line.
@@ -29,31 +30,10 @@ pub struct Observability {
 /// from the command line and arms the telemetry layer accordingly.
 /// Call once, before any trials run.
 pub fn init() -> Observability {
-    let args: Vec<String> = std::env::args().collect();
-    let mut trace_path: Option<String> = None;
-    let mut metrics = false;
-    for (i, a) in args.iter().enumerate() {
-        if let Some(v) = a.strip_prefix("--trace=") {
-            trace_path = Some(v.to_string());
-        } else if a == "--trace" {
-            match args.get(i + 1) {
-                Some(v) if !v.starts_with("--") && !v.is_empty() => {
-                    trace_path = Some(v.clone());
-                }
-                _ => {
-                    oplog::log(Level::Error, "error: --trace requires a file path");
-                    oplog::log(
-                        Level::Error,
-                        "usage: [--trace out.jsonl] [--metrics] [--quiet]",
-                    );
-                    std::process::exit(2);
-                }
-            }
-        } else if a == "--metrics" {
-            metrics = true;
-        } else if a == "--quiet" {
-            oplog::set_max_level(Level::Info);
-        }
+    let trace_path = flag_value("--trace");
+    let metrics = flag_present("--metrics");
+    if flag_present("--quiet") {
+        oplog::set_max_level(Level::Info);
     }
     telemetry::set_trace_enabled(trace_path.is_some());
     telemetry::set_metrics_enabled(metrics);

@@ -1,11 +1,8 @@
 //! `--shard-worker` mode: the campaign runner's child-process side.
 //!
-//! The `campaign` bin re-invokes an experiment's own bench binary with
-//! `--shard-worker --cells A-B` (plus the trial count and any injected
-//! faults). [`maybe_worker`] is the first thing those binaries call:
-//! when the flag is absent it returns `false` and the binary runs its
-//! normal interactive path; when present it runs the assigned cell
-//! range and exits the main function via `true`.
+//! The `campaign` bin re-invokes itself with the same experiment and
+//! trial count plus `--shard-worker --cells A-B` (and any injected
+//! faults); [`worker`] then runs the assigned cell range and returns.
 //!
 //! Protocol (stdout, one checksummed line each, flushed per line so the
 //! supervisor's view is current to the last completed cell):
@@ -25,9 +22,9 @@
 use std::io::Write;
 
 use h2priv_campaign::record;
-use h2priv_core::campaign::{CampaignExperiment, CampaignSpec};
+use h2priv_core::campaign::CampaignSpec;
 
-use crate::{flag_present, flag_value, flag_values, oerror, trials_arg};
+use crate::{flag_value, flag_values, oerror};
 
 /// Exit status a worker uses for an injected kill; anything nonzero
 /// reads as a crash to the supervisor.
@@ -52,18 +49,9 @@ fn inject_cells(flag: &str) -> Vec<u64> {
         .collect()
 }
 
-/// Runs the binary's shard-worker mode when `--shard-worker` is on the
-/// command line; returns `false` (do the normal thing) otherwise.
-///
-/// `experiment` is this binary's campaign experiment; its default trial
-/// count applies when the supervisor does not pass a count.
-pub fn maybe_worker(experiment: &CampaignExperiment) -> bool {
-    if !flag_present("--shard-worker") {
-        return false;
-    }
-    let trials = trials_arg(experiment.default_trials);
-    let spec = CampaignSpec::for_experiment(experiment.name, trials as u64)
-        .expect("campaign experiments have a spec");
+/// Runs the cell range `--cells A-B` of `spec`, streaming one record
+/// per cell to stdout.
+pub fn worker(spec: &CampaignSpec) {
     let cells = flag_value("--cells").and_then(|v| parse_cells(&v));
     let Some((start, end)) = cells else {
         oerror!("error: --shard-worker requires --cells A-B (half-open, A < B)");
@@ -106,5 +94,4 @@ pub fn maybe_worker(experiment: &CampaignExperiment) -> bool {
         )));
     }
     emit(record::stamp(&record::done_body(end - start)));
-    true
 }

@@ -4,8 +4,7 @@
 //! separators) and float formatting, and the determinism of the trial
 //! pipeline behind the rows.
 
-use h2priv_core::experiments::fig1;
-use h2priv_core::report::to_json;
+use h2priv_core::experiments::{run, Experiment, Fig1};
 
 #[test]
 fn fig1_report_matches_golden_fixture_byte_for_byte() {
@@ -14,10 +13,7 @@ fn fig1_report_matches_golden_fixture_byte_for_byte() {
         "/../../results/golden_fig1.json"
     );
     let golden = std::fs::read_to_string(golden_path).expect("golden fixture present");
-    let rendered: String = fig1(61_000, 1)
-        .iter()
-        .map(|row| to_json(row) + "\n")
-        .collect();
+    let rendered = Fig1.report(&run(&Fig1, 1, 61_000, 1));
     assert_eq!(
         rendered, golden,
         "report output drifted from the golden fixture"

@@ -1,56 +1,29 @@
 //! Regression: the parallel trial executor must be invisible in the
-//! results. Running any experiment at `jobs = 4` has to produce the same
-//! JSON **bytes** as the sequential `jobs = 1` path — aggregates are
-//! folded in submission order, so floating-point sums, percentages, and
-//! serialized reports cannot depend on worker scheduling.
+//! results. Running an experiment at `jobs = 4` has to produce the same
+//! report **bytes** as the sequential `jobs = 1` path — the one driver
+//! folds every batch in submission order, so floating-point sums,
+//! percentages, and serialized reports cannot depend on worker
+//! scheduling.
 
-use h2priv_core::experiments::{baseline, fig1, fig5, robustness_sweep, table1, table2};
-use h2priv_core::report::to_json;
+use h2priv_core::experiments::{run, Experiment, RobustnessSweep, Table1};
 
-fn render<T: h2priv_util::json::ToJson>(rows: &[T]) -> String {
-    rows.iter().map(|r| to_json(r) + "\n").collect()
+fn assert_job_count_invisible<E: Experiment>(exp: &E, trials: usize, base_seed: u64) {
+    let seq = exp.report(&run(exp, trials, base_seed, 1));
+    let par = exp.report(&run(exp, trials, base_seed, 4));
+    assert_eq!(seq, par);
 }
 
 #[test]
 fn table1_is_byte_identical_across_job_counts() {
-    let seq = render(&table1(3, 42, 1));
-    let par = render(&table1(3, 42, 4));
-    assert_eq!(seq, par);
-}
-
-#[test]
-fn fig5_is_byte_identical_across_job_counts() {
-    let seq = render(&fig5(2, 43, 1));
-    let par = render(&fig5(2, 43, 4));
-    assert_eq!(seq, par);
-}
-
-#[test]
-fn table2_is_byte_identical_across_job_counts() {
-    let seq = render(&table2(2, 45, 1));
-    let par = render(&table2(2, 45, 4));
-    assert_eq!(seq, par);
-}
-
-#[test]
-fn baseline_is_byte_identical_across_job_counts() {
-    let seq = render(&baseline(3, 46, 1));
-    let par = render(&baseline(3, 46, 4));
-    assert_eq!(seq, par);
-}
-
-#[test]
-fn fig1_is_byte_identical_across_job_counts() {
-    let seq = render(&fig1(61_000, 1));
-    let par = render(&fig1(61_000, 4));
-    assert_eq!(seq, par);
+    assert_job_count_invisible(&Table1, 3, 42);
 }
 
 #[test]
 fn robustness_sweep_with_retries_is_byte_identical_across_job_counts() {
     // Exercises the watchdog + retry path (run_isidewith_trial_retrying)
     // under the pool: intensity 1.0 trials hit faults and may retry.
-    let seq = render(&robustness_sweep(2, 81_000, &[0.0, 1.0], 1));
-    let par = render(&robustness_sweep(2, 81_000, &[0.0, 1.0], 4));
-    assert_eq!(seq, par);
+    let sweep = RobustnessSweep {
+        intensities: &[0.0, 1.0],
+    };
+    assert_job_count_invisible(&sweep, 2, 81_000);
 }

@@ -1,18 +1,25 @@
 //! Regeneration of every table and figure in the paper's evaluation.
 //!
-//! Each function runs a batch of trials and aggregates into row structs;
-//! the `h2priv-bench` binaries print them next to the paper's numbers
-//! (see `EXPERIMENTS.md`). Trial counts are parameters so that benches
-//! can run small smoke batches and the experiment binaries the full 100
-//! downloads per point the paper used.
+//! Each experiment is a value implementing [`Experiment`]: its batches
+//! (one per point of the sweep), a pure per-trial function returning the
+//! trial's journal payload, a fold of one batch's payloads into a row,
+//! and the report and table renderers. [`EXPERIMENTS`] registers each
+//! one under its CLI name with its base seed and default trial count;
+//! the `run` and `campaign` binaries both look experiments up there.
 //!
-//! Every experiment takes a `jobs` argument and fans its independent,
-//! seed-keyed trials across that many worker threads through
-//! [`h2priv_util::pool`]. Workers return compact per-trial summaries
-//! that are folded **in submission order**, so every aggregate — counts,
-//! running float means, serialized JSON — is byte-identical to the
-//! sequential run at any job count (`jobs = 1` is the legacy in-line
-//! path, `jobs = 0` means all cores).
+//! One driver, [`drive`], runs any experiment in-process: each batch is
+//! one call into the work pool of [`h2priv_util::pool`], across `jobs`
+//! worker threads (`jobs = 1` runs inline, `jobs = 0` uses all cores),
+//! and its payloads are folded **in submission order**, so every row —
+//! counts, float means, serialized JSON — is byte-identical at any job
+//! count. The sharded campaign runner ([`crate::campaign`]) reads the
+//! same payloads back from its journal and pushes them into the same
+//! [`Folder`], so a campaign's report is the in-process report by
+//! construction.
+//!
+//! Payloads hold only integers, booleans, null and arrays of them, so a
+//! journal round-trip cannot perturb a bit: a time travels as integer
+//! nanoseconds and a degree of multiplexing as [`f64::to_bits`].
 
 use crate::attack::{AttackConfig, TransportKind};
 use crate::defense::Defense;
@@ -20,16 +27,352 @@ use crate::experiment::{
     run_isidewith_trial, run_isidewith_trial_retrying, run_isidewith_trial_with, run_site_trial,
     FaultPlan, TrialOptions, TrialOutcome,
 };
-use crate::metrics::degree_of_multiplexing;
+use crate::metrics::{degree_of_multiplexing, is_serialized};
 use crate::predictor::SizeMap;
+use crate::report::{pct, pct_opt, render_table, to_json};
+use h2priv_h2::MuxPolicy;
 use h2priv_netsim::faults::{Duplicate, FaultConfig, GilbertElliott, Reorder};
 use h2priv_netsim::time::{SimDuration, SimTime};
 use h2priv_netsim::units::Bandwidth;
 use h2priv_util::impl_to_json;
+use h2priv_util::json::{Json, ToJson};
 use h2priv_util::pool;
 use h2priv_util::telemetry;
 use h2priv_web::sites::two_object_site;
 use h2priv_web::ObjectId;
+
+/// One experiment of the evaluation: a sweep of batches, each a run of
+/// seeded trials folded into one row.
+pub trait Experiment: Sync {
+    /// The aggregate of one batch.
+    type Row: ToJson;
+
+    /// The batches' labels, in sweep order. Each names the batch in
+    /// `--trace` output and is unique across [`EXPERIMENTS`].
+    fn batches(&self) -> Vec<String>;
+
+    /// Runs trial `t` of batch `batch` and returns its journal payload,
+    /// which holds only integers, booleans, null and arrays of them. A
+    /// pure function of its arguments, so any worker process, at any
+    /// time, produces the same payload for the same cell.
+    fn trial(&self, base_seed: u64, batch: usize, t: usize) -> Json;
+
+    /// Folds batch `batch`'s payloads, in trial order, into its row;
+    /// `earlier` holds the rows of the batches before it.
+    ///
+    /// # Errors
+    /// Rejects a payload with a missing or mistyped field.
+    fn row(
+        &self,
+        batch: usize,
+        payloads: &[Json],
+        earlier: &[Self::Row],
+    ) -> Result<Self::Row, String>;
+
+    /// The machine-readable report: the bytes `run --out` writes and a
+    /// campaign's fold renders. One pretty JSON value per row by
+    /// default.
+    fn report(&self, rows: &[Self::Row]) -> String {
+        json_lines(rows)
+    }
+
+    /// The human-readable table, with the paper's numbers beside it.
+    fn table(&self, rows: &[Self::Row]) -> String;
+}
+
+/// An [`Experiment`] with its row type hidden, as [`EXPERIMENTS`] holds
+/// it.
+pub trait DynExperiment: Sync {
+    /// See [`Experiment::batches`].
+    fn labels(&self) -> Vec<String>;
+    /// See [`Experiment::trial`].
+    fn payload(&self, base_seed: u64, batch: usize, t: usize) -> Json;
+    /// A fold with no batches in it yet.
+    fn folder(&self) -> Box<dyn Folder + '_>;
+}
+
+/// Folds an experiment's batches, in sweep order, into rows.
+pub trait Folder {
+    /// Folds the next batch's payloads into its row.
+    ///
+    /// # Errors
+    /// Rejects a batch out of sweep order and a malformed payload.
+    fn push(&mut self, batch: usize, payloads: &[Json]) -> Result<(), String>;
+    /// See [`Experiment::report`].
+    fn report(&self) -> String;
+    /// See [`Experiment::table`].
+    fn table(&self) -> String;
+}
+
+/// The rows an experiment has folded so far.
+struct Rows<'a, E: Experiment> {
+    exp: &'a E,
+    rows: Vec<E::Row>,
+}
+
+impl<E: Experiment> Folder for Rows<'_, E> {
+    fn push(&mut self, batch: usize, payloads: &[Json]) -> Result<(), String> {
+        if batch != self.rows.len() {
+            return Err(format!(
+                "batch {batch} out of order: expected batch {}",
+                self.rows.len()
+            ));
+        }
+        let row = self.exp.row(batch, payloads, &self.rows)?;
+        self.rows.push(row);
+        Ok(())
+    }
+
+    fn report(&self) -> String {
+        self.exp.report(&self.rows)
+    }
+
+    fn table(&self) -> String {
+        self.exp.table(&self.rows)
+    }
+}
+
+impl<E: Experiment> DynExperiment for E {
+    fn labels(&self) -> Vec<String> {
+        self.batches()
+    }
+
+    fn payload(&self, base_seed: u64, batch: usize, t: usize) -> Json {
+        self.trial(base_seed, batch, t)
+    }
+
+    fn folder(&self) -> Box<dyn Folder + '_> {
+        Box::new(Rows {
+            exp: self,
+            rows: Vec::new(),
+        })
+    }
+}
+
+/// Runs every batch of `exp` in-process, `trials` trials each, and pushes
+/// each batch's payloads into `folder`. An empty trial budget runs
+/// nothing — "no data" is explicit, never a fabricated percentage.
+///
+/// # Panics
+/// Panics when `folder` rejects a batch: in-process payloads come
+/// straight from the experiment, so that is a bug in its fold.
+pub fn drive(
+    exp: &dyn DynExperiment,
+    trials: usize,
+    base_seed: u64,
+    jobs: usize,
+    folder: &mut dyn Folder,
+) {
+    if trials == 0 {
+        return;
+    }
+    for (bi, label) in exp.labels().iter().enumerate() {
+        let batch = telemetry::open_batch(label);
+        let payloads = pool::run_indexed(jobs, trials, |t| {
+            let _tele = telemetry::trial_slot(batch, t as u64);
+            exp.payload(base_seed, bi, t)
+        });
+        if let Err(e) = folder.push(bi, &payloads) {
+            panic!("{label}: in-process payloads must fold: {e}");
+        }
+    }
+}
+
+/// Runs `exp` in-process (see [`drive`]) and returns its rows.
+pub fn run<E: Experiment>(exp: &E, trials: usize, base_seed: u64, jobs: usize) -> Vec<E::Row> {
+    let mut rows = Rows {
+        exp,
+        rows: Vec::new(),
+    };
+    drive(exp, trials, base_seed, jobs, &mut rows);
+    rows.rows
+}
+
+/// An experiment under its CLI name.
+pub struct Registered {
+    /// CLI name (`run <name>`, `campaign <name>`).
+    pub name: &'static str,
+    /// Base seed; every trial seed derives from it.
+    pub base_seed: u64,
+    /// Default trials per batch.
+    pub default_trials: usize,
+    /// The experiment.
+    pub experiment: &'static dyn DynExperiment,
+}
+
+/// Every experiment `run` and `campaign` can name.
+pub static EXPERIMENTS: [Registered; 12] = [
+    Registered {
+        name: "table1",
+        base_seed: 11_000,
+        default_trials: 100,
+        experiment: &Table1,
+    },
+    Registered {
+        name: "fig5",
+        base_seed: 21_000,
+        default_trials: 100,
+        experiment: &Fig5,
+    },
+    Registered {
+        name: "section4d",
+        base_seed: 31_000,
+        default_trials: 100,
+        experiment: &Section4d {
+            rates: &[0.5, 0.7, 0.8, 0.9, 0.97],
+            stop_on_reset: true,
+        },
+    },
+    Registered {
+        name: "section4d_timer_only",
+        base_seed: 32_000,
+        default_trials: 100,
+        experiment: &Section4d {
+            rates: &[0.8, 0.9, 0.97],
+            stop_on_reset: false,
+        },
+    },
+    Registered {
+        name: "table2",
+        base_seed: 41_000,
+        default_trials: 100,
+        experiment: &Table2,
+    },
+    Registered {
+        name: "baseline",
+        base_seed: 51_000,
+        default_trials: 100,
+        experiment: &Baseline,
+    },
+    Registered {
+        name: "fig1",
+        base_seed: 61_000,
+        default_trials: 1,
+        experiment: &Fig1,
+    },
+    Registered {
+        name: "fig2",
+        base_seed: 71_000,
+        default_trials: 20,
+        experiment: &Fig2,
+    },
+    Registered {
+        name: "ablation",
+        base_seed: 81_000,
+        default_trials: 25,
+        experiment: &Ablations,
+    },
+    Registered {
+        name: "robustness_sweep",
+        base_seed: 81_000,
+        default_trials: 50,
+        experiment: &RobustnessSweep {
+            intensities: &ROBUSTNESS_INTENSITIES,
+        },
+    },
+    Registered {
+        name: "transport_transfer",
+        base_seed: 82_000,
+        default_trials: 30,
+        experiment: &TransportTransfer,
+    },
+    Registered {
+        name: "defense_matrix",
+        base_seed: 83_000,
+        default_trials: 25,
+        experiment: &DefenseMatrix,
+    },
+];
+
+/// Looks a registered experiment up by CLI name.
+pub fn named(name: &str) -> Option<&'static Registered> {
+    EXPERIMENTS.iter().find(|e| e.name == name)
+}
+
+/// Builds a payload object from `(field, value)` pairs.
+fn payload<const N: usize>(fields: [(&str, Json); N]) -> Json {
+    Json::Obj(
+        fields
+            .into_iter()
+            .map(|(k, v)| (k.to_string(), v))
+            .collect(),
+    )
+}
+
+/// Field `key` of payload `p`, read by `get`.
+fn field<'a, T>(p: &'a Json, key: &str, get: impl Fn(&'a Json) -> Option<T>) -> Result<T, String> {
+    p.get(key)
+        .and_then(get)
+        .ok_or_else(|| format!("payload missing or mistyped field {key:?}"))
+}
+
+/// Array field `key` of payload `p`, which must hold exactly `n` items.
+fn items<'a>(p: &'a Json, key: &str, n: usize) -> Result<&'a [Json], String> {
+    let a = field(p, key, Json::as_array)?;
+    if a.len() == n {
+        Ok(a)
+    } else {
+        Err(format!(
+            "payload field {key:?} holds {} items, not {n}",
+            a.len()
+        ))
+    }
+}
+
+/// How many of the payloads have boolean field `key` set.
+fn count(payloads: &[Json], key: &str) -> Result<usize, String> {
+    payloads
+        .iter()
+        .try_fold(0, |n, p| Ok(n + usize::from(field(p, key, Json::as_bool)?)))
+}
+
+/// The sum of integer field `key` over the payloads.
+fn total(payloads: &[Json], key: &str) -> Result<u64, String> {
+    payloads.iter().try_fold(0u64, |n, p| {
+        n.checked_add(field(p, key, Json::as_u64)?)
+            .ok_or_else(|| format!("payload field {key:?} overflows its sum"))
+    })
+}
+
+/// A degree of multiplexing (or its absence) as an exact payload value.
+fn degree_payload(d: Option<f64>) -> Json {
+    d.map_or(Json::Null, |d| Json::UInt(d.to_bits()))
+}
+
+/// Reads back a [`degree_payload`].
+fn degree_from(v: &Json) -> Result<Option<f64>, String> {
+    match v {
+        Json::Null => Ok(None),
+        v => v
+            .as_u64()
+            .map(|bits| Some(f64::from_bits(bits)))
+            .ok_or_else(|| "payload degree is neither null nor an integer".to_string()),
+    }
+}
+
+/// `n` of `trials` as a percentage.
+fn pct_of(n: usize, trials: usize) -> f64 {
+    100.0 * n as f64 / trials as f64
+}
+
+/// The per-trial mean of a total.
+fn mean(total: u64, trials: usize) -> f64 {
+    total as f64 / trials as f64
+}
+
+/// The rows as one pretty JSON array, newline-terminated.
+fn json_array<T: ToJson>(rows: &[T]) -> String {
+    rows.to_json().to_string_pretty() + "\n"
+}
+
+/// The rows as pretty JSON values, each newline-terminated.
+fn json_lines<T: ToJson>(rows: &[T]) -> String {
+    rows.iter().map(|r| to_json(r) + "\n").collect()
+}
+
+/// The labels of the objects of interest: the result HTML, then the
+/// eight emblem images.
+const OBJECT_LABELS: [&str; 9] = ["HTML", "I1", "I2", "I3", "I4", "I5", "I6", "I7", "I8"];
 
 /// A Table I row: effect of jitter on multiplexing of the 6th object.
 #[derive(Debug, Clone)]
@@ -60,95 +403,84 @@ impl_to_json!(struct Table1Row {
 });
 
 /// The jitter values (ms) swept by Table I.
-pub const TABLE1_JITTERS_MS: [u64; 4] = [0, 25, 50, 100];
+const TABLE1_JITTERS_MS: [u64; 4] = [0, 25, 50, 100];
 
-/// Compact per-trial summary of one Table I cell — everything the row
-/// aggregation needs, in exactly-representable types, so a summary that
-/// round-trips through the campaign journal folds to the same bytes as
-/// the in-process run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Table1Trial {
-    /// Whether the HTML was fully serialized.
-    pub serialized: bool,
-    /// Wire retransmissions in the trial.
-    pub retrans: u64,
-    /// Application-layer re-requests in the trial.
-    pub rerequests: u64,
-}
+/// Table I: the jitter-only attack at 0, 25, 50 and 100 ms.
+pub struct Table1;
 
-/// Runs one Table I cell: jitter batch `ji` (an index into
-/// [`TABLE1_JITTERS_MS`]), trial `t`. Pure function of its arguments —
-/// the seed layout matches the original in-line loop.
-pub fn table1_trial(base_seed: u64, ji: usize, t: usize) -> Table1Trial {
-    let jitter_ms = TABLE1_JITTERS_MS[ji];
-    let seed = base_seed + (ji as u64) * 10_000 + t as u64;
-    let attack = AttackConfig::jitter_only(SimDuration::from_millis(jitter_ms));
-    let trial = run_isidewith_trial(seed, Some(attack));
-    Table1Trial {
-        serialized: crate::metrics::is_serialized(trial.html_outcome().best_degree),
-        retrans: trial.result.total_retransmissions(),
-        rerequests: trial.result.client.h2_rerequests,
-    }
-}
+impl Experiment for Table1 {
+    type Row = Table1Row;
 
-/// Streaming per-batch accumulator for Table I. `baseline_retrans` is
-/// cross-batch state (the 0 ms row sets the denominator for the
-/// increase column), so batches must be folded in sweep order.
-#[derive(Debug, Default)]
-pub struct Table1Accum {
-    serialized: usize,
-    retrans_total: u64,
-    rereq_total: u64,
-    trials: usize,
-}
-
-impl Table1Accum {
-    /// Folds one trial summary in.
-    pub fn add(&mut self, t: &Table1Trial) {
-        self.serialized += usize::from(t.serialized);
-        self.retrans_total += t.retrans;
-        self.rereq_total += t.rerequests;
-        self.trials += 1;
+    fn batches(&self) -> Vec<String> {
+        TABLE1_JITTERS_MS
+            .iter()
+            .map(|ms| format!("table1/jitter_{ms}ms"))
+            .collect()
     }
 
-    /// Emits the batch's row and updates the cross-batch baseline.
-    pub fn row(&self, jitter_ms: u64, baseline_retrans: &mut Option<f64>) -> Table1Row {
-        let trials = self.trials;
-        let retransmissions_avg = self.retrans_total as f64 / trials as f64;
-        let base = *baseline_retrans.get_or_insert(retransmissions_avg.max(1e-9));
-        Table1Row {
-            jitter_ms,
-            pct_not_multiplexed: 100.0 * self.serialized as f64 / trials as f64,
+    fn trial(&self, base_seed: u64, batch: usize, t: usize) -> Json {
+        let jitter = SimDuration::from_millis(TABLE1_JITTERS_MS[batch]);
+        let seed = base_seed + (batch as u64) * 10_000 + t as u64;
+        let trial = run_isidewith_trial(seed, Some(AttackConfig::jitter_only(jitter)));
+        payload([
+            (
+                "serialized",
+                Json::Bool(is_serialized(trial.html_outcome().best_degree)),
+            ),
+            ("retrans", Json::UInt(trial.result.total_retransmissions())),
+            ("rerequests", Json::UInt(trial.result.client.h2_rerequests)),
+        ])
+    }
+
+    fn row(
+        &self,
+        batch: usize,
+        payloads: &[Json],
+        earlier: &[Table1Row],
+    ) -> Result<Table1Row, String> {
+        let trials = payloads.len();
+        let retransmissions_avg = mean(total(payloads, "retrans")?, trials);
+        // Row 0, without jitter, is the baseline of the increase column.
+        let base = earlier
+            .first()
+            .map_or(retransmissions_avg, |r| r.retransmissions_avg)
+            .max(1e-9);
+        Ok(Table1Row {
+            jitter_ms: TABLE1_JITTERS_MS[batch],
+            pct_not_multiplexed: pct_of(count(payloads, "serialized")?, trials),
             retransmissions_avg,
             retrans_increase_pct: 100.0 * (retransmissions_avg - base) / base,
-            rerequests_avg: self.rereq_total as f64 / trials as f64,
+            rerequests_avg: mean(total(payloads, "rerequests")?, trials),
             trials,
-        }
+        })
     }
-}
 
-/// Regenerates Table I (jitter ∈ {0, 25, 50, 100} ms). An empty trial
-/// budget yields no rows — "no data" is explicit, never a fabricated
-/// percentage.
-pub fn table1(trials: usize, base_seed: u64, jobs: usize) -> Vec<Table1Row> {
-    if trials == 0 {
-        return Vec::new();
+    fn report(&self, rows: &[Table1Row]) -> String {
+        json_array(rows)
     }
-    let mut rows = Vec::new();
-    let mut baseline_retrans = None;
-    for (ji, jitter_ms) in TABLE1_JITTERS_MS.iter().enumerate() {
-        let batch = telemetry::open_batch(&format!("table1/jitter_{jitter_ms}ms"));
-        let per_trial = pool::run_indexed(jobs, trials, |t| {
-            let _tele = telemetry::trial_slot(batch, t as u64);
-            table1_trial(base_seed, ji, t)
-        });
-        let mut accum = Table1Accum::default();
-        for summary in &per_trial {
-            accum.add(summary);
-        }
-        rows.push(accum.row(*jitter_ms, &mut baseline_retrans));
+
+    fn table(&self, rows: &[Table1Row]) -> String {
+        let table: Vec<Vec<String>> = rows
+            .iter()
+            .map(|r| {
+                vec![
+                    r.jitter_ms.to_string(),
+                    pct(r.pct_not_multiplexed),
+                    format!("{:.1}", r.retransmissions_avg),
+                    pct(r.retrans_increase_pct),
+                ]
+            })
+            .collect();
+        render_table(
+            &[
+                "increase in delay per request (ms)",
+                "object not multiplexed (%)",
+                "retransmissions (avg)",
+                "increase in retransmissions (%)",
+            ],
+            &table,
+        ) + "\npaper Table I: 0/25/50/100 ms -> 32/46/54/54 % ; retrans +0/+33/+130/+194 %"
     }
-    rows
 }
 
 /// A Fig. 5 point: effect of bandwidth limitation (with 50 ms jitter).
@@ -170,46 +502,74 @@ pub struct Fig5Row {
 
 impl_to_json!(struct Fig5Row { bandwidth_mbps, pct_success, retransmissions_avg, pct_broken, trials });
 
-/// Regenerates Fig. 5 (bandwidth ∈ {1000, 800, 500, 100, 1} Mbps).
-pub fn fig5(trials: usize, base_seed: u64, jobs: usize) -> Vec<Fig5Row> {
-    if trials == 0 {
-        return Vec::new();
+/// The bandwidth limits (Mbps) swept by Fig. 5.
+const FIG5_BANDWIDTHS_MBPS: [u64; 5] = [1_000, 800, 500, 100, 1];
+
+/// Fig. 5: 50 ms jitter under each bandwidth limit.
+pub struct Fig5;
+
+impl Experiment for Fig5 {
+    type Row = Fig5Row;
+
+    fn batches(&self) -> Vec<String> {
+        FIG5_BANDWIDTHS_MBPS
+            .iter()
+            .map(|mbps| format!("fig5/bandwidth_{mbps}mbps"))
+            .collect()
     }
-    let bandwidths = [1_000u64, 800, 500, 100, 1];
-    let mut rows = Vec::new();
-    for (bi, mbps) in bandwidths.iter().enumerate() {
-        let batch = telemetry::open_batch(&format!("fig5/bandwidth_{mbps}mbps"));
-        let per_trial = pool::run_indexed(jobs, trials, |t| {
-            let _tele = telemetry::trial_slot(batch, t as u64);
-            let seed = base_seed + 1_000_000 + (bi as u64) * 10_000 + t as u64;
-            let attack = AttackConfig::jitter_and_bandwidth(
-                SimDuration::from_millis(50),
-                Bandwidth::mbps(*mbps),
-            );
-            let trial = run_isidewith_trial(seed, Some(attack));
-            (
-                trial.html_outcome().success,
-                trial.result.client.connection_broken,
-                trial.result.total_retransmissions(),
-            )
-        });
-        let mut success = 0usize;
-        let mut broken = 0usize;
-        let mut retrans_total = 0u64;
-        for (ok, brk, retrans) in per_trial {
-            success += usize::from(ok);
-            broken += usize::from(brk);
-            retrans_total += retrans;
-        }
-        rows.push(Fig5Row {
-            bandwidth_mbps: *mbps,
-            pct_success: 100.0 * success as f64 / trials as f64,
-            retransmissions_avg: retrans_total as f64 / trials as f64,
-            pct_broken: 100.0 * broken as f64 / trials as f64,
+
+    fn trial(&self, base_seed: u64, batch: usize, t: usize) -> Json {
+        let seed = base_seed + 1_000_000 + (batch as u64) * 10_000 + t as u64;
+        let attack = AttackConfig::jitter_and_bandwidth(
+            SimDuration::from_millis(50),
+            Bandwidth::mbps(FIG5_BANDWIDTHS_MBPS[batch]),
+        );
+        let trial = run_isidewith_trial(seed, Some(attack));
+        payload([
+            ("success", Json::Bool(trial.html_outcome().success)),
+            ("broken", Json::Bool(trial.result.client.connection_broken)),
+            ("retrans", Json::UInt(trial.result.total_retransmissions())),
+        ])
+    }
+
+    fn row(&self, batch: usize, payloads: &[Json], _: &[Fig5Row]) -> Result<Fig5Row, String> {
+        let trials = payloads.len();
+        Ok(Fig5Row {
+            bandwidth_mbps: FIG5_BANDWIDTHS_MBPS[batch],
+            pct_success: pct_of(count(payloads, "success")?, trials),
+            retransmissions_avg: mean(total(payloads, "retrans")?, trials),
+            pct_broken: pct_of(count(payloads, "broken")?, trials),
             trials,
-        });
+        })
     }
-    rows
+
+    fn report(&self, rows: &[Fig5Row]) -> String {
+        json_array(rows)
+    }
+
+    fn table(&self, rows: &[Fig5Row]) -> String {
+        let table: Vec<Vec<String>> = rows
+            .iter()
+            .map(|r| {
+                vec![
+                    r.bandwidth_mbps.to_string(),
+                    format!("{:.1}", r.retransmissions_avg),
+                    pct(r.pct_success),
+                    pct(r.pct_broken),
+                ]
+            })
+            .collect();
+        render_table(
+            &[
+                "bandwidth (Mbps)",
+                "retransmissions (avg)",
+                "success (%)",
+                "broken (%)",
+            ],
+            &table,
+        ) + "\npaper Fig. 5 shape: retransmissions fall monotonically 1000->1 Mbps;\
+             \nsuccess rises to a peak at 800 Mbps, then declines at lower bandwidths."
+    }
 }
 
 /// A Section IV-D / Fig. 6 point: targeted drops forcing a stream reset.
@@ -229,66 +589,96 @@ pub struct DropRow {
 
 impl_to_json!(struct DropRow { drop_rate, pct_success, pct_reset_sent, pct_broken, trials });
 
-/// Regenerates the Section IV-D experiment (80 % drops, plus a sweep
-/// showing that higher rates break the connection).
-pub fn section4d(trials: usize, base_seed: u64, drop_rates: &[f64], jobs: usize) -> Vec<DropRow> {
-    section4d_with(trials, base_seed, drop_rates, true, jobs)
+/// The Section IV-D experiment: a 6-second window of targeted drops at
+/// each rate.
+pub struct Section4d {
+    /// Drop rates swept.
+    pub rates: &'static [f64],
+    /// End the drop window early when the client resets the stream. With
+    /// the paper's pure 6-second timer instead, very high drop rates
+    /// break the connection outright, as the paper reports.
+    pub stop_on_reset: bool,
 }
 
-/// Section IV-D with the pure 6-second-timer drop window (no early stop
-/// on the reset signature). This is the variant where very high drop
-/// rates break the connection outright, as the paper reports.
-pub fn section4d_timer_only(
-    trials: usize,
-    base_seed: u64,
-    drop_rates: &[f64],
-    jobs: usize,
-) -> Vec<DropRow> {
-    section4d_with(trials, base_seed ^ 0xD0D0, drop_rates, false, jobs)
-}
+impl Experiment for Section4d {
+    type Row = DropRow;
 
-fn section4d_with(
-    trials: usize,
-    base_seed: u64,
-    drop_rates: &[f64],
-    stop_on_reset: bool,
-    jobs: usize,
-) -> Vec<DropRow> {
-    if trials == 0 {
-        return Vec::new();
+    fn batches(&self) -> Vec<String> {
+        let name = if self.stop_on_reset {
+            "section4d"
+        } else {
+            "section4d_timer_only"
+        };
+        self.rates
+            .iter()
+            .map(|rate| format!("{name}/drop_rate_{rate}"))
+            .collect()
     }
-    let mut rows = Vec::new();
-    for (di, rate) in drop_rates.iter().enumerate() {
-        let batch = telemetry::open_batch(&format!("section4d/drop_rate_{rate}"));
-        let per_trial = pool::run_indexed(jobs, trials, |t| {
-            let _tele = telemetry::trial_slot(batch, t as u64);
-            let seed = base_seed + 2_000_000 + (di as u64) * 10_000 + t as u64;
-            let mut attack = AttackConfig::with_drops(*rate, SimDuration::from_secs(6));
-            attack.stop_drops_on_reset = stop_on_reset;
-            let trial = run_isidewith_trial(seed, Some(attack));
+
+    fn trial(&self, base_seed: u64, batch: usize, t: usize) -> Json {
+        // The timer-only variant keeps the seed family it was published
+        // with.
+        let base = if self.stop_on_reset {
+            base_seed
+        } else {
+            base_seed ^ 0xD0D0
+        };
+        let seed = base + 2_000_000 + (batch as u64) * 10_000 + t as u64;
+        let mut attack = AttackConfig::with_drops(self.rates[batch], SimDuration::from_secs(6));
+        attack.stop_drops_on_reset = self.stop_on_reset;
+        let trial = run_isidewith_trial(seed, Some(attack));
+        payload([
+            ("success", Json::Bool(trial.html_outcome().success)),
             (
-                trial.html_outcome().success,
-                trial.result.client.resets_sent > 0,
-                trial.result.client.connection_broken,
-            )
-        });
-        let mut success = 0usize;
-        let mut reset = 0usize;
-        let mut broken = 0usize;
-        for (ok, rst, brk) in per_trial {
-            success += usize::from(ok);
-            reset += usize::from(rst);
-            broken += usize::from(brk);
-        }
-        rows.push(DropRow {
-            drop_rate: *rate,
-            pct_success: 100.0 * success as f64 / trials as f64,
-            pct_reset_sent: 100.0 * reset as f64 / trials as f64,
-            pct_broken: 100.0 * broken as f64 / trials as f64,
-            trials,
-        });
+                "reset_sent",
+                Json::Bool(trial.result.client.resets_sent > 0),
+            ),
+            ("broken", Json::Bool(trial.result.client.connection_broken)),
+        ])
     }
-    rows
+
+    fn row(&self, batch: usize, payloads: &[Json], _: &[DropRow]) -> Result<DropRow, String> {
+        let trials = payloads.len();
+        Ok(DropRow {
+            drop_rate: self.rates[batch],
+            pct_success: pct_of(count(payloads, "success")?, trials),
+            pct_reset_sent: pct_of(count(payloads, "reset_sent")?, trials),
+            pct_broken: pct_of(count(payloads, "broken")?, trials),
+            trials,
+        })
+    }
+
+    fn report(&self, rows: &[DropRow]) -> String {
+        json_array(rows)
+    }
+
+    fn table(&self, rows: &[DropRow]) -> String {
+        let table: Vec<Vec<String>> = rows
+            .iter()
+            .map(|r| {
+                vec![
+                    format!("{:.0}", r.drop_rate * 100.0),
+                    pct(r.pct_success),
+                    pct(r.pct_reset_sent),
+                    pct(r.pct_broken),
+                ]
+            })
+            .collect();
+        let table = render_table(
+            &[
+                "drop rate (%)",
+                "success (%)",
+                "reset sent (%)",
+                "broken (%)",
+            ],
+            &table,
+        );
+        if self.stop_on_reset {
+            table + "\npaper: 80% drops for 6 s -> ~90% success; higher rates break the connection."
+        } else {
+            "\nvariant: fixed 6 s drop window (paper's timer mechanism):\n".to_string() + &table
+        }
+    }
 }
 
 /// A Table II column: per-object accuracy of the full attack.
@@ -311,40 +701,32 @@ pub struct Table2Column {
 
 impl_to_json!(struct Table2Column { object, gap_prev_ms, pct_single_target, pct_all_targets, trials });
 
-/// Regenerates Table II with the full Section V attack.
-pub fn table2(trials: usize, base_seed: u64, jobs: usize) -> Vec<Table2Column> {
-    if trials == 0 {
-        return Vec::new();
-    }
-    // Per-trial summary: which slots succeeded and the measured gap (at
-    // most one per slot per trial).
-    struct Table2Trial {
-        single: [bool; 9],
-        sequence: [bool; 9],
-        gaps: [Option<f64>; 9],
+/// Table II: the full Section V attack, one batch whose row holds a
+/// column per object of interest.
+pub struct Table2;
+
+impl Experiment for Table2 {
+    type Row = Vec<Table2Column>;
+
+    fn batches(&self) -> Vec<String> {
+        vec!["table2/full_attack".to_string()]
     }
 
-    let batch = telemetry::open_batch("table2/full_attack");
-    let per_trial = pool::run_indexed(jobs, trials, |t| {
-        let _tele = telemetry::trial_slot(batch, t as u64);
+    fn trial(&self, base_seed: u64, _: usize, t: usize) -> Json {
         let seed = base_seed + 3_000_000 + t as u64;
         let trial = run_isidewith_trial(seed, Some(AttackConfig::full_attack()));
-        let mut summary = Table2Trial {
-            single: [false; 9],
-            sequence: [false; 9],
-            gaps: [None; 9],
-        };
-
-        // Column 0: the HTML (the ranking page itself).
+        let mut single = [false; 9];
+        let mut sequence = [false; 9];
+        let mut gaps_ns = [None; 9];
+        // Slot 0: the HTML (the ranking page itself); 1..=8: the images.
         let html = trial.html_outcome();
-        summary.single[0] = html.success;
-        summary.sequence[0] = html.success;
-        // Columns 1..=8: the images.
+        single[0] = html.success;
+        sequence[0] = html.success;
         for (i, out) in trial.image_outcomes().iter().enumerate() {
-            summary.single[i + 1] = out.success;
+            single[i + 1] = out.success;
         }
         for (i, ok) in trial.sequence_success().iter().enumerate() {
-            summary.sequence[i + 1] = *ok;
+            sequence[i + 1] = *ok;
         }
         // Measured inter-request gaps (first attempts, client-side).
         let firsts: Vec<_> = trial
@@ -362,44 +744,94 @@ pub fn table2(trials: usize, base_seed: u64, jobs: usize) -> Vec<Table2Column> {
                     let gap = firsts[pos]
                         .issued_at
                         .saturating_since(firsts[pos - 1].issued_at);
-                    summary.gaps[slot] = Some(gap.as_nanos() as f64 / 1e6);
+                    gaps_ns[slot] = Some(gap.as_nanos());
                 }
             }
         }
-        summary
-    });
-
-    let mut single = [0usize; 9];
-    let mut sequence = [0usize; 9];
-    let mut gap_sums = [0.0f64; 9];
-    let mut gap_counts = [0usize; 9];
-    for summary in per_trial {
-        for i in 0..9 {
-            single[i] += usize::from(summary.single[i]);
-            sequence[i] += usize::from(summary.sequence[i]);
-            if let Some(gap) = summary.gaps[i] {
-                gap_sums[i] += gap;
-                gap_counts[i] += 1;
-            }
-        }
+        payload([
+            ("single", single.to_json()),
+            ("sequence", sequence.to_json()),
+            ("gaps_ns", gaps_ns.to_json()),
+        ])
     }
 
-    let labels = ["HTML", "I1", "I2", "I3", "I4", "I5", "I6", "I7", "I8"];
-    labels
-        .iter()
-        .enumerate()
-        .map(|(i, label)| Table2Column {
-            object: (*label).to_string(),
-            gap_prev_ms: if gap_counts[i] > 0 {
-                Some(gap_sums[i] / gap_counts[i] as f64)
-            } else {
-                None
-            },
-            pct_single_target: 100.0 * single[i] as f64 / trials as f64,
-            pct_all_targets: 100.0 * sequence[i] as f64 / trials as f64,
-            trials,
-        })
-        .collect()
+    fn row(
+        &self,
+        _: usize,
+        payloads: &[Json],
+        _: &[Vec<Table2Column>],
+    ) -> Result<Vec<Table2Column>, String> {
+        let mut single = [0usize; 9];
+        let mut sequence = [0usize; 9];
+        let mut gap_sums = [0.0f64; 9];
+        let mut gap_counts = [0usize; 9];
+        let flag = |v: &Json| v.as_bool().ok_or("payload slot is not a boolean");
+        for p in payloads {
+            let s1 = items(p, "single", 9)?;
+            let s2 = items(p, "sequence", 9)?;
+            let gaps = items(p, "gaps_ns", 9)?;
+            for i in 0..9 {
+                single[i] += usize::from(flag(&s1[i])?);
+                sequence[i] += usize::from(flag(&s2[i])?);
+                match &gaps[i] {
+                    Json::Null => {}
+                    g => {
+                        let ns = g
+                            .as_u64()
+                            .ok_or("payload gap is neither null nor an integer")?;
+                        gap_sums[i] += ns as f64 / 1e6;
+                        gap_counts[i] += 1;
+                    }
+                }
+            }
+        }
+        let trials = payloads.len();
+        Ok(OBJECT_LABELS
+            .iter()
+            .enumerate()
+            .map(|(i, label)| Table2Column {
+                object: (*label).to_string(),
+                gap_prev_ms: (gap_counts[i] > 0).then(|| gap_sums[i] / gap_counts[i] as f64),
+                pct_single_target: pct_of(single[i], trials),
+                pct_all_targets: pct_of(sequence[i], trials),
+                trials,
+            })
+            .collect())
+    }
+
+    fn report(&self, rows: &[Vec<Table2Column>]) -> String {
+        json_array(&rows.concat())
+    }
+
+    fn table(&self, rows: &[Vec<Table2Column>]) -> String {
+        let table: Vec<Vec<String>> = rows
+            .iter()
+            .flatten()
+            .map(|c| {
+                vec![
+                    c.object.clone(),
+                    pct_opt(c.gap_prev_ms),
+                    pct(c.pct_single_target),
+                    pct(c.pct_all_targets),
+                ]
+            })
+            .collect();
+        render_table(
+            &[
+                "object",
+                "T(req curr)-T(req prev) (ms)",
+                "success % target: one object",
+                "success % target: all objects",
+            ],
+            &table,
+        ) + "\npaper Table II: single-target 100% everywhere;\
+             \nall-targets 90/90/85/81/80/62/64/78/64 (HTML, I1..I8)."
+    }
+}
+
+/// Regenerates Table II with the full Section V attack.
+pub fn table2(trials: usize, base_seed: u64, jobs: usize) -> Vec<Table2Column> {
+    run(&Table2, trials, base_seed, jobs).concat()
 }
 
 /// Baseline multiplexing statistics without any adversary.
@@ -419,63 +851,92 @@ pub struct BaselineRow {
 
 impl_to_json!(struct BaselineRow { object, mean_degree_pct, pct_not_multiplexed, trials });
 
-/// Regenerates the paper's baseline claims: HTML degree ≈98 %, images
-/// 80–99 %, 6th object unmultiplexed in ≈32 % of unattacked jittered
-/// runs (the paper's 0 ms row of Table I).
-pub fn baseline(trials: usize, base_seed: u64, jobs: usize) -> Vec<BaselineRow> {
-    if trials == 0 {
-        return Vec::new();
+/// The paper's baseline claims: HTML degree ≈98 %, images 80–99 %, 6th
+/// object unmultiplexed in ≈32 % of unattacked runs. One batch whose row
+/// holds a line per object of interest.
+pub struct Baseline;
+
+impl Experiment for Baseline {
+    type Row = Vec<BaselineRow>;
+
+    fn batches(&self) -> Vec<String> {
+        vec!["baseline/no_attack".to_string()]
     }
-    let batch = telemetry::open_batch("baseline/no_attack");
-    let per_trial = pool::run_indexed(jobs, trials, |t| {
-        let _tele = telemetry::trial_slot(batch, t as u64);
+
+    fn trial(&self, base_seed: u64, _: usize, t: usize) -> Json {
         let seed = base_seed + 4_000_000 + t as u64;
         let trial = run_isidewith_trial(seed, None);
         let mut interest = vec![trial.iw.html];
         interest.extend_from_slice(&trial.iw.images);
-        let mut slots: [Option<f64>; 9] = [None; 9];
-        for (slot, obj) in interest.iter().enumerate() {
-            slots[slot] = trial.result.degree(*obj).best().map(|(_, d)| d);
-        }
-        slots
-    });
-    let mut degrees: Vec<Vec<f64>> = vec![Vec::new(); 9];
-    for slots in per_trial {
-        for (slot, d) in slots.into_iter().enumerate() {
-            if let Some(d) = d {
-                degrees[slot].push(d);
-            }
-        }
+        let degrees: Vec<Json> = interest
+            .iter()
+            .map(|obj| degree_payload(trial.result.degree(*obj).best().map(|(_, d)| d)))
+            .collect();
+        payload([("degree_bits", Json::Arr(degrees))])
     }
-    let labels = ["HTML", "I1", "I2", "I3", "I4", "I5", "I6", "I7", "I8"];
-    labels
-        .iter()
-        .enumerate()
-        .map(|(i, label)| {
-            let v = &degrees[i];
-            let (mean_degree_pct, pct_not_multiplexed) = if v.is_empty() {
-                // Never observed: report "no data" rather than the
-                // misleading 0 % the old silent default produced.
-                (None, None)
-            } else {
-                let mean = v.iter().sum::<f64>() / v.len() as f64;
-                let zero = v
-                    .iter()
-                    .filter(|d| crate::metrics::is_serialized(**d))
-                    .count();
-                (
-                    Some(100.0 * mean),
-                    Some(100.0 * zero as f64 / v.len() as f64),
-                )
-            };
-            BaselineRow {
-                object: (*label).to_string(),
-                mean_degree_pct,
-                pct_not_multiplexed,
-                trials,
+
+    fn row(
+        &self,
+        _: usize,
+        payloads: &[Json],
+        _: &[Vec<BaselineRow>],
+    ) -> Result<Vec<BaselineRow>, String> {
+        let mut degrees: Vec<Vec<f64>> = vec![Vec::new(); 9];
+        for p in payloads {
+            for (slot, d) in items(p, "degree_bits", 9)?.iter().enumerate() {
+                if let Some(d) = degree_from(d)? {
+                    degrees[slot].push(d);
+                }
             }
-        })
-        .collect()
+        }
+        let trials = payloads.len();
+        Ok(OBJECT_LABELS
+            .iter()
+            .zip(&degrees)
+            .map(|(label, v)| {
+                let (mean_degree_pct, pct_not_multiplexed) = if v.is_empty() {
+                    // Never observed: "no data", not a misleading 0 %.
+                    (None, None)
+                } else {
+                    let mean = v.iter().sum::<f64>() / v.len() as f64;
+                    let zero = v.iter().filter(|d| is_serialized(**d)).count();
+                    (Some(100.0 * mean), Some(pct_of(zero, v.len())))
+                };
+                BaselineRow {
+                    object: (*label).to_string(),
+                    mean_degree_pct,
+                    pct_not_multiplexed,
+                    trials,
+                }
+            })
+            .collect())
+    }
+
+    fn report(&self, rows: &[Vec<BaselineRow>]) -> String {
+        json_array(&rows.concat())
+    }
+
+    fn table(&self, rows: &[Vec<BaselineRow>]) -> String {
+        let table: Vec<Vec<String>> = rows
+            .iter()
+            .flatten()
+            .map(|r| {
+                vec![
+                    r.object.clone(),
+                    pct_opt(r.mean_degree_pct),
+                    pct_opt(r.pct_not_multiplexed),
+                ]
+            })
+            .collect();
+        render_table(
+            &[
+                "object",
+                "mean degree of multiplexing (%)",
+                "serialized by chance (%)",
+            ],
+            &table,
+        ) + "\npaper: HTML degree ~98%, images 80-99%; HTML serialized by chance in 32% of runs."
+    }
 }
 
 /// Fig. 1 demonstration: size estimation on serial vs multiplexed
@@ -494,36 +955,358 @@ pub struct Fig1Row {
 
 impl_to_json!(struct Fig1Row { scenario, truth, estimates, both_identified });
 
-/// Regenerates the Fig. 1 demonstration.
-pub fn fig1(base_seed: u64, jobs: usize) -> Vec<Fig1Row> {
-    let o1 = 9_500u64;
-    let o2 = 7_200u64;
-    let map = SizeMap::new(vec![("o1".to_string(), o1), ("o2".to_string(), o2)], 0.03);
-    let scenarios = vec![
-        ("multiplexed (IAT ~ 0)", 0u64),
-        ("serial (IAT > service time)", 700),
-    ];
-    let batch = telemetry::open_batch("fig1/size_estimation");
-    pool::map_ordered(jobs, scenarios, |(label, gap_ms)| {
-        // The gap is unique per scenario and sorts in submission order,
-        // so it doubles as the trial id for the telemetry slot.
-        let _tele = telemetry::trial_slot(batch, gap_ms);
+/// Fig. 1's scenarios: batch label, scenario, and the gap (ms) between
+/// the two GETs.
+const FIG1_SCENARIOS: [(&str, &str, u64); 2] = [
+    ("multiplexed", "multiplexed (IAT ~ 0)", 0),
+    ("serial", "serial (IAT > service time)", 700),
+];
+
+/// Fig. 1's two object sizes (bytes).
+const FIG1_SIZES: (u64, u64) = (9_500, 7_200);
+
+/// Fig. 1: a two-object transfer per scenario, whose row shows each
+/// trial's unit estimates.
+pub struct Fig1;
+
+impl Experiment for Fig1 {
+    type Row = Vec<Fig1Row>;
+
+    fn batches(&self) -> Vec<String> {
+        FIG1_SCENARIOS
+            .iter()
+            .map(|(name, _, _)| format!("fig1/{name}"))
+            .collect()
+    }
+
+    fn trial(&self, base_seed: u64, batch: usize, t: usize) -> Json {
+        let (o1, o2) = FIG1_SIZES;
+        let gap_ms = FIG1_SCENARIOS[batch].2;
+        let map = SizeMap::new(vec![("o1".to_string(), o1), ("o2".to_string(), o2)], 0.03);
         let site = two_object_site(o1, o2, SimDuration::from_millis(gap_ms));
-        let opts = TrialOptions::new(base_seed + gap_ms, None);
-        let result = run_site_trial(site, &opts);
-        let prediction = result.predict(&map);
-        let estimates: Vec<u64> = prediction
+        let opts = TrialOptions::new(base_seed + gap_ms + t as u64, None);
+        let prediction = run_site_trial(site, &opts).predict(&map);
+        let estimates = prediction
             .units
             .iter()
-            .map(|u| u.unit.estimated_payload)
+            .map(|u| Json::UInt(u.unit.estimated_payload))
             .collect();
-        Fig1Row {
-            scenario: label.to_string(),
-            truth: (o1, o2),
-            both_identified: prediction.contains("o1") && prediction.contains("o2"),
-            estimates,
+        payload([
+            ("estimates", Json::Arr(estimates)),
+            (
+                "both_identified",
+                Json::Bool(prediction.contains("o1") && prediction.contains("o2")),
+            ),
+        ])
+    }
+
+    fn row(
+        &self,
+        batch: usize,
+        payloads: &[Json],
+        _: &[Vec<Fig1Row>],
+    ) -> Result<Vec<Fig1Row>, String> {
+        payloads
+            .iter()
+            .map(|p| {
+                let estimates = field(p, "estimates", Json::as_array)?
+                    .iter()
+                    .map(|e| e.as_u64().ok_or("payload estimate is not an integer"))
+                    .collect::<Result<_, _>>()?;
+                Ok(Fig1Row {
+                    scenario: FIG1_SCENARIOS[batch].1.to_string(),
+                    truth: FIG1_SIZES,
+                    estimates,
+                    both_identified: field(p, "both_identified", Json::as_bool)?,
+                })
+            })
+            .collect()
+    }
+
+    fn report(&self, rows: &[Vec<Fig1Row>]) -> String {
+        json_lines(&rows.concat())
+    }
+
+    fn table(&self, rows: &[Vec<Fig1Row>]) -> String {
+        let mut lines = Vec::new();
+        for row in rows.iter().flatten() {
+            lines.push(format!("case: {}", row.scenario));
+            lines.push(format!(
+                "  true sizes:      O1={} O2={}",
+                row.truth.0, row.truth.1
+            ));
+            lines.push(format!("  unit estimates:  {:?}", row.estimates));
+            lines.push(format!("  both identified: {}", row.both_identified));
         }
-    })
+        lines.push(
+            "\npaper Fig. 1: delimiting packets reveal sizes in case 1 (serial);".to_string(),
+        );
+        lines.push(
+            "interleaved segments defeat the estimation in case 2 (multiplexed).".to_string(),
+        );
+        lines.join("\n")
+    }
+}
+
+/// A Figs. 2–3 point: how inter-request spacing serializes the first of
+/// two objects.
+#[derive(Debug, Clone)]
+pub struct Fig2Row {
+    /// Gap between the two GETs (ms).
+    pub gap_ms: u64,
+    /// Mean degree of multiplexing of O1, %; `None` when O1 was never
+    /// observed on the wire.
+    pub mean_degree_pct: Option<f64>,
+    /// % of trials with O1 fully serialized.
+    pub pct_serialized: f64,
+    /// Trials run.
+    pub trials: usize,
+}
+
+impl_to_json!(struct Fig2Row { gap_ms, mean_degree_pct, pct_serialized, trials });
+
+/// The inter-request gaps (ms) swept by Figs. 2–3.
+const FIG2_GAPS_MS: [u64; 7] = [0, 25, 50, 100, 200, 400, 800];
+
+/// Figs. 2–3: a two-object transfer at each inter-request gap.
+pub struct Fig2;
+
+impl Experiment for Fig2 {
+    type Row = Fig2Row;
+
+    fn batches(&self) -> Vec<String> {
+        FIG2_GAPS_MS
+            .iter()
+            .map(|gap| format!("fig2/gap_{gap}ms"))
+            .collect()
+    }
+
+    fn trial(&self, base_seed: u64, batch: usize, t: usize) -> Json {
+        let gap = FIG2_GAPS_MS[batch];
+        let site = two_object_site(30_000, 24_000, SimDuration::from_millis(gap));
+        let opts = TrialOptions::new(base_seed + gap * 100 + t as u64, None);
+        let result = run_site_trial(site, &opts);
+        let d1 = degree_of_multiplexing(&result.wire_map, ObjectId(0))
+            .best()
+            .map(|(_, d)| d);
+        payload([("degree_bits", degree_payload(d1))])
+    }
+
+    fn row(&self, batch: usize, payloads: &[Json], _: &[Fig2Row]) -> Result<Fig2Row, String> {
+        let mut d1_sum = 0.0;
+        let mut observed = 0u64;
+        let mut serial = 0;
+        for p in payloads {
+            if let Some(d1) = degree_from(field(p, "degree_bits", Some)?)? {
+                d1_sum += d1;
+                observed += 1;
+                if d1 == 0.0 {
+                    serial += 1;
+                }
+            }
+        }
+        let trials = payloads.len();
+        Ok(Fig2Row {
+            gap_ms: FIG2_GAPS_MS[batch],
+            mean_degree_pct: (observed > 0).then(|| 100.0 * d1_sum / observed as f64),
+            pct_serialized: pct_of(serial, trials),
+            trials,
+        })
+    }
+
+    fn table(&self, rows: &[Fig2Row]) -> String {
+        let table: Vec<Vec<String>> = rows
+            .iter()
+            .map(|r| {
+                vec![
+                    r.gap_ms.to_string(),
+                    pct_opt(r.mean_degree_pct),
+                    pct(r.pct_serialized),
+                ]
+            })
+            .collect();
+        render_table(
+            &[
+                "inter-request gap (ms)",
+                "O1 mean degree of multiplexing (%)",
+                "O1 serialized (%)",
+            ],
+            &table,
+        ) + "\npaper Figs. 2-3: spacing the second GET past O1's service time\
+             \nlets the server finish O1 in single-threaded mode."
+    }
+}
+
+/// One ablation of a design choice called out in DESIGN.md.
+#[derive(Debug, Clone, Copy)]
+enum Ablation {
+    /// HTTP/2's concurrent server, no adversary.
+    MuxConcurrent,
+    /// An HTTP/1.1-like serial server, no adversary.
+    MuxSerial,
+    /// Duplicate serving on, under 200 ms jitter.
+    DupOn,
+    /// Duplicate serving off, under 200 ms jitter.
+    DupOff,
+    /// The client's re-request timeout (ms), under 200 ms jitter.
+    Timeout(u64),
+}
+
+/// The ablations, in order, and the section each one opens.
+const ABLATIONS: [(Ablation, Option<&str>); 8] = [
+    (Ablation::MuxConcurrent, Some("mux policy (no adversary)")),
+    (Ablation::MuxSerial, None),
+    (
+        Ablation::DupOn,
+        Some("duplicate-serving pathology under 200 ms jitter"),
+    ),
+    (Ablation::DupOff, None),
+    (
+        Ablation::Timeout(600),
+        Some("client re-request timeout under 200 ms jitter"),
+    ),
+    (Ablation::Timeout(1_200), None),
+    (Ablation::Timeout(2_400), None),
+    (Ablation::Timeout(4_800), None),
+];
+
+impl Ablation {
+    fn label(self) -> String {
+        match self {
+            Ablation::MuxConcurrent => "mux_concurrent".to_string(),
+            Ablation::MuxSerial => "mux_serial".to_string(),
+            Ablation::DupOn => "dup_on".to_string(),
+            Ablation::DupOff => "dup_off".to_string(),
+            Ablation::Timeout(ms) => format!("timeout_{ms}ms"),
+        }
+    }
+
+    /// The ablation's trial options; its seeds start `offset` past the
+    /// base seed.
+    fn options(self, base_seed: u64, t: usize) -> TrialOptions {
+        let offset = match self {
+            Ablation::MuxConcurrent => 0,
+            Ablation::MuxSerial => 1_000,
+            Ablation::DupOn => 2_000,
+            Ablation::DupOff => 3_000,
+            Ablation::Timeout(ms) => 4_000 + ms,
+        };
+        let mut o = TrialOptions::new(base_seed + offset + t as u64, None);
+        if !matches!(self, Ablation::MuxConcurrent | Ablation::MuxSerial) {
+            o.attack = Some(AttackConfig::jitter_only(SimDuration::from_millis(200)));
+        }
+        match self {
+            Ablation::MuxConcurrent | Ablation::DupOn => {}
+            Ablation::MuxSerial => o.server.mux = MuxPolicy::Serial,
+            Ablation::DupOff => o.server.serve_duplicates = false,
+            Ablation::Timeout(ms) => o.client.rerequest.timeout = SimDuration::from_millis(ms),
+        }
+        o
+    }
+
+    fn line(self, r: &AblationRow) -> String {
+        let (serial, rereq, copies) = (
+            r.pct_html_serialized,
+            r.rerequests_avg,
+            r.duplicate_copies_avg,
+        );
+        match self {
+            Ablation::MuxConcurrent => {
+                format!("  Concurrent (HTTP/2): html serialized by chance {serial:.0}%")
+            }
+            Ablation::MuxSerial => {
+                format!("  Serial (HTTP/1.1-like): html serialized {serial:.0}% (expected ~100%)")
+            }
+            Ablation::DupOn => format!(
+                "  serve_duplicates=on : re-requests/trial {rereq:.1}, duplicate copies/trial {copies:.1}"
+            ),
+            Ablation::DupOff => format!(
+                "  serve_duplicates=off: re-requests/trial {rereq:.1}, duplicate copies/trial {copies:.1}"
+            ),
+            Ablation::Timeout(ms) => format!(
+                "  timeout {ms:>4} ms: re-requests/trial {rereq:.1}, duplicate copies/trial {copies:.1}"
+            ),
+        }
+    }
+}
+
+/// One ablation's aggregate.
+#[derive(Debug, Clone)]
+pub struct AblationRow {
+    /// Ablation label.
+    pub variant: String,
+    /// % of trials with the result HTML fully serialized.
+    pub pct_html_serialized: f64,
+    /// Mean application-layer re-requests per trial.
+    pub rerequests_avg: f64,
+    /// Mean duplicate copies served per trial.
+    pub duplicate_copies_avg: f64,
+    /// Trials run.
+    pub trials: usize,
+}
+
+impl_to_json!(struct AblationRow {
+    variant,
+    pct_html_serialized,
+    rerequests_avg,
+    duplicate_copies_avg,
+    trials,
+});
+
+/// Ablations of the design choices called out in DESIGN.md: the
+/// server's mux policy, the duplicate-serving pathology, and the client's
+/// re-request timeout.
+pub struct Ablations;
+
+impl Experiment for Ablations {
+    type Row = AblationRow;
+
+    fn batches(&self) -> Vec<String> {
+        ABLATIONS
+            .iter()
+            .map(|(a, _)| format!("ablation/{}", a.label()))
+            .collect()
+    }
+
+    fn trial(&self, base_seed: u64, batch: usize, t: usize) -> Json {
+        let trial = run_isidewith_trial_with(ABLATIONS[batch].0.options(base_seed, t));
+        let copies = trial.result.serve_log.iter().filter(|s| s.copy > 0).count();
+        payload([
+            (
+                "serialized",
+                Json::Bool(is_serialized(trial.html_outcome().best_degree)),
+            ),
+            ("rerequests", Json::UInt(trial.result.client.h2_rerequests)),
+            ("copies", Json::UInt(copies as u64)),
+        ])
+    }
+
+    fn row(
+        &self,
+        batch: usize,
+        payloads: &[Json],
+        _: &[AblationRow],
+    ) -> Result<AblationRow, String> {
+        let trials = payloads.len();
+        Ok(AblationRow {
+            variant: ABLATIONS[batch].0.label(),
+            pct_html_serialized: pct_of(count(payloads, "serialized")?, trials),
+            rerequests_avg: mean(total(payloads, "rerequests")?, trials),
+            duplicate_copies_avg: mean(total(payloads, "copies")?, trials),
+            trials,
+        })
+    }
+
+    fn table(&self, rows: &[AblationRow]) -> String {
+        let mut lines = Vec::new();
+        for (r, (ablation, section)) in rows.iter().zip(ABLATIONS) {
+            if let Some(title) = section {
+                lines.push(format!("\n=== {title} ==="));
+            }
+            lines.push(ablation.line(r));
+        }
+        lines.join("\n")
+    }
 }
 
 /// A robustness-sweep row: the full Section V attack under increasingly
@@ -621,145 +1404,133 @@ pub fn robustness_fault_plan(intensity: f64) -> FaultPlan {
 }
 
 /// The fault-intensity points swept by the robustness experiment.
-pub const ROBUSTNESS_INTENSITIES: [f64; 6] = [0.0, 0.2, 0.4, 0.6, 0.8, 1.0];
+const ROBUSTNESS_INTENSITIES: [f64; 6] = [0.0, 0.2, 0.4, 0.6, 0.8, 1.0];
 
-/// Compact per-trial summary of one robustness cell, in
-/// exactly-representable types (see [`Table1Trial`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RobustTrial {
-    /// Outcome of the final attempt, as an index:
-    /// completed/stalled/aborted/horizon-exhausted.
-    pub outcome_idx: usize,
-    /// Retry attempts consumed before the final one.
-    pub retries: u64,
-    /// HTML fully serialized (completed trials only).
-    pub serialized: bool,
-    /// HTML identified by the predictor (completed trials only).
-    pub identified: bool,
-    /// The paper's success criterion held.
-    pub success: bool,
-    /// Wire retransmissions.
-    pub retrans: u64,
-    /// Fault-layer drops (burst + outage) across all faulted links.
-    pub fault_drops: u64,
+/// The full attack across fault intensities, reporting attack
+/// serialization/identification rates against impairment level. Each
+/// trial runs with the stall watchdog in fail-fast mode and one retry on
+/// a derived seed; every outcome is accounted for in the row.
+pub struct RobustnessSweep {
+    /// Fault intensities swept (see [`robustness_fault_plan`]).
+    pub intensities: &'static [f64],
 }
 
-/// Runs one robustness cell: batch `ii` at fault `intensity`, trial
-/// `t`. Pure function of its arguments — the seed layout (keyed by the
-/// batch *index*) and watchdog/retry policy match the original in-line
-/// loop, so any slicing of the sweep that preserves indices lands on
-/// identical seeds.
-pub fn robustness_trial(base_seed: u64, ii: usize, intensity: f64, t: usize) -> RobustTrial {
-    let plan = robustness_fault_plan(intensity);
-    let seed = base_seed + 5_000_000 + (ii as u64) * 10_000 + t as u64;
-    let mut opts = TrialOptions::new(seed, Some(AttackConfig::full_attack()));
-    opts.faults = plan;
-    opts.fail_fast = true;
-    opts.stall_window = SimDuration::from_secs(15);
-    let retried = run_isidewith_trial_retrying(opts, 1);
-    let trial = &retried.trial;
-    let outcome_idx = match trial.result.outcome {
-        TrialOutcome::Completed => 0,
-        TrialOutcome::Stalled => 1,
-        TrialOutcome::ConnectionAborted => 2,
-        TrialOutcome::HorizonExhausted => 3,
-    };
-    let completed = trial.result.outcome == TrialOutcome::Completed;
-    let out = trial.html_outcome();
-    RobustTrial {
-        outcome_idx,
-        retries: u64::from(retried.retries_used()),
-        serialized: completed && crate::metrics::is_serialized(out.best_degree),
-        identified: completed && out.identified,
-        success: completed && out.success,
-        retrans: trial.result.total_retransmissions(),
-        fault_drops: trial
-            .result
-            .fault_stats
+impl Experiment for RobustnessSweep {
+    type Row = RobustnessRow;
+
+    fn batches(&self) -> Vec<String> {
+        self.intensities
             .iter()
-            .map(|s| s.dropped())
-            .sum::<u64>(),
-    }
-}
-
-/// Streaming per-batch accumulator for the robustness sweep.
-#[derive(Debug, Default)]
-pub struct RobustnessAccum {
-    serialized: usize,
-    identified: usize,
-    success: usize,
-    outcome_counts: [usize; 4],
-    retries_used: u64,
-    retrans_total: u64,
-    fault_drops_total: u64,
-    trials: usize,
-}
-
-impl RobustnessAccum {
-    /// Folds one trial summary in.
-    pub fn add(&mut self, s: &RobustTrial) {
-        self.outcome_counts[s.outcome_idx.min(3)] += 1;
-        self.retries_used += s.retries;
-        self.serialized += usize::from(s.serialized);
-        self.identified += usize::from(s.identified);
-        self.success += usize::from(s.success);
-        self.retrans_total += s.retrans;
-        self.fault_drops_total += s.fault_drops;
-        self.trials += 1;
+            .map(|x| format!("robustness/intensity_{x}"))
+            .collect()
     }
 
-    /// Emits the batch's row.
-    pub fn row(&self, intensity: f64) -> RobustnessRow {
-        let trials = self.trials;
-        let pct = |n: usize| Some(100.0 * n as f64 / trials as f64);
-        RobustnessRow {
+    fn trial(&self, base_seed: u64, batch: usize, t: usize) -> Json {
+        // Seeds are keyed by the batch *index*, so any slicing of the
+        // sweep that preserves indices lands on identical seeds.
+        let seed = base_seed + 5_000_000 + (batch as u64) * 10_000 + t as u64;
+        let mut opts = TrialOptions::new(seed, Some(AttackConfig::full_attack()));
+        opts.faults = robustness_fault_plan(self.intensities[batch]);
+        opts.fail_fast = true;
+        opts.stall_window = SimDuration::from_secs(15);
+        let retried = run_isidewith_trial_retrying(opts, 1);
+        let trial = &retried.trial;
+        let outcome_idx = match trial.result.outcome {
+            TrialOutcome::Completed => 0,
+            TrialOutcome::Stalled => 1,
+            TrialOutcome::ConnectionAborted => 2,
+            TrialOutcome::HorizonExhausted => 3,
+        };
+        let completed = trial.result.outcome == TrialOutcome::Completed;
+        let out = trial.html_outcome();
+        let fault_drops: u64 = trial.result.fault_stats.iter().map(|s| s.dropped()).sum();
+        payload([
+            ("outcome", Json::UInt(outcome_idx)),
+            ("retries", Json::UInt(u64::from(retried.retries_used()))),
+            (
+                "serialized",
+                Json::Bool(completed && is_serialized(out.best_degree)),
+            ),
+            ("identified", Json::Bool(completed && out.identified)),
+            ("success", Json::Bool(completed && out.success)),
+            ("retrans", Json::UInt(trial.result.total_retransmissions())),
+            ("fault_drops", Json::UInt(fault_drops)),
+        ])
+    }
+
+    fn row(
+        &self,
+        batch: usize,
+        payloads: &[Json],
+        _: &[RobustnessRow],
+    ) -> Result<RobustnessRow, String> {
+        let mut outcomes = [0usize; 4];
+        for p in payloads {
+            let idx = field(p, "outcome", Json::as_u64)?;
+            *outcomes
+                .get_mut(idx as usize)
+                .ok_or_else(|| format!("payload outcome index {idx} out of range"))? += 1;
+        }
+        let trials = payloads.len();
+        let intensity = self.intensities[batch];
+        let pct = |key| Ok::<_, String>(Some(pct_of(count(payloads, key)?, trials)));
+        Ok(RobustnessRow {
             intensity,
             burst_loss_pct: 100.0 * 0.05 * intensity.clamp(0.0, 1.0),
             reorder_pct: 100.0 * 0.3 * intensity.clamp(0.0, 1.0),
             duplicate_pct: 100.0 * 0.02 * intensity.clamp(0.0, 1.0),
             flap: intensity >= 0.8,
-            pct_html_serialized: pct(self.serialized),
-            pct_html_identified: pct(self.identified),
-            pct_success: pct(self.success),
-            retransmissions_avg: Some(self.retrans_total as f64 / trials as f64),
-            fault_drops_avg: Some(self.fault_drops_total as f64 / trials as f64),
-            completed: self.outcome_counts[0],
-            stalled: self.outcome_counts[1],
-            aborted: self.outcome_counts[2],
-            horizon_exhausted: self.outcome_counts[3],
-            retries_used: self.retries_used,
+            pct_html_serialized: pct("serialized")?,
+            pct_html_identified: pct("identified")?,
+            pct_success: pct("success")?,
+            retransmissions_avg: Some(mean(total(payloads, "retrans")?, trials)),
+            fault_drops_avg: Some(mean(total(payloads, "fault_drops")?, trials)),
+            completed: outcomes[0],
+            stalled: outcomes[1],
+            aborted: outcomes[2],
+            horizon_exhausted: outcomes[3],
+            retries_used: total(payloads, "retries")?,
             trials,
-        }
+        })
     }
-}
 
-/// Sweeps the full attack across fault intensities, reporting attack
-/// serialization/identification rates against impairment level. Each
-/// trial runs with the stall watchdog in fail-fast mode and one retry on
-/// a derived seed; every outcome is accounted for in the row.
-pub fn robustness_sweep(
-    trials: usize,
-    base_seed: u64,
-    intensities: &[f64],
-    jobs: usize,
-) -> Vec<RobustnessRow> {
-    if trials == 0 {
-        return Vec::new();
+    fn table(&self, rows: &[RobustnessRow]) -> String {
+        let table: Vec<Vec<String>> = rows
+            .iter()
+            .map(|r| {
+                vec![
+                    format!("{:.1}", r.intensity),
+                    pct(r.burst_loss_pct),
+                    pct(r.reorder_pct),
+                    if r.flap { "yes".into() } else { "no".into() },
+                    pct_opt(r.pct_html_serialized),
+                    pct_opt(r.pct_success),
+                    pct_opt(r.retransmissions_avg),
+                    format!(
+                        "{}/{}/{}/{}",
+                        r.completed, r.stalled, r.aborted, r.horizon_exhausted
+                    ),
+                    r.retries_used.to_string(),
+                ]
+            })
+            .collect();
+        render_table(
+            &[
+                "intensity",
+                "burst loss (%)",
+                "reorder (%)",
+                "flap",
+                "HTML serialized (%)",
+                "attack success (%)",
+                "retransmissions (avg)",
+                "ok/stall/abort/horizon",
+                "retries",
+            ],
+            &table,
+        ) + "\nreading: the attack's forced serialization should survive mild\
+             \nimpairment and decay gracefully — every degraded trial is classified,\
+             \nnever silently folded into a success percentage."
     }
-    let mut rows = Vec::new();
-    for (ii, &intensity) in intensities.iter().enumerate() {
-        let batch = telemetry::open_batch(&format!("robustness/intensity_{intensity}"));
-        let per_trial = pool::run_indexed(jobs, trials, |t| {
-            let _tele = telemetry::trial_slot(batch, t as u64);
-            robustness_trial(base_seed, ii, intensity, t)
-        });
-        let mut accum = RobustnessAccum::default();
-        for summary in &per_trial {
-            accum.add(summary);
-        }
-        rows.push(accum.row(intensity));
-    }
-    rows
 }
 
 /// One cell of the H2-vs-H3 attack-transfer matrix: a (attack config,
@@ -820,63 +1591,112 @@ pub fn transfer_attack_configs() -> Vec<(&'static str, AttackConfig)> {
     ]
 }
 
+/// The transports every transfer attack runs over, in batch order.
+const TRANSFER_TRANSPORTS: [TransportKind; 2] = [TransportKind::Tcp, TransportKind::Quic];
+
 /// The headline transport-transfer experiment: does the forced
 /// serialization attack survive the move from HTTP/2-over-TCP to
 /// HTTP/3-over-QUIC? Every attack configuration runs against both
 /// transports on identical seeds (same survey ground truth per seed), so
 /// each matrix row differs only in the substrate the victim speaks.
+pub struct TransportTransfer;
+
+impl Experiment for TransportTransfer {
+    type Row = TransferRow;
+
+    fn batches(&self) -> Vec<String> {
+        transfer_attack_configs()
+            .iter()
+            .flat_map(|(label, _)| {
+                TRANSFER_TRANSPORTS
+                    .map(|transport| format!("transfer/{label}/{}", transport.label()))
+            })
+            .collect()
+    }
+
+    fn trial(&self, base_seed: u64, batch: usize, t: usize) -> Json {
+        let cfg_idx = batch / TRANSFER_TRANSPORTS.len();
+        let seed = base_seed + 6_000_000 + (cfg_idx as u64) * 10_000 + t as u64;
+        let attack = transfer_attack_configs().swap_remove(cfg_idx).1;
+        let trial = run_isidewith_trial_with(TrialOptions {
+            transport: TRANSFER_TRANSPORTS[batch % TRANSFER_TRANSPORTS.len()],
+            ..TrialOptions::new(seed, Some(attack))
+        });
+        let out = trial.html_outcome();
+        payload([
+            ("serialized", Json::Bool(is_serialized(out.best_degree))),
+            ("identified", Json::Bool(out.identified)),
+            ("success", Json::Bool(out.success)),
+            (
+                "full_ranking",
+                Json::Bool(trial.sequence_success().iter().all(|ok| *ok)),
+            ),
+            ("broken", Json::Bool(trial.result.client.connection_broken)),
+            ("retrans", Json::UInt(trial.result.total_retransmissions())),
+        ])
+    }
+
+    fn row(
+        &self,
+        batch: usize,
+        payloads: &[Json],
+        _: &[TransferRow],
+    ) -> Result<TransferRow, String> {
+        let trials = payloads.len();
+        let pct = |key| Ok::<_, String>(pct_of(count(payloads, key)?, trials));
+        let cfg_idx = batch / TRANSFER_TRANSPORTS.len();
+        let transport = TRANSFER_TRANSPORTS[batch % TRANSFER_TRANSPORTS.len()];
+        Ok(TransferRow {
+            attack: transfer_attack_configs()[cfg_idx].0.to_string(),
+            transport: transport.label().to_string(),
+            pct_html_serialized: pct("serialized")?,
+            pct_html_identified: pct("identified")?,
+            pct_success: pct("success")?,
+            pct_full_ranking: pct("full_ranking")?,
+            retransmissions_avg: mean(total(payloads, "retrans")?, trials),
+            pct_broken: pct("broken")?,
+            trials,
+        })
+    }
+
+    fn table(&self, rows: &[TransferRow]) -> String {
+        let table: Vec<Vec<String>> = rows
+            .iter()
+            .map(|r| {
+                vec![
+                    r.attack.clone(),
+                    r.transport.clone(),
+                    pct(r.pct_html_serialized),
+                    pct(r.pct_html_identified),
+                    pct(r.pct_success),
+                    pct(r.pct_full_ranking),
+                    format!("{:.1}", r.retransmissions_avg),
+                    pct(r.pct_broken),
+                ]
+            })
+            .collect();
+        render_table(
+            &[
+                "attack",
+                "transport",
+                "HTML serialized (%)",
+                "HTML identified (%)",
+                "attack success (%)",
+                "full ranking (%)",
+                "retransmissions (avg)",
+                "broken (%)",
+            ],
+            &table,
+        ) + "\nreading: each attack runs on the same seeds over H2/TCP and H3/QUIC,\
+             \nso any gap between the paired rows is attributable to the transport\
+             \nsubstrate alone — per-stream delivery, datagram framing, and QUIC's\
+             \nloss recovery replacing the TCP bytestream and TLS record headers."
+    }
+}
+
+/// Runs the transport-transfer matrix; see [`TransportTransfer`].
 pub fn transport_transfer(trials: usize, base_seed: u64, jobs: usize) -> Vec<TransferRow> {
-    if trials == 0 {
-        return Vec::new();
-    }
-    let mut rows = Vec::new();
-    for (cfg_idx, (label, attack)) in transfer_attack_configs().into_iter().enumerate() {
-        for transport in [TransportKind::Tcp, TransportKind::Quic] {
-            let batch = telemetry::open_batch(&format!("transfer/{label}/{}", transport.label()));
-            let per_trial = pool::run_indexed(jobs, trials, |t| {
-                let _tele = telemetry::trial_slot(batch, t as u64);
-                let seed = base_seed + 6_000_000 + (cfg_idx as u64) * 10_000 + t as u64;
-                let trial = run_isidewith_trial_with(TrialOptions {
-                    transport,
-                    ..TrialOptions::new(seed, Some(attack.clone()))
-                });
-                let out = trial.html_outcome();
-                (
-                    crate::metrics::is_serialized(out.best_degree),
-                    out.identified,
-                    out.success,
-                    trial.sequence_success().iter().all(|ok| *ok),
-                    trial.result.client.connection_broken,
-                    trial.result.total_retransmissions(),
-                )
-            });
-            let (mut serialized, mut identified, mut success) = (0usize, 0usize, 0usize);
-            let mut full_ranking = 0usize;
-            let mut broken = 0usize;
-            let mut retrans_total = 0u64;
-            for (ser, ident, ok, rank, brk, retrans) in per_trial {
-                serialized += usize::from(ser);
-                identified += usize::from(ident);
-                success += usize::from(ok);
-                full_ranking += usize::from(rank);
-                broken += usize::from(brk);
-                retrans_total += retrans;
-            }
-            let pct = |n: usize| 100.0 * n as f64 / trials as f64;
-            rows.push(TransferRow {
-                attack: label.to_string(),
-                transport: transport.label().to_string(),
-                pct_html_serialized: pct(serialized),
-                pct_html_identified: pct(identified),
-                pct_success: pct(success),
-                pct_full_ranking: pct(full_ranking),
-                retransmissions_avg: retrans_total as f64 / trials as f64,
-                pct_broken: pct(broken),
-                trials,
-            });
-        }
-    }
-    rows
+    run(&TransportTransfer, trials, base_seed, jobs)
 }
 
 /// One batch of the attack × defense × transport matrix.
@@ -904,8 +1724,7 @@ impl DefenseMatrixBatch {
 
 /// The matrix's batch enumeration, grouped `(attack, transport)`-major
 /// with the undefended baseline **first in every group** — the overhead
-/// columns of later rows are computed against it, so the streaming fold
-/// only ever holds one group's baseline.
+/// columns of later rows are computed against it.
 pub fn defense_matrix_batches() -> Vec<DefenseMatrixBatch> {
     let mut batches = Vec::new();
     for attack in ["full_attack", "jitter_only_50ms"] {
@@ -933,67 +1752,6 @@ pub fn defense_matrix_attack(label: &str) -> AttackConfig {
         "full_attack" => AttackConfig::full_attack(),
         "jitter_only_50ms" => AttackConfig::jitter_only(SimDuration::from_millis(50)),
         other => panic!("unknown defense-matrix attack {other:?}"),
-    }
-}
-
-/// Compact per-trial summary of one defense-matrix cell, in
-/// exactly-representable types (see [`Table1Trial`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DefenseTrial {
-    /// The page load finished.
-    pub completed: bool,
-    /// HTML fully serialized.
-    pub serialized: bool,
-    /// HTML identified by the predictor.
-    pub identified: bool,
-    /// The paper's success criterion (serialized *and* identified) —
-    /// judged from the adversary's capture whether or not the page
-    /// finished, matching [`transport_transfer`].
-    pub success: bool,
-    /// Every position of the 8-party ranking read correctly.
-    pub full_ranking: bool,
-    /// Server payload bytes on the wire, including padding fill and
-    /// dummy shaping cells — the defense's bandwidth cost.
-    pub wire_bytes: u64,
-    /// Page-load duration in nanoseconds (0 when not completed) — the
-    /// defense's latency cost.
-    pub page_ns: u64,
-}
-
-/// Runs one defense-matrix cell: batch `bi`, trial `t`. Pure function
-/// of its arguments; the seed layout mirrors the other experiments
-/// (`base + offset + batch_idx * 10_000 + trial`).
-pub fn defense_matrix_trial(base_seed: u64, bi: usize, t: usize) -> DefenseTrial {
-    let b = defense_matrix_batches()[bi];
-    let seed = base_seed + 7_000_000 + (bi as u64) * 10_000 + t as u64;
-    let mut opts = TrialOptions::new(seed, Some(defense_matrix_attack(b.attack)));
-    opts.defense = b.defense;
-    opts.transport = b.transport_kind();
-    let trial = run_isidewith_trial_with(opts);
-    let out = trial.html_outcome();
-    let completed = trial.result.outcome == TrialOutcome::Completed;
-    let page_ns = match (
-        trial.result.client.page_started_at,
-        trial.result.client.page_completed_at,
-    ) {
-        (Some(a), Some(z)) => z.as_nanos().saturating_sub(a.as_nanos()),
-        _ => 0,
-    };
-    // H2's TCP byte counter already includes TLS padding fill and dummy
-    // cells (they ride the same byte stream); QUIC's stream-byte counter
-    // excludes its datagram padding, which is accounted separately.
-    let wire_bytes = match b.transport_kind() {
-        TransportKind::Tcp => trial.result.server_tcp.bytes_sent,
-        TransportKind::Quic => trial.result.server_tcp.bytes_sent + trial.result.pad_overhead_bytes,
-    };
-    DefenseTrial {
-        completed,
-        serialized: crate::metrics::is_serialized(out.best_degree),
-        identified: out.identified,
-        success: out.success,
-        full_ranking: trial.sequence_success().iter().all(|ok| *ok),
-        wire_bytes,
-        page_ns,
     }
 }
 
@@ -1045,53 +1803,95 @@ impl_to_json!(struct DefenseMatrixRow {
     trials,
 });
 
-/// Streaming per-batch accumulator for the defense matrix.
-#[derive(Debug, Default)]
-pub struct DefenseAccum {
-    success: usize,
-    identified: usize,
-    full_ranking: usize,
-    completed: usize,
-    wire_bytes_total: u64,
-    page_ns_total: u64,
-    trials: usize,
-}
+/// The attack × defense × transport matrix: every countermeasure preset
+/// against both matrix attacks on both transports (where supported),
+/// with bandwidth and latency overhead measured against the undefended
+/// cell of the same group.
+pub struct DefenseMatrix;
 
-impl DefenseAccum {
-    /// Folds one trial summary in.
-    pub fn add(&mut self, s: &DefenseTrial) {
-        self.success += usize::from(s.success);
-        self.identified += usize::from(s.identified);
-        self.full_ranking += usize::from(s.full_ranking);
-        self.completed += usize::from(s.completed);
-        self.wire_bytes_total += s.wire_bytes;
-        self.page_ns_total += s.page_ns;
-        self.trials += 1;
+impl Experiment for DefenseMatrix {
+    type Row = DefenseMatrixRow;
+
+    fn batches(&self) -> Vec<String> {
+        defense_matrix_batches()
+            .iter()
+            .map(|b| format!("defense/{}/{}/{}", b.attack, b.transport, b.defense.label()))
+            .collect()
     }
 
-    /// Emits the batch's row. `baseline` carries the current (attack,
-    /// transport) group's undefended `(wire_bytes_avg, page_ms_avg)`:
-    /// the `none` batch **sets** it (each group starts with `none`, see
-    /// [`defense_matrix_batches`]), every other batch reads it for the
-    /// overhead columns — the same cross-batch pattern as Table I's
-    /// `baseline_retrans`.
-    pub fn row(
+    fn trial(&self, base_seed: u64, batch: usize, t: usize) -> Json {
+        let b = defense_matrix_batches()[batch];
+        let seed = base_seed + 7_000_000 + (batch as u64) * 10_000 + t as u64;
+        let mut opts = TrialOptions::new(seed, Some(defense_matrix_attack(b.attack)));
+        opts.defense = b.defense;
+        opts.transport = b.transport_kind();
+        let trial = run_isidewith_trial_with(opts);
+        let out = trial.html_outcome();
+        let client = &trial.result.client;
+        let page_ns = match (client.page_started_at, client.page_completed_at) {
+            (Some(a), Some(z)) => z.as_nanos().saturating_sub(a.as_nanos()),
+            _ => 0,
+        };
+        // H2's TCP byte counter already includes TLS padding fill and dummy
+        // cells (they ride the same byte stream); QUIC's stream-byte counter
+        // excludes its datagram padding, which is accounted separately.
+        let wire_bytes = match b.transport_kind() {
+            TransportKind::Tcp => trial.result.server_tcp.bytes_sent,
+            TransportKind::Quic => {
+                trial.result.server_tcp.bytes_sent + trial.result.pad_overhead_bytes
+            }
+        };
+        // `success` is judged from the adversary's capture whether or not
+        // the page finished, matching the transfer matrix.
+        payload([
+            (
+                "completed",
+                Json::Bool(trial.result.outcome == TrialOutcome::Completed),
+            ),
+            ("serialized", Json::Bool(is_serialized(out.best_degree))),
+            ("identified", Json::Bool(out.identified)),
+            ("success", Json::Bool(out.success)),
+            (
+                "full_ranking",
+                Json::Bool(trial.sequence_success().iter().all(|ok| *ok)),
+            ),
+            ("wire_bytes", Json::UInt(wire_bytes)),
+            ("page_ns", Json::UInt(page_ns)),
+        ])
+    }
+
+    fn row(
         &self,
-        b: &DefenseMatrixBatch,
-        baseline: &mut Option<(f64, f64)>,
-    ) -> DefenseMatrixRow {
-        let trials = self.trials;
-        let pct = |n: usize| 100.0 * n as f64 / trials as f64;
-        let wire_bytes_avg = self.wire_bytes_total as f64 / trials as f64;
-        let page_ms_avg = if self.completed > 0 {
-            self.page_ns_total as f64 / self.completed as f64 / 1e6
+        batch: usize,
+        payloads: &[Json],
+        earlier: &[DefenseMatrixRow],
+    ) -> Result<DefenseMatrixRow, String> {
+        let b = defense_matrix_batches()[batch];
+        let trials = payloads.len();
+        let pct = |key| Ok::<_, String>(pct_of(count(payloads, key)?, trials));
+        let completed = count(payloads, "completed")?;
+        let wire_bytes_avg = mean(total(payloads, "wire_bytes")?, trials);
+        let page_ms_avg = if completed > 0 {
+            total(payloads, "page_ns")? as f64 / completed as f64 / 1e6
         } else {
             0.0
         };
-        if b.defense == Defense::None {
-            *baseline = Some((wire_bytes_avg, page_ms_avg));
-        }
-        let (base_bytes, base_ms) = baseline.expect("baseline batch folded first in each group");
+        // The overhead baseline is this group's undefended row: the
+        // latest `none` row of the same (attack, transport).
+        let (base_bytes, base_ms) = if b.defense == Defense::None {
+            (wire_bytes_avg, page_ms_avg)
+        } else {
+            earlier
+                .iter()
+                .rev()
+                .find(|r| {
+                    r.defense == Defense::None.label()
+                        && r.attack == b.attack
+                        && r.transport == b.transport
+                })
+                .map(|r| (r.wire_bytes_avg, r.page_ms_avg))
+                .ok_or_else(|| format!("no undefended row precedes {}/{}", b.attack, b.transport))?
+        };
         let overhead = |v: f64, base: f64| {
             if base > 0.0 && v > 0.0 {
                 100.0 * (v - base) / base
@@ -1099,64 +1899,72 @@ impl DefenseAccum {
                 0.0
             }
         };
-        DefenseMatrixRow {
+        Ok(DefenseMatrixRow {
             defense: b.defense.label().to_string(),
             attack: b.attack.to_string(),
             transport: b.transport.to_string(),
-            pct_success: pct(self.success),
-            pct_identified: pct(self.identified),
-            pct_full_ranking: pct(self.full_ranking),
-            pct_completed: pct(self.completed),
+            pct_success: pct("success")?,
+            pct_identified: pct("identified")?,
+            pct_full_ranking: pct("full_ranking")?,
+            pct_completed: pct_of(completed, trials),
             wire_bytes_avg,
             page_ms_avg,
             bandwidth_overhead_pct: overhead(wire_bytes_avg, base_bytes),
             latency_overhead_pct: overhead(page_ms_avg, base_ms),
             trials,
-        }
+        })
+    }
+
+    fn table(&self, rows: &[DefenseMatrixRow]) -> String {
+        let table: Vec<Vec<String>> = rows
+            .iter()
+            .map(|r| {
+                vec![
+                    r.attack.clone(),
+                    r.transport.clone(),
+                    r.defense.clone(),
+                    pct(r.pct_success),
+                    pct(r.pct_full_ranking),
+                    pct(r.pct_completed),
+                    format!("{:.0}", r.wire_bytes_avg / 1024.0),
+                    format!("{:+.1}%", r.bandwidth_overhead_pct),
+                    format!("{:+.1}%", r.latency_overhead_pct),
+                ]
+            })
+            .collect();
+        render_table(
+            &[
+                "attack",
+                "transport",
+                "defense",
+                "success (%)",
+                "full ranking (%)",
+                "completed (%)",
+                "wire (KiB)",
+                "bw overhead",
+                "latency overhead",
+            ],
+            &table,
+        ) + "\nreading: padding and shaping starve the size/segmentation channel the\
+             \nattack identifies objects by; randomization and decoys corrupt the\
+             \ninferred ranking instead; splitting hides half the bytes from the tap.\
+             \neach defense buys its reduction with the overhead shown on the right."
     }
 }
 
-/// The attack × defense × transport matrix: every countermeasure preset
-/// against both matrix attacks on both transports (where supported),
-/// with bandwidth and latency overhead measured against the undefended
-/// cell of the same group.
-pub fn defense_matrix(trials: usize, base_seed: u64, jobs: usize) -> Vec<DefenseMatrixRow> {
-    if trials == 0 {
-        return Vec::new();
-    }
-    let batches = defense_matrix_batches();
-    let mut rows = Vec::new();
-    let mut baseline = None;
-    for (bi, b) in batches.iter().enumerate() {
-        let batch = telemetry::open_batch(&format!(
-            "defense/{}/{}/{}",
-            b.attack,
-            b.transport,
-            b.defense.label()
-        ));
-        let per_trial = pool::run_indexed(jobs, trials, |t| {
-            let _tele = telemetry::trial_slot(batch, t as u64);
-            defense_matrix_trial(base_seed, bi, t)
-        });
-        let mut accum = DefenseAccum::default();
-        for s in &per_trial {
-            accum.add(s);
-        }
-        rows.push(accum.row(b, &mut baseline));
-    }
-    rows
-}
+#[cfg(test)]
+mod tests {
+    use super::*;
 
-/// Degree of the two objects of a two-object site trial (test helper).
-/// `None` means the object never appeared on the wire — callers must
-/// treat that as missing data, not as "fully multiplexed".
-pub fn two_object_degrees(gap: SimDuration, seed: u64) -> (Option<f64>, Option<f64>) {
-    let site = two_object_site(30_000, 24_000, gap);
-    let result = run_site_trial(site, &TrialOptions::new(seed, None));
-    let d = |o| {
-        degree_of_multiplexing(&result.wire_map, ObjectId(o))
-            .best()
-            .map(|(_, d)| d)
-    };
-    (d(0), d(1))
+    #[test]
+    fn batch_labels_are_unique_across_the_registry() {
+        let mut labels: Vec<String> = EXPERIMENTS
+            .iter()
+            .flat_map(|e| e.experiment.labels())
+            .collect();
+        let all = labels.len();
+        labels.sort();
+        labels.dedup();
+        assert_eq!(labels.len(), all, "two batches share a trace label");
+    }
 }

@@ -15,7 +15,7 @@ use h2priv_core::defense::Defense;
 use h2priv_core::experiment::{
     run_isidewith_trial_with, IsideWithTrial, TrialOptions, TrialOutcome,
 };
-use h2priv_core::experiments::{defense_matrix_batches, defense_matrix_trial, DefenseAccum};
+use h2priv_core::experiments::{defense_matrix_batches, DefenseMatrix, Experiment};
 use h2priv_core::TransportKind;
 use h2priv_netsim::time::SimDuration;
 use h2priv_util::pool;
@@ -153,8 +153,8 @@ fn defense_overhead_counters_fire_only_for_their_defense() {
 fn defense_matrix_success_rates_are_pinned() {
     // (attack, transport, defense) -> % success over the matrix's first
     // six trials at its base seed. Every other cell is skipped; each
-    // group's `none` batch still folds first, as the overhead columns
-    // require.
+    // group's `none` row still precedes its defended rows, as the
+    // overhead columns require.
     let pins = [
         (("full_attack", "h2-tcp", "none"), 100.0 * 5.0 / 6.0),
         (("full_attack", "h3-quic", "none"), 0.0),
@@ -163,20 +163,16 @@ fn defense_matrix_success_rates_are_pinned() {
         (("full_attack", "h2-tcp", "record_padding"), 0.0),
         (("full_attack", "h2-tcp", "shaping"), 0.0),
     ];
-    let mut baseline = None;
-    let mut checked = 0;
+    let mut rows = Vec::new();
     for (bi, b) in defense_matrix_batches().iter().enumerate() {
         let key = (b.attack, b.transport, b.defense.label());
         let Some(&(_, want)) = pins.iter().find(|(k, _)| *k == key) else {
             continue;
         };
-        let mut accum = DefenseAccum::default();
-        for t in 0..6 {
-            accum.add(&defense_matrix_trial(83_000, bi, t));
-        }
-        let got = accum.row(b, &mut baseline).pct_success;
-        assert_eq!(got, want, "{key:?}");
-        checked += 1;
+        let payloads: Vec<_> = (0..6).map(|t| DefenseMatrix.trial(83_000, bi, t)).collect();
+        let row = DefenseMatrix.row(bi, &payloads, &rows).unwrap();
+        assert_eq!(row.pct_success, want, "{key:?}");
+        rows.push(row);
     }
-    assert_eq!(checked, pins.len());
+    assert_eq!(rows.len(), pins.len());
 }

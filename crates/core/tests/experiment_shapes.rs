@@ -2,13 +2,13 @@
 //! evaluation, asserting the qualitative trends (who wins, direction of
 //! effects) rather than exact percentages.
 
-use h2priv_core::experiments::{baseline, fig5, section4d, table1, table2};
+use h2priv_core::experiments::{run, table2, Baseline, Fig5, Section4d, Table1};
 
 const TRIALS: usize = 12; // small but stable batches; full runs live in h2priv-bench
 
 #[test]
 fn table1_shape_jitter_helps_then_plateaus_and_retransmissions_grow() {
-    let rows = table1(TRIALS, 42, 1);
+    let rows = run(&Table1, TRIALS, 42, 1);
     assert_eq!(rows.len(), 4);
     // Non-multiplexed fraction does not decrease with jitter (0 -> 50 ms).
     assert!(
@@ -28,7 +28,7 @@ fn table1_shape_jitter_helps_then_plateaus_and_retransmissions_grow() {
 
 #[test]
 fn fig5_shape_bandwidth_sweep() {
-    let rows = fig5(TRIALS, 43, 1);
+    let rows = run(&Fig5, TRIALS, 43, 1);
     assert_eq!(rows.len(), 5);
     // Our substrate's deviation from the paper is documented in
     // EXPERIMENTS.md: with a conforming (RFC 7323) TCP the jitter phase
@@ -62,7 +62,11 @@ fn fig5_shape_bandwidth_sweep() {
 
 #[test]
 fn section4d_shape_drops_reach_high_success_until_connection_breaks() {
-    let rows = section4d(TRIALS, 44, &[0.8, 0.97], 1);
+    let drops = Section4d {
+        rates: &[0.8, 0.97],
+        stop_on_reset: true,
+    };
+    let rows = run(&drops, TRIALS, 44, 1);
     let at80 = &rows[0];
     let extreme = &rows[1];
     assert!(
@@ -103,7 +107,7 @@ fn table2_shape_single_target_beats_sequence_inference() {
 
 #[test]
 fn baseline_shape_objects_are_heavily_multiplexed() {
-    let rows = baseline(TRIALS, 46, 1);
+    let rows = run(&Baseline, TRIALS, 46, 1).concat();
     assert_eq!(rows.len(), 9);
     let html = &rows[0];
     assert!(

@@ -7,7 +7,7 @@
 
 use h2priv_core::attack::AttackConfig;
 use h2priv_core::experiment::{run_isidewith_h3_trial, run_isidewith_trial};
-use h2priv_core::experiments::robustness_sweep;
+use h2priv_core::experiments::{run, RobustnessSweep};
 use h2priv_web::Party;
 
 #[test]
@@ -49,12 +49,15 @@ fn pinned_seed_42_full_attack_outcome_is_stable() {
 
 #[test]
 fn pinned_robustness_sweep_seeds_are_stable() {
-    // Two trials at the sweep's endpoints, on the same base seed the
-    // bench binary uses (81_000). The seed family is
+    // Two trials at the sweep's endpoints, on the registered base seed
+    // (81_000). The seed family is
     // `base + 5_000_000 + intensity_idx * 10_000 + trial`, so these pins
     // cover both the fault-free and the fully-impaired draw sequences,
     // including the retry-seed derivation.
-    let rows = robustness_sweep(2, 81_000, &[0.0, 1.0], 1);
+    let sweep = RobustnessSweep {
+        intensities: &[0.0, 1.0],
+    };
+    let rows = run(&sweep, 2, 81_000, 1);
     assert_eq!(rows.len(), 2);
 
     let pristine = &rows[0];

@@ -6,8 +6,7 @@
 //! cargo run --release -p h2priv-core --example isidewith_attack -- [trials]
 //! ```
 
-use h2priv_core::experiments::table2;
-use h2priv_core::report::{pct, pct_opt, render_table};
+use h2priv_core::experiments::{run, Experiment, Table2};
 
 fn main() {
     let trials: usize = std::env::args()
@@ -15,31 +14,5 @@ fn main() {
         .and_then(|s| s.parse().ok())
         .unwrap_or(30);
     eprintln!("running {trials} attacked page loads (Table II)...");
-    let cols = table2(trials, 77_000, 0);
-
-    let rows: Vec<Vec<String>> = cols
-        .iter()
-        .map(|c| {
-            vec![
-                c.object.clone(),
-                pct_opt(c.gap_prev_ms),
-                pct(c.pct_single_target),
-                pct(c.pct_all_targets),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        render_table(
-            &[
-                "object",
-                "gap to prev req (ms)",
-                "success % (single target)",
-                "success % (all targets)"
-            ],
-            &rows
-        )
-    );
-    println!("\npaper (Table II): single-target 100% everywhere;");
-    println!("all-targets: HTML 90, I1 90, I2 85, I3 81, I4 80, I5 62, I6 64, I7 78, I8 64");
+    println!("{}", Table2.table(&run(&Table2, trials, 77_000, 0)));
 }

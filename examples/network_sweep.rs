@@ -6,8 +6,7 @@
 //! cargo run --release -p h2priv-core --example network_sweep -- [trials]
 //! ```
 
-use h2priv_core::experiments::{fig5, section4d, table1};
-use h2priv_core::report::{pct, render_table};
+use h2priv_core::experiments::{run, Experiment, Fig5, Section4d, Table1};
 
 fn main() {
     let trials: usize = std::env::args()
@@ -16,78 +15,18 @@ fn main() {
         .unwrap_or(25);
 
     eprintln!("jitter sweep ({trials} trials/point)...");
-    let t1 = table1(trials, 10_000, 0);
-    let rows: Vec<Vec<String>> = t1
-        .iter()
-        .map(|r| {
-            vec![
-                r.jitter_ms.to_string(),
-                pct(r.pct_not_multiplexed),
-                format!("{:.1}", r.retransmissions_avg),
-                pct(r.retrans_increase_pct),
-            ]
-        })
-        .collect();
     println!("Table I — effect of jitter:");
-    println!(
-        "{}",
-        render_table(
-            &[
-                "jitter (ms)",
-                "not multiplexed (%)",
-                "retransmissions (avg)",
-                "retrans increase (%)"
-            ],
-            &rows
-        )
-    );
+    println!("{}", Table1.table(&run(&Table1, trials, 10_000, 0)));
 
     eprintln!("bandwidth sweep ({trials} trials/point)...");
-    let f5 = fig5(trials, 20_000, 0);
-    let rows: Vec<Vec<String>> = f5
-        .iter()
-        .map(|r| {
-            vec![
-                r.bandwidth_mbps.to_string(),
-                pct(r.pct_success),
-                format!("{:.1}", r.retransmissions_avg),
-                pct(r.pct_broken),
-            ]
-        })
-        .collect();
     println!("\nFig. 5 — effect of bandwidth limitation (50 ms jitter):");
-    println!(
-        "{}",
-        render_table(
-            &[
-                "bandwidth (Mbps)",
-                "success (%)",
-                "retransmissions (avg)",
-                "broken (%)"
-            ],
-            &rows
-        )
-    );
+    println!("{}", Fig5.table(&run(&Fig5, trials, 20_000, 0)));
 
     eprintln!("targeted-drop sweep ({trials} trials/point)...");
-    let dr = section4d(trials, 30_000, &[0.5, 0.8, 0.9], 0);
-    let rows: Vec<Vec<String>> = dr
-        .iter()
-        .map(|r| {
-            vec![
-                format!("{:.0}%", r.drop_rate * 100.0),
-                pct(r.pct_success),
-                pct(r.pct_reset_sent),
-                pct(r.pct_broken),
-            ]
-        })
-        .collect();
+    let drops = Section4d {
+        rates: &[0.5, 0.8, 0.9],
+        stop_on_reset: true,
+    };
     println!("\nSection IV-D — targeted drops forcing stream reset:");
-    println!(
-        "{}",
-        render_table(
-            &["drop rate", "success (%)", "reset sent (%)", "broken (%)"],
-            &rows
-        )
-    );
+    println!("{}", drops.table(&run(&drops, trials, 30_000, 0)));
 }

@@ -64,13 +64,12 @@ if [ -n "$H3_COMMITTED_EVS" ] && [ "$H3_COMMITTED_EVS" -lt "$H3_FLOOR_EVS" ]; th
 fi
 
 echo "== parallel executor smoke (--jobs 2)"
-cargo run --release --offline -p h2priv-bench --bin table1_jitter -- 2 --jobs 2 >/dev/null
+RUN=target/release/run
+"$RUN" table1 2 --jobs 2 >/dev/null 2>&1
 
 echo "== trace smoke (--trace jsonl parses and is byte-identical across --jobs)"
-cargo run --release --offline -p h2priv-bench --bin table1_jitter -- 2 --jobs 1 \
-    --trace /tmp/h2priv_trace_j1.jsonl >/dev/null 2>&1
-cargo run --release --offline -p h2priv-bench --bin table1_jitter -- 2 --jobs 2 \
-    --trace /tmp/h2priv_trace_j2.jsonl >/dev/null 2>&1
+"$RUN" table1 2 --jobs 1 --trace /tmp/h2priv_trace_j1.jsonl >/dev/null 2>&1
+"$RUN" table1 2 --jobs 2 --trace /tmp/h2priv_trace_j2.jsonl >/dev/null 2>&1
 test -s /tmp/h2priv_trace_j1.jsonl
 cmp /tmp/h2priv_trace_j1.jsonl /tmp/h2priv_trace_j2.jsonl
 cargo run --release --offline -p h2priv-bench --bin trace_check -- /tmp/h2priv_trace_j1.jsonl
@@ -97,16 +96,29 @@ fi
 cmp /tmp/h2priv_camp_seq.jsonl /tmp/h2priv_camp_shard.jsonl
 cmp /tmp/h2priv_camp_seq.json /tmp/h2priv_camp_shard.json
 
+echo "== campaign gate (table2: kill mid-batch + resume == run)"
+# Every registered experiment shards. Table II's one batch of 2 trials
+# is killed after its first record, so the resume lands mid-batch; the
+# resumed report must equal the in-process run's.
+rm -f /tmp/h2priv_camp_t2.jsonl /tmp/h2priv_camp_t2.json /tmp/h2priv_run_t2.json
+if "$CAMPAIGN" table2 2 --shards 1 --quiet --fail-on-crash --inject-kill trial=1 \
+    --journal /tmp/h2priv_camp_t2.jsonl --out /tmp/h2priv_camp_t2.json 2>/dev/null; then
+    echo "ERROR: injected kill did not abort the table2 campaign" >&2
+    exit 1
+fi
+"$CAMPAIGN" table2 2 --shards 2 --quiet --resume \
+    --journal /tmp/h2priv_camp_t2.jsonl --out /tmp/h2priv_camp_t2.json
+"$RUN" table2 2 --quiet --out /tmp/h2priv_run_t2.json >/dev/null
+cmp /tmp/h2priv_camp_t2.json /tmp/h2priv_run_t2.json
+
 echo "== defense matrix smoke (--jobs identity)"
 # A 6-trial matrix is byte-identical across --jobs levels. Its success
 # pins (undefended cells unchanged, padding and shaping zeroing the
 # H2/TCP attack) live in crates/core/tests/defense_conservation.rs.
 DM1=/tmp/h2priv_defense_j1.json
 DM4=/tmp/h2priv_defense_j4.json
-cargo run --release --offline -p h2priv-bench --bin defense_matrix -- 6 --jobs 1 \
-    --out "$DM1" >/dev/null 2>&1
-cargo run --release --offline -p h2priv-bench --bin defense_matrix -- 6 --jobs 4 \
-    --out "$DM4" >/dev/null 2>&1
+"$RUN" defense_matrix 6 --jobs 1 --out "$DM1" >/dev/null 2>&1
+"$RUN" defense_matrix 6 --jobs 4 --out "$DM4" >/dev/null 2>&1
 cmp "$DM1" "$DM4"
 
 echo "verify: OK"
