@@ -5,9 +5,10 @@
 
 use crate::attack::{AttackConfig, AttackEvent, AttackPolicy, TransportKind};
 use crate::defense::Defense;
-use crate::metrics::{degree_of_multiplexing, is_serialized, ObjectMux};
+use crate::metrics::{is_serialized, MuxIndex, ObjectMux};
 use crate::predictor::{
-    predict_from_datagram_trace, predict_from_trace, Prediction, SizeMap, HTML_LABEL,
+    densest_party_burst, predict_from_datagram_trace, predict_from_trace, IdentifiedUnit,
+    Prediction, SizeMap, HTML_LABEL,
 };
 use h2priv_h2::{ClientConfig, ClientNode, ClientReport, ServeRecord, ServerConfig, ServerNode};
 use h2priv_netsim::faults::{FaultConfig, FaultStats};
@@ -24,6 +25,7 @@ use h2priv_trace::datagram::DatagramUnitConfig;
 use h2priv_util::impl_to_json;
 use h2priv_util::telemetry;
 use h2priv_web::{IsideWith, ObjectId, Party, Site};
+use std::sync::OnceLock;
 
 /// Fault configurations for the two halves of the path; each applies to
 /// both directions of its link pair. Empty by default (no impairments,
@@ -165,7 +167,9 @@ pub struct TrialResult {
     pub client: ClientReport,
     /// The server's ground-truth serve log.
     pub serve_log: Vec<ServeRecord>,
-    /// Ground-truth wire map of the server→client stream.
+    /// Ground-truth wire map of the server→client stream. The first
+    /// [`TrialResult::degree`] call indexes it, so it must not change
+    /// after that.
     pub wire_map: WireMap,
     /// The adversary's capture.
     pub trace: Trace,
@@ -200,6 +204,9 @@ pub struct TrialResult {
     /// Response datagrams routed over the untapped alternate path (H3
     /// traffic splitting only).
     pub split_alt_datagrams: u64,
+    /// Every entity's interleaving in `wire_map`, swept on the first
+    /// [`TrialResult::degree`] call and shared by the rest.
+    mux: OnceLock<MuxIndex>,
 }
 
 impl TrialResult {
@@ -212,9 +219,12 @@ impl TrialResult {
         self.server_tcp.retransmits() + self.client_tcp.retransmits()
     }
 
-    /// Degree of multiplexing of `object` (all served copies).
+    /// Degree of multiplexing of `object` (all served copies), equal to
+    /// [`crate::metrics::degree_of_multiplexing`] over `wire_map`.
     pub fn degree(&self, object: ObjectId) -> ObjectMux {
-        degree_of_multiplexing(&self.wire_map, object)
+        self.mux
+            .get_or_init(|| MuxIndex::new(&self.wire_map))
+            .degree(object)
     }
 
     /// Runs the predictor over this trial's capture.
@@ -441,6 +451,7 @@ fn trial_over<E: Endpoints>(site: Site, opts: &TrialOptions) -> TrialResult {
         pad_overhead_bytes,
         dummy_cells_sent,
         split_alt_datagrams,
+        mux: OnceLock::new(),
     }
 }
 
@@ -596,10 +607,25 @@ impl IsideWithTrial {
         }
     }
 
+    /// The units of [`IsideWithTrial::windowed_prediction`], read in place.
+    fn windowed_units(&self) -> impl Iterator<Item = &IdentifiedUnit> {
+        let from = self.attack_window();
+        self.prediction
+            .units
+            .iter()
+            .filter(move |u| from.is_none_or(|t| u.unit.start >= t))
+    }
+
+    /// `true` if a unit in the analysis window was identified as `label`.
+    fn identified(&self, label: &str) -> bool {
+        self.windowed_units()
+            .any(|u| u.label.as_deref() == Some(label))
+    }
+
     fn outcome_for(&self, object: ObjectId, label: &str) -> ObjectAttackOutcome {
         let mux = self.result.degree(object);
         let best_degree = mux.best().map(|(_, d)| d).unwrap_or(1.0);
-        let identified = self.windowed_prediction().contains(label);
+        let identified = self.identified(label);
         ObjectAttackOutcome {
             object,
             best_degree,
@@ -622,7 +648,7 @@ impl IsideWithTrial {
             .images
             .iter()
             .zip(self.iw.result_order)
-            .map(|(img, party)| self.outcome_for(*img, &party.to_string()))
+            .map(|(img, party)| self.outcome_for(*img, party.label()))
             .collect()
     }
 
@@ -632,10 +658,7 @@ impl IsideWithTrial {
     /// back to first occurrences over the whole trace.
     pub fn predicted_order(&self) -> Vec<Party> {
         match self.attack_window() {
-            Some(t) => self
-                .prediction
-                .after(t)
-                .party_burst_sequence(h2priv_netsim::time::SimDuration::from_millis(1_500)),
+            Some(_) => densest_party_burst(self.windowed_units(), SimDuration::from_millis(1_500)),
             None => self.prediction.party_sequence(),
         }
     }
@@ -903,6 +926,59 @@ mod tests {
         assert_eq!(retried.trial.result.outcome, direct.result.outcome);
         assert_eq!(retried.trial.result.sim_events, direct.result.sim_events);
         assert_eq!(retried.trial.result.trace.len(), direct.result.trace.len());
+    }
+
+    #[test]
+    fn cached_outcome_lookups_match_their_definitions_on_real_trials() {
+        use crate::experiments::transfer_attack_configs;
+        use crate::metrics::{degree_of_multiplexing, tests::oracle, EntityId};
+        let table2 = (0..20).map(|t| {
+            let seed = 41_000 + 3_000_000 + t;
+            run_isidewith_trial(seed, Some(AttackConfig::full_attack()))
+        });
+        let transfer =
+            transfer_attack_configs()
+                .into_iter()
+                .enumerate()
+                .flat_map(|(cfg, (_, attack))| {
+                    (0..2).map(move |t| {
+                        let seed = 82_000 + 6_000_000 + cfg as u64 * 10_000 + t;
+                        run_isidewith_h3_trial(seed, Some(attack.clone()))
+                    })
+                });
+        let labels: Vec<String> = SizeMap::isidewith()
+            .entries()
+            .iter()
+            .map(|(l, _)| l.clone())
+            .collect();
+        let bits = |per_copy: &[(u16, f64)]| -> Vec<(u16, u64)> {
+            per_copy.iter().map(|&(c, d)| (c, d.to_bits())).collect()
+        };
+        let mut trials = 0;
+        for trial in table2.chain(transfer) {
+            trials += 1;
+            let r = &trial.result;
+            for object in (0..=trial.iw.site.len() as u32).map(ObjectId) {
+                let cached = r.degree(object);
+                let fresh = degree_of_multiplexing(&r.wire_map, object);
+                assert_eq!(bits(&cached.per_copy), bits(&fresh.per_copy));
+                for &(copy, d) in &cached.per_copy {
+                    let (i, b) = oracle(&r.wire_map, EntityId { object, copy }).expect("sent");
+                    assert_eq!(d.to_bits(), (i as f64 / b as f64).to_bits());
+                }
+            }
+            let windowed = trial.windowed_prediction();
+            for label in &labels {
+                assert_eq!(trial.identified(label), windowed.contains(label), "{label}");
+            }
+            let t = trial.attack_window().expect("attacked trial");
+            let by_copy = trial
+                .prediction
+                .after(t)
+                .party_burst_sequence(SimDuration::from_millis(1_500));
+            assert_eq!(trial.predicted_order(), by_copy);
+        }
+        assert_eq!(trials, 28);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! image size to political party mapping").
 
 use h2priv_netsim::packet::Direction;
-use h2priv_netsim::time::SimTime;
+use h2priv_netsim::time::{SimDuration, SimTime};
 use h2priv_trace::analysis::{segment_units, TransmissionUnit, UnitConfig};
 use h2priv_trace::capture::Trace;
 use h2priv_trace::datagram::{segment_datagram_units, DatagramUnitConfig};
@@ -49,7 +49,7 @@ impl SizeMap {
         let mut entries: Vec<(String, u64)> = Party::ALL
             .iter()
             .zip(PARTY_IMAGE_SIZES)
-            .map(|(p, s)| (p.to_string(), s))
+            .map(|(p, s)| (p.label().to_string(), s))
             .collect();
         entries.push((HTML_LABEL.to_string(), RESULT_HTML_SIZE));
         SizeMap::new(entries, 0.03)
@@ -126,11 +126,9 @@ impl Prediction {
     /// in time order (the paper's Table II "all objects" inference).
     pub fn party_sequence(&self) -> Vec<Party> {
         let mut seen = Vec::new();
-        for label in self.labels() {
-            if let Some(party) = Party::ALL.iter().find(|p| p.to_string() == label) {
-                if !seen.contains(party) {
-                    seen.push(*party);
-                }
+        for party in self.units.iter().filter_map(unit_party) {
+            if !seen.contains(&party) {
+                seen.push(party);
             }
         }
         seen
@@ -156,43 +154,51 @@ impl Prediction {
     /// separated by less than `max_gap` — and reads the ranking off it.
     /// Spurious isolated size collisions elsewhere in the trace do not
     /// perturb it.
-    pub fn party_burst_sequence(&self, max_gap: h2priv_netsim::time::SimDuration) -> Vec<Party> {
-        let labelled: Vec<(SimTime, Party)> = self
-            .units
-            .iter()
-            .filter_map(|u| {
-                let label = u.label.as_deref()?;
-                let party = Party::ALL.iter().find(|p| p.to_string() == label)?;
-                Some((u.unit.start, *party))
-            })
-            .collect();
-        // Split into bursts by the gap between consecutive labelled units.
-        let mut bursts: Vec<Vec<Party>> = Vec::new();
-        let mut last_t: Option<SimTime> = None;
-        for (t, party) in labelled {
-            let new_burst = match last_t {
-                Some(prev) => t.saturating_since(prev) > max_gap,
-                None => true,
-            };
-            if new_burst {
-                bursts.push(Vec::new());
-            }
-            let burst = bursts.last_mut().expect("burst exists");
-            if !burst.contains(&party) {
-                burst.push(party);
-            }
-            last_t = Some(t);
-        }
-        // The image burst is the one with the most distinct parties;
-        // prefer the later one on ties (the attack serializes the end of
-        // the page load).
-        bursts
-            .into_iter()
-            .enumerate()
-            .max_by_key(|(i, b)| (b.len(), *i))
-            .map(|(_, b)| b)
-            .unwrap_or_default()
+    pub fn party_burst_sequence(&self, max_gap: SimDuration) -> Vec<Party> {
+        densest_party_burst(&self.units, max_gap)
     }
+}
+
+/// The party a unit was identified as, if any.
+fn unit_party(u: &IdentifiedUnit) -> Option<Party> {
+    Party::from_label(u.label.as_deref()?)
+}
+
+/// [`Prediction::party_burst_sequence`] over any run of `units` in time
+/// order, such as the ones in the adversary's analysis window.
+pub(crate) fn densest_party_burst<'a>(
+    units: impl IntoIterator<Item = &'a IdentifiedUnit>,
+    max_gap: SimDuration,
+) -> Vec<Party> {
+    let labelled = units
+        .into_iter()
+        .filter_map(|u| Some((u.unit.start, unit_party(u)?)));
+    // Split into bursts by the gap between consecutive labelled units.
+    let mut bursts: Vec<Vec<Party>> = Vec::new();
+    let mut last_t: Option<SimTime> = None;
+    for (t, party) in labelled {
+        let new_burst = match last_t {
+            Some(prev) => t.saturating_since(prev) > max_gap,
+            None => true,
+        };
+        if new_burst {
+            bursts.push(Vec::new());
+        }
+        let burst = bursts.last_mut().expect("burst exists");
+        if !burst.contains(&party) {
+            burst.push(party);
+        }
+        last_t = Some(t);
+    }
+    // The image burst is the one with the most distinct parties; prefer
+    // the later one on ties (the attack serializes the end of the page
+    // load).
+    bursts
+        .into_iter()
+        .enumerate()
+        .max_by_key(|(i, b)| (b.len(), *i))
+        .map(|(_, b)| b)
+        .unwrap_or_default()
 }
 
 /// Runs the prediction pipeline over a captured trace.

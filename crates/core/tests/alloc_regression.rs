@@ -16,8 +16,9 @@
 //! test exists to catch.
 
 use h2priv_core::attack::AttackConfig;
-use h2priv_core::experiment::{run_isidewith_h3_trial, run_isidewith_trial};
+use h2priv_core::experiment::{run_isidewith_h3_trial, run_isidewith_trial, IsideWithTrial};
 use h2priv_util::alloc;
+use std::hint::black_box;
 
 #[global_allocator]
 static ALLOC: alloc::CountingAlloc = alloc::CountingAlloc::new();
@@ -26,7 +27,7 @@ static ALLOC: alloc::CountingAlloc = alloc::CountingAlloc::new();
 /// so lazily-initialised statics (telemetry sinks, thread-local buffer
 /// pools) are counted as the one-time costs they are, then a counted
 /// run.
-fn steady_state_allocs(f: impl Fn()) -> u64 {
+fn steady_state_allocs(mut f: impl FnMut()) -> u64 {
     f();
     f();
     let ((), allocs, _bytes) = alloc::counting(f);
@@ -45,6 +46,11 @@ const H2_BASELINE_PIN: u64 = 8_289;
 const H3_FULL_ATTACK_PIN: u64 = 2_947;
 #[cfg(not(debug_assertions))]
 const H3_FULL_ATTACK_PIN: u64 = 2_863;
+
+#[cfg(debug_assertions)]
+const TABLE2_OUTCOME_CALLS_PIN: u64 = 44;
+#[cfg(not(debug_assertions))]
+const TABLE2_OUTCOME_CALLS_PIN: u64 = 44;
 
 /// Exact pins hold for the default timer-wheel scheduler. The
 /// `reference-queue` oracle build allocates a handful more (BinaryHeap
@@ -82,4 +88,22 @@ fn h3_full_attack_steady_state_allocs_are_pinned() {
         run_isidewith_h3_trial(91_000, Some(AttackConfig::full_attack()));
     });
     assert_pinned("h3_full_attack", allocs, H3_FULL_ATTACK_PIN);
+}
+
+/// The outcome calls a Table II trial makes, the degree-of-multiplexing
+/// index build included: each run gets its own clone of the trial, taken
+/// before any outcome call, so no run finds the index already swept.
+#[test]
+fn table2_outcome_calls_steady_state_allocs_are_pinned() {
+    let trial = run_isidewith_trial(91_000, Some(AttackConfig::full_attack()));
+    let mut fresh: Vec<IsideWithTrial> = vec![trial.clone(), trial.clone(), trial];
+    let allocs = steady_state_allocs(|| {
+        let trial = fresh.pop().expect("one clone per run");
+        black_box((
+            trial.html_outcome(),
+            trial.image_outcomes(),
+            trial.sequence_success(),
+        ));
+    });
+    assert_pinned("table2_outcome_calls", allocs, TABLE2_OUTCOME_CALLS_PIN);
 }

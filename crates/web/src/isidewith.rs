@@ -71,6 +71,19 @@ impl Party {
         Party::Socialist,
     ];
 
+    /// Stable lower-case labels, in canonical order: the size map's
+    /// labels and the emblem file names.
+    const LABELS: [&'static str; 8] = [
+        "democratic",
+        "republican",
+        "libertarian",
+        "green",
+        "constitution",
+        "american-solidarity",
+        "reform",
+        "socialist",
+    ];
+
     /// Canonical index of this party.
     pub fn index(self) -> usize {
         Party::ALL
@@ -78,21 +91,22 @@ impl Party {
             .position(|p| *p == self)
             .expect("party in ALL")
     }
+
+    /// This party's stable lower-case label.
+    pub fn label(self) -> &'static str {
+        Party::LABELS[self.index()]
+    }
+
+    /// The party whose [`Party::label`] is `label`, if any.
+    pub fn from_label(label: &str) -> Option<Party> {
+        let i = Party::LABELS.iter().position(|l| *l == label)?;
+        Some(Party::ALL[i])
+    }
 }
 
 impl fmt::Display for Party {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            Party::Democratic => "democratic",
-            Party::Republican => "republican",
-            Party::Libertarian => "libertarian",
-            Party::Green => "green",
-            Party::Constitution => "constitution",
-            Party::AmericanSolidarity => "american-solidarity",
-            Party::Reform => "reform",
-            Party::Socialist => "socialist",
-        };
-        write!(f, "{s}")
+        f.write_str(self.label())
     }
 }
 
@@ -520,6 +534,17 @@ mod tests {
         for (party, size) in map {
             assert_eq!(iw.site.object(iw.image_of(party)).size, size);
         }
+    }
+
+    #[test]
+    fn labels_round_trip_and_match_display() {
+        for party in Party::ALL {
+            assert_eq!(Party::from_label(party.label()), Some(party));
+            assert_eq!(party.to_string(), party.label());
+        }
+        assert_eq!(Party::AmericanSolidarity.label(), "american-solidarity");
+        assert_eq!(Party::from_label("result-html"), None);
+        assert_eq!(Party::from_label("Green"), None);
     }
 
     #[test]

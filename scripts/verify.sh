@@ -42,6 +42,21 @@ echo "== allocation-regression pins (counting allocator, exact per-trial counts)
 # live in crates/core/tests/alloc_regression.rs.
 cargo test -q --offline --release -p h2priv-core --test alloc_regression
 
+echo "== repobench: its own tests, then a short pinned-digest run of each in-process workload"
+# The benchmark is a package outside the workspace that drives the
+# public API (it builds `IsideWithTrial` by struct literal, for one), so
+# nothing above compiles it. Each run exits 1 when any trial's digest
+# differs from its pinned reference.
+cargo test -q --offline --manifest-path repobench/Cargo.toml
+for w in table2_h2 transfer_h3; do
+    if ! cargo run --release --offline --quiet --manifest-path repobench/Cargo.toml -- \
+        --workload "$w" --seconds 2 >"/tmp/h2priv_repobench_$w.txt" 2>&1; then
+        cat "/tmp/h2priv_repobench_$w.txt" >&2
+        echo "ERROR: repobench $w failed its checks" >&2
+        exit 1
+    fi
+done
+
 echo "== perfbench events/sec floor (warn-only)"
 # Regenerating BENCH_simperf.json on wildly different hosts is expected;
 # this only warns when the committed h2_baseline jobs=1 throughput drops
