@@ -37,6 +37,10 @@ pub struct OutputScheduler {
     /// enqueue/pop/clear so the send watermark check is O(1) — it runs
     /// on every packet and timer dispatch.
     queued_data: u64,
+    /// Emptied stream queues kept for reuse: a stream's queue empties
+    /// between a worker's chunks, so each burst would otherwise
+    /// allocate a fresh one.
+    spare: Vec<VecDeque<QueuedFrame>>,
 }
 
 impl OutputScheduler {
@@ -51,7 +55,10 @@ impl OutputScheduler {
         if let Frame::Data { len, .. } = frame {
             self.queued_data += len as u64;
         }
-        let q = self.queues.entry(stream).or_default();
+        let q = self
+            .queues
+            .entry(stream)
+            .or_insert_with(|| self.spare.pop().unwrap_or_default());
         if q.is_empty() && !self.rotation.contains(&stream) {
             self.rotation.push_back(stream);
         }
@@ -62,12 +69,13 @@ impl OutputScheduler {
     /// payload bytes were flushed.
     pub fn clear_stream(&mut self, stream: StreamId) -> u64 {
         let mut flushed = 0;
-        if let Some(q) = self.queues.remove(&stream) {
-            for qf in q {
+        if let Some(mut q) = self.queues.remove(&stream) {
+            for qf in q.drain(..) {
                 if let Frame::Data { len, .. } = qf.frame {
                     flushed += len as u64;
                 }
             }
+            self.spare.push(q);
         }
         self.queued_data -= flushed;
         self.rotation.retain(|s| *s != stream);
@@ -105,7 +113,7 @@ impl OutputScheduler {
                 }
                 self.rotation.pop_front();
                 if q.is_empty() {
-                    self.queues.remove(&stream);
+                    self.retire(stream);
                 } else {
                     self.rotation.push_back(stream);
                 }
@@ -182,13 +190,20 @@ impl OutputScheduler {
             }
             self.rotation.pop_front();
             if q.is_empty() {
-                self.queues.remove(&stream);
+                self.retire(stream);
             } else {
                 self.rotation.push_back(stream);
             }
             return Some(qf);
         }
         None
+    }
+
+    /// Drops `stream`'s emptied queue from the map, keeping it for reuse.
+    fn retire(&mut self, stream: StreamId) {
+        if let Some(q) = self.queues.remove(&stream) {
+            self.spare.push(q);
+        }
     }
 
     /// `true` when nothing is queued.

@@ -223,91 +223,79 @@ impl Frame {
     /// Serializes the frame (header + payload).
     ///
     /// Fails with [`FrameEncodeError`] when the payload does not fit the
-    /// 24-bit length field ([`MAX_FRAME_PAYLOAD`]); nothing is written
-    /// in that case.
+    /// 24-bit length field ([`MAX_FRAME_PAYLOAD`]).
     pub fn encode(&self) -> Result<Bytes, FrameEncodeError> {
-        let (ty, flags, payload): (FrameType, u8, Bytes) = match self {
+        let mut out = BytesMut::new();
+        self.encode_into(&mut out)?;
+        Ok(out.freeze())
+    }
+
+    /// Appends the serialized frame to `out`; a DATA payload is written
+    /// as zeros straight into `out`, with no payload buffer of its own.
+    ///
+    /// Fails with [`FrameEncodeError`] when the payload does not fit the
+    /// 24-bit length field ([`MAX_FRAME_PAYLOAD`]); the length is checked
+    /// first, so nothing is written or reserved in that case.
+    pub fn encode_into(&self, out: &mut BytesMut) -> Result<(), FrameEncodeError> {
+        let end_stream_flag = |end: bool| if end { FLAG_END_STREAM } else { 0 };
+        let (payload_len, flags) = match self {
             Frame::Data {
                 len, end_stream, ..
-            } => (
-                FrameType::Data,
-                if *end_stream { FLAG_END_STREAM } else { 0 },
-                Bytes::from(vec![0u8; *len as usize]),
-            ),
+            } => (*len as usize, end_stream_flag(*end_stream)),
             Frame::Headers {
                 block, end_stream, ..
-            } => (
-                FrameType::Headers,
-                FLAG_END_HEADERS | if *end_stream { FLAG_END_STREAM } else { 0 },
-                block.clone(),
-            ),
-            Frame::Priority {
-                dependency, weight, ..
-            } => {
-                let mut b = BytesMut::with_capacity(5);
-                b.put_u32(*dependency);
-                b.put_u8(*weight);
-                (FrameType::Priority, 0, b.freeze())
-            }
-            Frame::RstStream { error, .. } => {
-                let mut b = BytesMut::with_capacity(4);
-                b.put_u32(*error as u32);
-                (FrameType::RstStream, 0, b.freeze())
-            }
-            Frame::Settings { ack, params } => {
-                let mut b = BytesMut::with_capacity(params.len() * 6);
-                if !ack {
-                    for (id, val) in params {
-                        b.put_u16(*id);
-                        b.put_u32(*val);
-                    }
-                }
-                (
-                    FrameType::Settings,
-                    if *ack { FLAG_ACK } else { 0 },
-                    b.freeze(),
-                )
-            }
-            Frame::Ping { ack } => (
-                FrameType::Ping,
-                if *ack { FLAG_ACK } else { 0 },
-                Bytes::from_static(&[0u8; 8]),
-            ),
-            Frame::GoAway { last_stream, error } => {
-                let mut b = BytesMut::with_capacity(8);
-                b.put_u32(last_stream.0);
-                b.put_u32(*error as u32);
-                (FrameType::GoAway, 0, b.freeze())
-            }
-            Frame::WindowUpdate { increment, .. } => {
-                let mut b = BytesMut::with_capacity(4);
-                b.put_u32(*increment);
-                (FrameType::WindowUpdate, 0, b.freeze())
-            }
-            Frame::PushPromise {
-                promised, block, ..
-            } => {
-                let mut b = BytesMut::with_capacity(4 + block.len());
-                b.put_u32(promised.0 & 0x7fff_ffff);
-                b.extend_from_slice(block);
-                (FrameType::PushPromise, FLAG_END_HEADERS, b.freeze())
-            }
+            } => (block.len(), FLAG_END_HEADERS | end_stream_flag(*end_stream)),
+            Frame::Priority { .. } => (5, 0),
+            Frame::RstStream { .. } | Frame::WindowUpdate { .. } => (4, 0),
+            Frame::Settings { ack: true, .. } => (0, FLAG_ACK),
+            Frame::Settings { params, .. } => (params.len() * 6, 0),
+            Frame::Ping { ack } => (8, if *ack { FLAG_ACK } else { 0 }),
+            Frame::GoAway { .. } => (8, 0),
+            Frame::PushPromise { block, .. } => (4 + block.len(), FLAG_END_HEADERS),
         };
-        if payload.len() > MAX_FRAME_PAYLOAD {
-            return Err(FrameEncodeError {
-                payload_len: payload.len(),
-            });
+        if payload_len > MAX_FRAME_PAYLOAD {
+            return Err(FrameEncodeError { payload_len });
         }
-        let mut out = BytesMut::with_capacity(FRAME_HEADER_LEN + payload.len());
-        let len = payload.len() as u32;
+        out.reserve(FRAME_HEADER_LEN + payload_len);
+        let len = payload_len as u32;
         out.put_u8((len >> 16) as u8);
         out.put_u8((len >> 8) as u8);
         out.put_u8(len as u8);
-        out.put_u8(ty as u8);
+        out.put_u8(self.frame_type() as u8);
         out.put_u8(flags);
         out.put_u32(self.stream_id().0 & 0x7fff_ffff);
-        out.extend_from_slice(&payload);
-        Ok(out.freeze())
+        match self {
+            Frame::Data { len, .. } => out.put_zeros(*len as usize),
+            Frame::Headers { block, .. } => out.extend_from_slice(block),
+            Frame::Priority {
+                dependency, weight, ..
+            } => {
+                out.put_u32(*dependency);
+                out.put_u8(*weight);
+            }
+            Frame::RstStream { error, .. } => out.put_u32(*error as u32),
+            Frame::Settings { ack, params } => {
+                if !ack {
+                    for (id, val) in params {
+                        out.put_u16(*id);
+                        out.put_u32(*val);
+                    }
+                }
+            }
+            Frame::Ping { .. } => out.put_zeros(8),
+            Frame::GoAway { last_stream, error } => {
+                out.put_u32(last_stream.0);
+                out.put_u32(*error as u32);
+            }
+            Frame::WindowUpdate { increment, .. } => out.put_u32(*increment),
+            Frame::PushPromise {
+                promised, block, ..
+            } => {
+                out.put_u32(promised.0 & 0x7fff_ffff);
+                out.extend_from_slice(block);
+            }
+        }
+        Ok(())
     }
 
     /// Parses one complete frame from `bytes`.
@@ -591,6 +579,28 @@ mod tests {
         .encode()
         .expect_err("2^24-byte payload exceeds the length field");
         assert_eq!(err.payload_len, 1 << 24);
+    }
+
+    #[test]
+    fn oversized_data_is_rejected_before_anything_is_written() {
+        // The length is checked before a payload exists: a 4 GiB DATA
+        // frame errors without touching the output buffer, neither its
+        // bytes nor its capacity.
+        let mut out = BytesMut::with_capacity(64);
+        out.put_u8(0xab);
+        let cap = out.capacity();
+        for len in [1 << 24, u32::MAX] {
+            let err = Frame::Data {
+                stream: StreamId(1),
+                len,
+                end_stream: true,
+            }
+            .encode_into(&mut out)
+            .expect_err("payload exceeds the length field");
+            assert_eq!(err.payload_len, len as usize);
+            assert_eq!(&out[..], &[0xab]);
+            assert_eq!(out.capacity(), cap);
+        }
     }
 
     #[test]

@@ -271,22 +271,6 @@ pub fn decode(block: &[u8]) -> Option<Vec<(String, String)>> {
     Some(out)
 }
 
-/// A parsed GET request.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Request {
-    /// `:authority` pseudo-header.
-    pub authority: String,
-    /// `:path` pseudo-header.
-    pub path: String,
-}
-
-/// Encodes a Firefox-like GET request header block.
-pub fn encode_request(authority: &str, path: &str) -> Bytes {
-    let mut out = BytesMut::with_capacity(64 + authority.len() + path.len());
-    encode_request_into(&mut out, authority, path);
-    out.freeze()
-}
-
 /// Appends a Firefox-like GET request header block to `out`.
 pub fn encode_request_into(out: &mut BytesMut, authority: &str, path: &str) {
     encode_into(
@@ -305,8 +289,8 @@ pub fn encode_request_into(out: &mut BytesMut, authority: &str, path: &str) {
     );
 }
 
-/// A parsed GET request whose strings borrow from the block — the
-/// hot-path variant of [`decode_request`] (no per-header `String`s).
+/// A parsed GET request whose strings borrow from the block (no
+/// per-header `String`s).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RequestRef<'a> {
     /// `:authority` pseudo-header.
@@ -315,9 +299,9 @@ pub struct RequestRef<'a> {
     pub path: &'a str,
 }
 
-/// Parses a request block produced by [`encode_request`] without
-/// allocating. Like [`decode_request`], the whole block must decode
-/// cleanly (a malformed trailing field rejects the request).
+/// Parses a request block produced by [`encode_request_into`] without
+/// allocating. The whole block must decode cleanly (a malformed
+/// trailing field rejects the request).
 pub fn decode_request_ref(block: &[u8]) -> Option<RequestRef<'_>> {
     let (mut method, mut authority, mut path) = (None, None, None);
     let mut buf = block;
@@ -338,22 +322,6 @@ pub fn decode_request_ref(block: &[u8]) -> Option<RequestRef<'_>> {
         authority: authority?,
         path: path?,
     })
-}
-
-/// Parses a request block produced by [`encode_request`].
-pub fn decode_request(block: &[u8]) -> Option<Request> {
-    let req = decode_request_ref(block)?;
-    Some(Request {
-        authority: req.authority.to_string(),
-        path: req.path.to_string(),
-    })
-}
-
-/// Encodes a 200 response header block with a content length.
-pub fn encode_response(content_length: u64, content_type: &str) -> Bytes {
-    let mut out = BytesMut::with_capacity(64 + content_type.len());
-    encode_response_into(&mut out, content_length, content_type);
-    out.freeze()
 }
 
 /// Appends a 200 response header block to `out`. The content length is
@@ -393,7 +361,7 @@ pub struct Response {
     pub content_length: Option<u64>,
 }
 
-/// Parses a response block produced by [`encode_response`].
+/// Parses a response block produced by [`encode_response_into`].
 pub fn decode_response(block: &[u8]) -> Option<Response> {
     let headers = decode(block)?;
     let get = |k: &str| headers.iter().find(|(n, _)| n == k).map(|(_, v)| v.clone());
@@ -430,8 +398,9 @@ mod tests {
 
     #[test]
     fn request_roundtrip() {
-        let block = encode_request("www.isidewith.com", "/results/2020");
-        let req = decode_request(&block).expect("decodes");
+        let mut block = BytesMut::new();
+        encode_request_into(&mut block, "www.isidewith.com", "/results/2020");
+        let req = decode_request_ref(&block).expect("decodes");
         assert_eq!(req.authority, "www.isidewith.com");
         assert_eq!(req.path, "/results/2020");
         // Realistic GET size: comfortably bigger than control frames.
@@ -444,7 +413,8 @@ mod tests {
 
     #[test]
     fn response_roundtrip() {
-        let block = encode_response(9_500, "text/html");
+        let mut block = BytesMut::new();
+        encode_response_into(&mut block, 9_500, "text/html");
         let resp = decode_response(&block).expect("decodes");
         assert_eq!(resp.status, 200);
         assert_eq!(resp.content_length, Some(9_500));

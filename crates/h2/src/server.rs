@@ -25,6 +25,7 @@ use h2priv_netsim::packet::{FlowId, Packet};
 use h2priv_netsim::time::{SimDuration, SimTime};
 use h2priv_tcp::{TcpConnection, TcpStats};
 use h2priv_tls::{ContentType, OpenedRecord, RecordTag, TrafficClass, WireMap};
+use h2priv_util::bytes::BytesMut;
 use h2priv_util::fxhash::FxHashMap;
 use h2priv_util::telemetry;
 use h2priv_web::{ObjectId, Site};
@@ -191,7 +192,7 @@ impl ServerNode {
         self.stack.pad_bytes()
     }
 
-    fn handle_records(&mut self, ctx: &mut Ctx<'_>, records: Vec<OpenedRecord>) {
+    fn handle_records(&mut self, ctx: &mut Ctx<'_>, records: &[OpenedRecord]) {
         for rec in records {
             match rec.content_type {
                 ContentType::Handshake => match self.tls {
@@ -277,7 +278,7 @@ impl ServerNode {
 
     fn handle_request(&mut self, ctx: &mut Ctx<'_>, stream: StreamId, block: &[u8]) {
         self.last_activity_at = Some(ctx.now());
-        let Some(req) = hpack::decode_request(block) else {
+        let Some(req) = hpack::decode_request_ref(block) else {
             self.sched.enqueue(
                 Frame::RstStream {
                     stream,
@@ -287,7 +288,7 @@ impl ServerNode {
             );
             return;
         };
-        let Some(object) = self.site.by_path(&req.path).map(|o| o.id) else {
+        let Some(object) = self.site.by_path(req.path).map(|o| o.id) else {
             self.sched.enqueue(
                 Frame::RstStream {
                     stream,
@@ -329,13 +330,14 @@ impl ServerNode {
                 continue; // already served or being served
             }
             let promised = self.push_alloc.next_id();
-            let path = self.site.object(child).path.clone();
-            let block = hpack::encode_request("pushed", &path);
+            let path = &self.site.object(child).path;
+            let mut block = BytesMut::with_capacity(64 + path.len());
+            hpack::encode_request_into(&mut block, "pushed", path);
             self.sched.enqueue(
                 Frame::PushPromise {
                     stream,
                     promised,
-                    block,
+                    block: block.freeze(),
                 },
                 RecordTag {
                     stream_id: stream.0,
@@ -417,11 +419,12 @@ impl ServerNode {
                     h2priv_web::MediaType::Json => "application/json",
                     h2priv_web::MediaType::Font => "font/woff2",
                 };
-                let block = hpack::encode_response(obj.size, media);
+                let mut block = BytesMut::with_capacity(64 + media.len());
+                hpack::encode_response_into(&mut block, obj.size, media);
                 self.sched.enqueue(
                     Frame::Headers {
                         stream,
-                        block,
+                        block: block.freeze(),
                         end_stream: false,
                     },
                     RecordTag {
@@ -485,12 +488,7 @@ impl ServerNode {
             if let Frame::Data { len, .. } = qf.frame {
                 self.conn_send_window = self.conn_send_window.saturating_sub(len as u64);
             }
-            let bytes = qf
-                .frame
-                .encode()
-                .expect("frame within RFC 7540 payload limit");
-            self.stack
-                .write_record(ContentType::ApplicationData, &bytes, qf.tag);
+            self.stack.write_frame(&qf.frame, qf.tag);
         }
     }
 
@@ -510,12 +508,7 @@ impl ServerNode {
             if let Frame::Data { len, .. } = qf.frame {
                 self.conn_send_window = self.conn_send_window.saturating_sub(len as u64);
             }
-            let bytes = qf
-                .frame
-                .encode()
-                .expect("frame within RFC 7540 payload limit");
-            self.stack
-                .write_record(ContentType::ApplicationData, &bytes, qf.tag);
+            self.stack.write_frame(&qf.frame, qf.tag);
             if is_data {
                 self.last_activity_at = Some(ctx.now());
                 sent_data = true;
@@ -529,15 +522,12 @@ impl ServerNode {
         {
             self.conn_send_window -= sh.cell as u64;
             self.dummy_cells_sent += 1;
-            let frame = Frame::Data {
-                stream: DUMMY_STREAM,
-                len: sh.cell,
-                end_stream: false,
-            };
-            let bytes = frame.encode().expect("cell within RFC 7540 payload limit");
-            self.stack.write_record(
-                ContentType::ApplicationData,
-                &bytes,
+            self.stack.write_frame(
+                &Frame::Data {
+                    stream: DUMMY_STREAM,
+                    len: sh.cell,
+                    end_stream: false,
+                },
                 RecordTag {
                     stream_id: DUMMY_STREAM.0,
                     object_id: u32::MAX,
@@ -589,9 +579,9 @@ impl ServerNode {
         }
     }
 
-    fn handle_events(&mut self, events: Vec<TransportEvent>) {
+    fn handle_events(&mut self, events: &[TransportEvent]) {
         for ev in events {
-            if ev == TransportEvent::Aborted {
+            if *ev == TransportEvent::Aborted {
                 self.dead = true;
             }
         }
@@ -606,9 +596,10 @@ impl Node for ServerNode {
     }
 
     fn on_packet(&mut self, ctx: &mut Ctx<'_>, _from: LinkId, pkt: Packet) {
-        let (records, events) = self.stack.on_packet(ctx.now(), &pkt);
-        self.handle_events(events);
-        self.handle_records(ctx, records);
+        let inbound = self.stack.on_packet(ctx.now(), pkt);
+        self.handle_events(&inbound.events);
+        self.handle_records(ctx, &inbound.records);
+        self.stack.recycle(inbound);
         self.after_activity(ctx);
     }
 
@@ -616,9 +607,10 @@ impl Node for ServerNode {
         match self.timers.remove(&timer) {
             Some(TimerPurpose::TcpTick) => {
                 self.stack.tcp_tick_at = None;
-                let (records, events) = self.stack.on_tcp_timer(ctx.now());
-                self.handle_events(events);
-                self.handle_records(ctx, records);
+                let inbound = self.stack.on_tcp_timer(ctx.now());
+                self.handle_events(&inbound.events);
+                self.handle_records(ctx, &inbound.records);
+                self.stack.recycle(inbound);
             }
             Some(TimerPurpose::Worker(idx)) => {
                 self.worker_tick(ctx, idx);

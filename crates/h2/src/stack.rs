@@ -2,13 +2,15 @@
 //! event loop. Used by both [`crate::server::ServerNode`] and
 //! [`crate::client::ClientNode`].
 
+use crate::frame::{Frame, FRAME_HEADER_LEN, MAX_FRAME_PAYLOAD};
+use crate::stream::StreamId;
 use h2priv_netsim::link::LinkId;
 use h2priv_netsim::node::Ctx;
 use h2priv_netsim::packet::Packet;
 use h2priv_netsim::time::SimTime;
 use h2priv_tcp::{TcpConnection, TcpEvent};
 use h2priv_tls::{ContentType, OpenedRecord, RecordOpener, RecordSealer, RecordTag, WireMap};
-use h2priv_util::bytes::Bytes;
+use h2priv_util::bytes::{with_pool, Bytes, BytesMut};
 
 /// Model sizes of the TLS handshake flights (bytes of handshake records
 /// on the wire, typical for TLS 1.2 with a ~2.5 KB certificate chain).
@@ -36,8 +38,26 @@ pub enum TransportEvent {
     Aborted,
 }
 
+/// What one packet or TCP timer delivered: complete TLS records and
+/// transport events, each in arrival order. Hand it back with
+/// [`Stack::recycle`] once handled, so the next delivery reuses its
+/// vectors and the record buffers return to the pool.
+#[derive(Debug, Default)]
+pub struct Inbound {
+    /// Records completed by this delivery.
+    pub records: Vec<OpenedRecord>,
+    /// Transport events raised by this delivery.
+    pub events: Vec<TransportEvent>,
+}
+
 /// A TCP connection wrapped in TLS record framing, with helpers to pump
 /// segments into the simulator.
+///
+/// Buffers on the record path come from the thread's pool
+/// ([`h2priv_util::bytes::with_pool`]): the sealer takes one per record,
+/// TCP gives it back once the record is acknowledged, and the receiver
+/// gives back each segment copy it has read and each record body after
+/// its frames are decoded.
 #[derive(Debug)]
 pub struct Stack {
     /// The transport connection.
@@ -47,6 +67,10 @@ pub struct Stack {
     egress: Option<LinkId>,
     /// Deadline currently covered by a scheduled TCP tick, if any.
     pub tcp_tick_at: Option<SimTime>,
+    /// Scratch every outgoing frame is encoded into before sealing.
+    frame_buf: BytesMut,
+    /// The vectors of the last [`Inbound`] handed back.
+    inbound: Inbound,
 }
 
 impl Stack {
@@ -74,6 +98,8 @@ impl Stack {
             },
             egress: None,
             tcp_tick_at: None,
+            frame_buf: BytesMut::new(),
+            inbound: Inbound::default(),
         }
     }
 
@@ -95,42 +121,104 @@ impl Stack {
         self.tcp.write(wire);
     }
 
+    /// Encodes `frame` and writes it to TCP as one ApplicationData
+    /// record (fragmenting if >16 KiB), like [`Stack::write_record`] of
+    /// [`Frame::encode`]'s bytes but through a reused scratch buffer.
+    ///
+    /// # Panics
+    /// Panics if the frame's payload exceeds the 24-bit length field;
+    /// the endpoints never build such a frame.
+    pub fn write_frame(&mut self, frame: &Frame, tag: RecordTag) {
+        self.frame_buf.clear();
+        frame
+            .encode_into(&mut self.frame_buf)
+            .expect("frame within RFC 7540 payload limit");
+        self.seal_frame_buf(tag);
+    }
+
+    /// Writes a HEADERS frame like [`Stack::write_frame`], with `block`
+    /// appending the HPACK block straight into the frame buffer, so the
+    /// block needs no buffer of its own.
+    ///
+    /// # Panics
+    /// Panics if the block exceeds the 24-bit length field.
+    pub fn write_headers(
+        &mut self,
+        stream: StreamId,
+        end_stream: bool,
+        tag: RecordTag,
+        block: impl FnOnce(&mut BytesMut),
+    ) {
+        self.frame_buf.clear();
+        let header = Frame::Headers {
+            stream,
+            block: Bytes::new(),
+            end_stream,
+        };
+        header
+            .encode_into(&mut self.frame_buf)
+            .expect("an empty block fits");
+        block(&mut self.frame_buf);
+        let len = self.frame_buf.len() - FRAME_HEADER_LEN;
+        assert!(len <= MAX_FRAME_PAYLOAD, "HPACK block of {len} bytes");
+        self.frame_buf[..3].copy_from_slice(&(len as u32).to_be_bytes()[1..]);
+        self.seal_frame_buf(tag);
+    }
+
+    fn seal_frame_buf(&mut self, tag: RecordTag) {
+        let wire = self
+            .sealer
+            .seal(ContentType::ApplicationData, &self.frame_buf, tag);
+        self.tcp.write(wire);
+    }
+
     /// Feeds an arriving packet into TCP; returns complete TLS records
     /// and transport events in arrival order.
-    pub fn on_packet(
-        &mut self,
-        now: SimTime,
-        pkt: &Packet,
-    ) -> (Vec<OpenedRecord>, Vec<TransportEvent>) {
-        self.tcp.on_segment(now, &pkt.header, pkt.payload.clone());
+    pub fn on_packet(&mut self, now: SimTime, pkt: Packet) -> Inbound {
+        self.tcp.on_segment(now, &pkt.header, pkt.payload);
         self.collect()
     }
 
     /// Drives the TCP timer; returns records/events like
     /// [`Stack::on_packet`].
-    pub fn on_tcp_timer(&mut self, now: SimTime) -> (Vec<OpenedRecord>, Vec<TransportEvent>) {
+    pub fn on_tcp_timer(&mut self, now: SimTime) -> Inbound {
         self.tcp.on_timer(now);
         self.collect()
     }
 
-    fn collect(&mut self) -> (Vec<OpenedRecord>, Vec<TransportEvent>) {
-        let mut records = Vec::new();
-        let mut events = Vec::new();
+    /// Takes back a handled [`Inbound`]: its record buffers return to
+    /// the pool and its vectors serve the next delivery.
+    pub fn recycle(&mut self, mut inbound: Inbound) {
+        with_pool(|pool| {
+            for rec in inbound.records.drain(..) {
+                pool.reclaim(rec.plaintext);
+            }
+        });
+        inbound.events.clear();
+        self.inbound = inbound;
+    }
+
+    fn collect(&mut self) -> Inbound {
+        let mut inbound = std::mem::take(&mut self.inbound);
         while let Some(ev) = self.tcp.poll_event() {
             match ev {
                 TcpEvent::Data(bytes) => {
                     self.opener.push(&bytes);
+                    // A segment copy made across record boundaries is
+                    // now read; a slice of the peer's record is not ours
+                    // to reclaim and is simply dropped.
+                    with_pool(|pool| pool.reclaim(bytes));
                     while let Some(rec) = self.opener.poll_record() {
-                        records.push(rec);
+                        inbound.records.push(rec);
                     }
                 }
-                TcpEvent::Connected => events.push(TransportEvent::Connected),
-                TcpEvent::PeerFin => events.push(TransportEvent::PeerFin),
-                TcpEvent::Closed => events.push(TransportEvent::Closed),
-                TcpEvent::Aborted(_) => events.push(TransportEvent::Aborted),
+                TcpEvent::Connected => inbound.events.push(TransportEvent::Connected),
+                TcpEvent::PeerFin => inbound.events.push(TransportEvent::PeerFin),
+                TcpEvent::Closed => inbound.events.push(TransportEvent::Closed),
+                TcpEvent::Aborted(_) => inbound.events.push(TransportEvent::Aborted),
             }
         }
-        (records, events)
+        inbound
     }
 
     /// Transmits every segment TCP has ready onto the egress link.
@@ -169,8 +257,11 @@ impl Stack {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frame::ErrorCode;
     use h2priv_netsim::packet::{FlowId, HostAddr};
     use h2priv_tcp::TcpConfig;
+    use h2priv_tls::{TrafficClass, WireSpan};
+    use h2priv_util::check::{self, Gen};
 
     fn flows() -> (FlowId, FlowId) {
         let f = FlowId {
@@ -206,10 +297,8 @@ mod tests {
                 c.tcp.on_segment(now, &h, p);
                 quiet = false;
             }
-            let (rs, _es) = s.collect();
-            server_got.extend(rs);
-            let (rc, _ec) = c.collect();
-            client_got.extend(rc);
+            server_got.extend(s.collect().records);
+            client_got.extend(c.collect().records);
             if !wrote && matches!(c.tcp.state(), h2priv_tcp::TcpState::Established) {
                 c.write_record(
                     ContentType::Handshake,
@@ -236,6 +325,130 @@ mod tests {
         // Ground truth recorded on the sender.
         assert_eq!(c.wire_map().spans().len(), 1);
         assert_eq!(s.wire_map().spans().len(), 1);
+    }
+
+    /// Connects a sender stack that seals with `pad_block` to a
+    /// receiver, lets `write` write to the sender once established, and
+    /// returns every payload byte the sender put on the wire, in order,
+    /// with the sender's wire map.
+    fn sent_wire(pad_block: usize, write: impl FnOnce(&mut Stack)) -> (Vec<u8>, Vec<WireSpan>) {
+        let (cf, sf) = flows();
+        let config = TcpConfig::default();
+        let mut a =
+            Stack::with_tls_options(TcpConnection::client(cf, config.clone()), pad_block, false);
+        let mut b = Stack::new(TcpConnection::server(sf, config));
+        let now = SimTime::ZERO;
+        a.tcp.open(now);
+        let mut write = Some(write);
+        let mut wire = Vec::new();
+        loop {
+            let mut quiet = true;
+            while let Some((h, p)) = a.tcp.poll_segment(now) {
+                wire.extend_from_slice(&p);
+                b.tcp.on_segment(now, &h, p);
+                quiet = false;
+            }
+            while let Some((h, p)) = b.tcp.poll_segment(now) {
+                a.tcp.on_segment(now, &h, p);
+                quiet = false;
+            }
+            let inbound = b.collect();
+            b.recycle(inbound);
+            if a.tcp.state() == h2priv_tcp::TcpState::Established {
+                if let Some(write) = write.take() {
+                    write(&mut a);
+                    quiet = false;
+                }
+            }
+            if quiet {
+                break;
+            }
+        }
+        assert!(write.is_none(), "connection never established");
+        (wire, a.wire_map().spans().to_vec())
+    }
+
+    fn gen_frame(g: &mut Gen) -> Frame {
+        let stream = StreamId(g.u32(0, 999));
+        let end_stream = g.bool(0.5);
+        match g.usize(0, 8) {
+            // Up to 40 KB: a DATA frame spans up to three 16 KiB records.
+            0 => Frame::Data {
+                stream,
+                len: g.u32(0, 40_000),
+                end_stream,
+            },
+            1 => Frame::Headers {
+                stream,
+                block: Bytes::from(g.bytes(300)),
+                end_stream,
+            },
+            2 => Frame::Priority {
+                stream,
+                dependency: g.u32(0, u32::MAX),
+                weight: g.u8(0, u8::MAX),
+            },
+            3 => Frame::RstStream {
+                stream,
+                error: ErrorCode::Cancel,
+            },
+            4 => Frame::Settings {
+                ack: g.bool(0.5),
+                params: (0..g.usize(0, 5))
+                    .map(|_| (g.u16(0, u16::MAX), g.u32(0, u32::MAX)))
+                    .collect(),
+            },
+            5 => Frame::Ping { ack: end_stream },
+            6 => Frame::GoAway {
+                last_stream: stream,
+                error: ErrorCode::NoError,
+            },
+            7 => Frame::WindowUpdate {
+                stream,
+                increment: g.u32(1, 1 << 30),
+            },
+            _ => Frame::PushPromise {
+                stream,
+                promised: StreamId(g.u32(0, 999) * 2),
+                block: Bytes::from(g.bytes(300)),
+            },
+        }
+    }
+
+    #[test]
+    fn write_frame_matches_encode_then_write_record() {
+        check::run(
+            "write_frame_matches_encode_then_write_record",
+            48,
+            |g: &mut Gen| {
+                let pad_block = *g.choose(&[0usize, 256, 4_096]);
+                let frames: Vec<(Frame, RecordTag)> = (0..g.usize(1, 6))
+                    .map(|i| {
+                        let tag = RecordTag {
+                            stream_id: g.u32(0, 999),
+                            object_id: i as u32,
+                            copy: g.u16(0, 3),
+                            class: TrafficClass::ObjectData,
+                        };
+                        (gen_frame(g), tag)
+                    })
+                    .collect();
+                let new = sent_wire(pad_block, |s| {
+                    for (frame, tag) in &frames {
+                        s.write_frame(frame, *tag);
+                    }
+                });
+                let old = sent_wire(pad_block, |s| {
+                    for (frame, tag) in &frames {
+                        let bytes = frame.encode().expect("generated frames fit");
+                        s.write_record(ContentType::ApplicationData, &bytes, *tag);
+                    }
+                });
+                assert!(new.1.len() >= frames.len());
+                assert_eq!(new.1, old.1, "wire map spans differ");
+                assert_eq!(new.0, old.0, "wire bytes differ");
+            },
+        );
     }
 
     #[test]

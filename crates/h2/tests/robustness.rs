@@ -7,6 +7,7 @@ use h2priv_h2::frame::Frame;
 use h2priv_h2::hpack;
 use h2priv_h2::stream::StreamId;
 use h2priv_tls::RecordTag;
+use h2priv_util::bytes::BytesMut;
 use h2priv_util::check::{self, Gen};
 use h2priv_util::{prop_assert, prop_assert_eq};
 
@@ -123,6 +124,12 @@ fn scheduler_conserves_and_orders() {
     });
 }
 
+fn request_block(authority: &str, path: &str) -> BytesMut {
+    let mut block = BytesMut::new();
+    hpack::encode_request_into(&mut block, authority, path);
+    block
+}
+
 /// Request header blocks of arbitrary (printable) paths round-trip.
 #[test]
 fn request_roundtrip_any_path() {
@@ -133,8 +140,8 @@ fn request_roundtrip_any_path() {
         for _ in 0..g.usize(0, 80) {
             path.push(char::from(*g.choose(PATH_CHARS)));
         }
-        let block = hpack::encode_request("example.org", &path);
-        let req = hpack::decode_request(&block).expect("round-trips");
+        let block = request_block("example.org", &path);
+        let req = hpack::decode_request_ref(&block).expect("round-trips");
         prop_assert_eq!(req.path, path);
         prop_assert_eq!(req.authority, "example.org");
     });
@@ -145,7 +152,8 @@ fn request_roundtrip_any_path() {
 fn response_roundtrip_any_length() {
     check::run("response_roundtrip_any_length", 256, |g: &mut Gen| {
         let len = g.u64(0, u64::MAX);
-        let block = hpack::encode_response(len, "image/png");
+        let mut block = BytesMut::new();
+        hpack::encode_response_into(&mut block, len, "image/png");
         let resp = hpack::decode_response(&block).expect("round-trips");
         prop_assert_eq!(resp.content_length, Some(len));
     });
@@ -176,7 +184,7 @@ fn scheduler_interleaving_is_fair_round_robin() {
 
 #[test]
 fn hpack_rejects_truncated_blocks_gracefully() {
-    let block = hpack::encode_request("example.org", "/index.html");
+    let block = request_block("example.org", "/index.html");
     for cut in 1..block.len() {
         // Truncations must never panic; most are invalid, some may
         // decode to a shorter header list.
@@ -221,7 +229,7 @@ fn data_frame_payload_is_zeroed_synthetic_bytes() {
 fn hpack_block_sizes_separate_gets_from_control_frames() {
     // The monitor's GET heuristic depends on this separation: a GET
     // record body must far exceed any control frame's.
-    let get = hpack::encode_request("www.isidewith.com", "/results/2020");
+    let get = request_block("www.isidewith.com", "/results/2020");
     let get_record_body = get.len() + 9 + 16; // frame hdr + AEAD tag
     let wu = Frame::WindowUpdate {
         stream: StreamId(0),

@@ -21,7 +21,7 @@ use h2priv_netsim::packet::{FlowId, TcpFlags, TcpHeader};
 use h2priv_netsim::time::{SimDuration, SimTime};
 use h2priv_tcp::TcpStats;
 use h2priv_tls::{RecordTag, TrafficClass, WireMap, WireSpan};
-use h2priv_util::bytes::{Bytes, BytesPool};
+use h2priv_util::bytes::{with_pool, Bytes};
 use h2priv_util::{smallvec, telemetry};
 
 use crate::frame::{
@@ -31,31 +31,6 @@ use crate::frame::{
 use crate::recovery::{AckRanges, Recovery, SentFrame, SentVec};
 use crate::streams::{RecvStream, SendStream};
 use crate::table::StreamTable;
-
-/// Datagram payload buffers kept warm per worker thread. In steady state
-/// the send paths cycle buffers with the peers' receive paths, so a pool
-/// sized to the aggregate in-flight window covers all connections.
-const PAYLOAD_POOL_BUFFERS: usize = 512;
-
-thread_local! {
-    /// Shared datagram-payload recycling pool. The simulation runs one
-    /// trial per thread, and payload buffers migrate between endpoints
-    /// (a buffer allocated by the server's send path is reclaimed by the
-    /// client's receive path), so per-connection pools drain in one
-    /// direction and refill in the other. A thread-local pool lets every
-    /// connection on the thread draw from the same recycled stock; it
-    /// stays warm across trials on long-lived worker threads.
-    static PAYLOAD_POOL: std::cell::RefCell<BytesPool> =
-        std::cell::RefCell::new(BytesPool::new(PAYLOAD_POOL_BUFFERS, MAX_DATAGRAM));
-}
-
-/// Runs `f` with the thread's payload pool. Crate-internal so the
-/// stream layer can serve segment-spanning chunk copies from the same
-/// recycled stock (those buffers round-trip through
-/// [`QuicConnection::poll_datagram`] and come back via reclaim below).
-pub(crate) fn with_payload_pool<R>(f: impl FnOnce(&mut BytesPool) -> R) -> R {
-    PAYLOAD_POOL.with(|p| f(&mut p.borrow_mut()))
-}
 
 /// Which end of the connection this is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -469,11 +444,11 @@ impl QuicConnection {
     }
 
     /// Offers a fully-processed received payload buffer back to the
-    /// thread's send pool. A no-op (the buffer is simply dropped)
-    /// when something still references it — e.g. out-of-order stream
-    /// data parked in a reassembly buffer.
+    /// thread's buffer pool ([`h2priv_util::bytes::with_pool`]). A no-op
+    /// (the buffer is simply dropped) when something still references
+    /// it — e.g. out-of-order stream data parked in a reassembly buffer.
     pub fn reclaim_payload(&mut self, payload: Bytes) {
-        PAYLOAD_POOL.with(|p| p.borrow_mut().reclaim(payload));
+        with_pool(|p| p.reclaim(payload));
     }
 
     fn on_frame(&mut self, now: SimTime, frame: QuicFrame) {
@@ -609,8 +584,7 @@ impl QuicConnection {
         pad_to: Option<usize>,
     ) -> (TcpHeader, Bytes) {
         let pn = self.recovery.peek_pn();
-        let payload =
-            PAYLOAD_POOL.with(|p| encode_datagram_pooled(pn, frames, pad_to, &mut p.borrow_mut()));
+        let payload = with_pool(|p| encode_datagram_pooled(pn, frames, pad_to, p));
         let assigned = self
             .recovery
             .on_packet_sent(now, payload.len() as u64, ack_eliciting, sent);
@@ -764,7 +738,7 @@ impl QuicConnection {
         // segment-spanning copy (whose only other owner was the frame,
         // just dropped) goes back to the pool, while segment-backed
         // slices still have owners in the send queue and are dropped.
-        with_payload_pool(|p| p.reclaim(data_handle));
+        with_pool(|p| p.reclaim(data_handle));
         Some(result)
     }
 }

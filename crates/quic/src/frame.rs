@@ -347,7 +347,7 @@ pub fn encode_datagram_pooled(
     pad_to: Option<usize>,
     pool: &mut BytesPool,
 ) -> Bytes {
-    let mut buf = pool.acquire();
+    let mut buf = pool.acquire(MAX_DATAGRAM);
     encode_datagram_into(pn, frames, pad_to, buf.buf());
     buf.freeze()
 }
@@ -471,7 +471,7 @@ mod tests {
 
     #[test]
     fn pooled_encode_is_byte_identical_and_reuses_buffers() {
-        let mut pool = BytesPool::new(2, MAX_DATAGRAM);
+        let mut pool = BytesPool::new(2);
         let frames = [
             QuicFrame::Stream {
                 id: 4,

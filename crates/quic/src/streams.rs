@@ -12,9 +12,9 @@
 use std::collections::{BTreeMap, VecDeque};
 
 use h2priv_tls::RecordTag;
-use h2priv_util::bytes::{Bytes, BytesMut};
+use h2priv_util::bytes::{with_pool, Bytes, BytesMut};
 
-use crate::frame::MAX_STREAM_CHUNK;
+use crate::frame::{MAX_DATAGRAM, MAX_STREAM_CHUNK};
 
 /// A STREAM frame the send side wants on the wire.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -188,11 +188,12 @@ impl SendStream {
                 return data.slice(lo..lo + len as usize);
             }
         }
-        // Spanning copies are served from the shared payload pool: a
-        // stream chunk never exceeds MAX_STREAM_CHUNK (< the pool's
-        // buffer size), and the connection returns the copy to the pool
-        // right after encoding it into a datagram.
-        let mut pooled = crate::conn::with_payload_pool(|p| p.acquire());
+        // Spanning copies are served from the thread's buffer pool in
+        // datagram-sized buffers, like the datagrams themselves (a stream
+        // chunk never exceeds MAX_STREAM_CHUNK), and the connection
+        // returns the copy to the pool right after encoding it into a
+        // datagram.
+        let mut pooled = with_pool(|p| p.acquire(MAX_DATAGRAM));
         let out = pooled.buf();
         for (start, data, _) in &self.segments {
             let seg_end = start + data.len() as u64;

@@ -2,8 +2,11 @@
 //!
 //! Holds written-but-not-yet-acknowledged application bytes, addressed by
 //! absolute stream offset, so the sender can (re)read any unacked range.
+//! Acknowledged chunks and segment copies go back to the thread's buffer
+//! pool ([`h2priv_util::bytes::with_pool`]), which parks a buffer only
+//! when nothing else still holds it.
 
-use h2priv_util::bytes::{Bytes, BytesMut};
+use h2priv_util::bytes::{with_pool, Bytes};
 use std::collections::VecDeque;
 
 /// A byte buffer addressed by absolute stream offsets.
@@ -64,8 +67,10 @@ impl SendBuffer {
             if chunk.len() - skip >= want {
                 return chunk.slice(skip..skip + want);
             }
-            // Range spans a chunk boundary: assemble a copy.
-            let mut out = BytesMut::with_capacity(want);
+            // Range spans a chunk boundary: assemble a copy in a pooled
+            // buffer (the receiver gives it back once read).
+            let mut pooled = with_pool(|pool| pool.acquire(want));
+            let out = pooled.buf();
             out.extend_from_slice(&chunk[skip..]);
             for chunk in chunks {
                 let take = chunk.len().min(want - out.len());
@@ -74,13 +79,14 @@ impl SendBuffer {
                     break;
                 }
             }
-            return out.freeze();
+            return pooled.freeze();
         }
         unreachable!("read range verified against end_offset");
     }
 
     /// Discards all bytes below absolute offset `upto` (clamped to the
-    /// written range); they have been acknowledged.
+    /// written range); they have been acknowledged. Each fully released
+    /// chunk is offered back to the pool.
     pub fn release(&mut self, upto: u64) {
         let upto = upto.min(self.end_offset());
         while self.base < upto {
@@ -91,7 +97,9 @@ impl SendBuffer {
             if drop == front.len() {
                 self.base += front.len() as u64;
                 self.len -= front.len() as u64;
-                self.chunks.pop_front();
+                if let Some(chunk) = self.chunks.pop_front() {
+                    with_pool(|pool| pool.reclaim(chunk));
+                }
             } else {
                 let _ = front.split_to(drop);
                 self.base += drop as u64;
@@ -166,6 +174,45 @@ mod tests {
         sb.push(b("abcd"));
         sb.release(2);
         let _ = sb.read(1, 1);
+    }
+
+    /// A chunk as the TLS sealer makes one: `len` bytes of `fill` in a
+    /// buffer taken from the thread's pool.
+    fn sealed(fill: u8, len: usize) -> Bytes {
+        let mut pooled = with_pool(|pool| pool.acquire(len));
+        pooled.buf().resize(len, fill);
+        pooled.freeze()
+    }
+
+    #[test]
+    fn released_chunks_are_never_reused_under_a_live_slice() {
+        let mut sb = SendBuffer::new();
+        let first = sealed(1, 2_078);
+        let second = sealed(2, 2_078);
+        let (first_at, second_at) = (first.as_ptr(), second.as_ptr());
+        sb.push(first);
+        sb.push(second);
+        // A segment inside the first chunk (a slice of it) and one
+        // across the chunk boundary (a pooled copy), both still in
+        // flight when everything is acknowledged.
+        let inside = sb.read(100, 1_448);
+        let across = sb.read(1_548, 1_448);
+        assert!(std::ptr::eq(inside.as_ptr(), first_at.wrapping_add(100)));
+        let (inside_bytes, across_bytes) = (inside.to_vec(), across.to_vec());
+        sb.release(4_156);
+        let later: Vec<Bytes> = (0..16).map(|i| sealed(0xa0 + i, 2_078)).collect();
+        for chunk in &later {
+            sb.push(chunk.clone());
+        }
+        assert_eq!(inside.to_vec(), inside_bytes);
+        assert_eq!(across.to_vec(), across_bytes);
+        // The second chunk had no other owner, so the next seal reused
+        // it; the first one, still read through `inside`, was not.
+        assert!(std::ptr::eq(later[0].as_ptr(), second_at));
+        for chunk in &later {
+            let storage = chunk.as_ptr_range();
+            assert!(!storage.contains(&first_at) && !storage.contains(&across.as_ptr()));
+        }
     }
 
     #[test]

@@ -7,10 +7,11 @@
 //! side — the same reassembly an endpoint's TLS stack performs.
 
 use crate::record::{
-    ContentType, RecordHeader, AEAD_TAG_LEN, MAX_RECORD_PLAINTEXT, RECORD_HEADER_LEN, WIRE_VERSION,
+    ContentType, RecordHeader, AEAD_TAG_LEN, MAX_RECORD_PLAINTEXT, RECORD_HEADER_LEN,
+    RECORD_OVERHEAD, WIRE_VERSION,
 };
 use crate::wire_map::{RecordTag, WireMap, WireSpan};
-use h2priv_util::bytes::{Bytes, BytesMut};
+use h2priv_util::bytes::{with_pool, Bytes};
 
 /// Length of the cleartext length prefix inside a padded record body.
 pub const PAD_PREFIX_LEN: usize = 2;
@@ -51,48 +52,40 @@ impl RecordSealer {
     }
 
     /// Seals one message, fragmenting into records of at most 16 KiB
-    /// plaintext. Returns the wire bytes to hand to TCP.
+    /// plaintext. Returns the wire bytes to hand to TCP, in a buffer
+    /// taken from the thread's pool ([`h2priv_util::bytes::with_pool`]):
+    /// whoever holds the last handle (TCP, once the bytes are
+    /// acknowledged) gives it back.
     pub fn seal(&mut self, ct: ContentType, plaintext: &[u8], tag: RecordTag) -> Bytes {
+        let mut pooled = with_pool(|pool| pool.acquire(plaintext.len() + RECORD_OVERHEAD));
+        let out = pooled.buf();
         if self.pad_block > 0 && ct == ContentType::ApplicationData {
-            return self.seal_padded(plaintext, tag);
+            self.seal_padded(out, plaintext, tag);
+            return pooled.freeze();
         }
-        let mut out = BytesMut::with_capacity(plaintext.len() + RECORD_HEADER_LEN + AEAD_TAG_LEN);
         let mut rest = plaintext;
         loop {
             let take = rest.len().min(MAX_RECORD_PLAINTEXT - AEAD_TAG_LEN);
             let body_len = take + AEAD_TAG_LEN;
-            let header = RecordHeader {
-                content_type: ct,
-                version: WIRE_VERSION,
-                length: body_len as u16,
-            };
-            out.extend_from_slice(&header.encode());
+            Self::put_header(out, ct, body_len);
             out.extend_from_slice(&rest[..take]);
             // The AEAD tag: opaque bytes on the wire (zeros here — no
             // real cryptography in the model).
             out.extend_from_slice(&[0u8; AEAD_TAG_LEN]);
-            let total = (RECORD_HEADER_LEN + body_len) as u64;
-            self.map.push(WireSpan {
-                start: self.wire_offset,
-                end: self.wire_offset + total,
-                tag,
-            });
-            self.wire_offset += total;
-            self.records_sealed += 1;
+            self.log_record(body_len, tag);
             rest = &rest[take..];
             if rest.is_empty() {
                 break;
             }
         }
-        out.freeze()
+        pooled.freeze()
     }
 
     /// Padded variant: each record's plaintext is
     /// `[2-byte payload len][payload][zero pad]`, rounded up to a
     /// multiple of `pad_block` (capped at the record plaintext limit).
-    fn seal_padded(&mut self, plaintext: &[u8], tag: RecordTag) -> Bytes {
+    fn seal_padded(&mut self, out: &mut Vec<u8>, plaintext: &[u8], tag: RecordTag) {
         let max_inner = MAX_RECORD_PLAINTEXT - AEAD_TAG_LEN;
-        let mut out = BytesMut::with_capacity(plaintext.len() + RECORD_HEADER_LEN + AEAD_TAG_LEN);
         let mut rest = plaintext;
         loop {
             let take = rest.len().min(max_inner - PAD_PREFIX_LEN);
@@ -102,31 +95,42 @@ impl RecordSealer {
                 .saturating_mul(self.pad_block)
                 .min(max_inner);
             let body_len = inner + AEAD_TAG_LEN;
-            let header = RecordHeader {
-                content_type: ContentType::ApplicationData,
-                version: WIRE_VERSION,
-                length: body_len as u16,
-            };
-            out.extend_from_slice(&header.encode());
-            out.put_u16(take as u16);
+            Self::put_header(out, ContentType::ApplicationData, body_len);
+            out.extend_from_slice(&(take as u16).to_be_bytes());
             out.extend_from_slice(&rest[..take]);
-            out.put_zeros(inner - unpadded);
-            out.extend_from_slice(&[0u8; AEAD_TAG_LEN]);
+            // Zero fill and the AEAD tag in one resize.
+            out.resize(out.len() + inner - unpadded + AEAD_TAG_LEN, 0);
             self.pad_bytes += (inner - take) as u64;
-            let total = (RECORD_HEADER_LEN + body_len) as u64;
-            self.map.push(WireSpan {
-                start: self.wire_offset,
-                end: self.wire_offset + total,
-                tag,
-            });
-            self.wire_offset += total;
-            self.records_sealed += 1;
+            self.log_record(body_len, tag);
             rest = &rest[take..];
             if rest.is_empty() {
                 break;
             }
         }
-        out.freeze()
+    }
+
+    /// Appends one record's cleartext header, first reserving room for
+    /// the whole record so it is written without reallocating.
+    fn put_header(out: &mut Vec<u8>, ct: ContentType, body_len: usize) {
+        out.reserve(RECORD_HEADER_LEN + body_len);
+        let header = RecordHeader {
+            content_type: ct,
+            version: WIRE_VERSION,
+            length: body_len as u16,
+        };
+        out.extend_from_slice(&header.encode());
+    }
+
+    /// Logs the span of the record just written.
+    fn log_record(&mut self, body_len: usize, tag: RecordTag) {
+        let total = (RECORD_HEADER_LEN + body_len) as u64;
+        self.map.push(WireSpan {
+            start: self.wire_offset,
+            end: self.wire_offset + total,
+            tag,
+        });
+        self.wire_offset += total;
+        self.records_sealed += 1;
     }
 
     /// Total padding overhead emitted so far (prefix + zero fill), in
@@ -161,7 +165,9 @@ impl RecordSealer {
 pub struct OpenedRecord {
     /// The content type from the cleartext header.
     pub content_type: ContentType,
-    /// The recovered plaintext (body minus AEAD tag).
+    /// The recovered plaintext (body minus AEAD tag), in a buffer taken
+    /// from the thread's pool: reclaim it
+    /// ([`h2priv_util::bytes::BytesPool::reclaim`]) once decoded.
     pub plaintext: Bytes,
 }
 
@@ -170,8 +176,9 @@ pub struct OpenedRecord {
 /// The stream buffer is head-indexed: consuming a record advances a
 /// cursor instead of shifting the tail down, so parsing a burst of n
 /// records costs O(n) rather than O(n²). The consumed prefix is
-/// reclaimed lazily, only when the live suffix is a small fraction of
-/// the buffer.
+/// reclaimed on the next push once it is more than half the buffer, so
+/// the buffer stays under two records plus one push even when segment
+/// boundaries never line up with record boundaries.
 #[derive(Debug, Default)]
 pub struct RecordOpener {
     buf: Vec<u8>,
@@ -200,10 +207,10 @@ impl RecordOpener {
 
     /// Appends received stream bytes.
     pub fn push(&mut self, data: &[u8]) {
-        if self.head == self.buf.len() {
-            // Everything consumed: restart at the front so the buffer
-            // never grows past one burst's worth of bytes.
-            self.buf.clear();
+        if self.head * 2 > self.buf.len() {
+            // The consumed prefix outweighs the live suffix: move the
+            // suffix to the front, copying at most half the buffer.
+            self.buf.drain(..self.head);
             self.head = 0;
         }
         self.buf.extend_from_slice(data);
@@ -242,14 +249,16 @@ impl RecordOpener {
                 PAD_PREFIX_LEN + real <= body.len(),
                 "corrupt padded record: payload length exceeds body"
             );
-            Bytes::copy_from_slice(&body[PAD_PREFIX_LEN..PAD_PREFIX_LEN + real])
+            &body[PAD_PREFIX_LEN..PAD_PREFIX_LEN + real]
         } else {
-            Bytes::copy_from_slice(body)
+            body
         };
+        let mut pooled = with_pool(|pool| pool.acquire(plaintext.len()));
+        pooled.buf().extend_from_slice(plaintext);
         self.head += RECORD_HEADER_LEN + body_len;
         Some(OpenedRecord {
             content_type: header.content_type,
-            plaintext,
+            plaintext: pooled.freeze(),
         })
     }
 
@@ -262,6 +271,7 @@ impl RecordOpener {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use h2priv_util::bytes::BytesMut;
     use h2priv_util::check::{self, Gen};
     use h2priv_util::prop_assert_eq;
 
@@ -358,6 +368,40 @@ mod tests {
             .map(|r| r.plaintext.len())
             .collect();
         assert_eq!(lens, vec![10, 20, 30, 40, 50]);
+    }
+
+    #[test]
+    fn opener_buffer_stays_bounded_when_pushes_straddle_records() {
+        // 2,078-byte records (a 2 KB DATA chunk's) arriving in 1,448-byte
+        // segments: no push ends on a record boundary before the
+        // 1,504,472-byte common multiple, so the buffer is never fully
+        // consumed at push time and must be compacted to stay bounded.
+        const RECORD: usize = 2_078;
+        const SEGMENT: usize = 1_448;
+        let mut s = RecordSealer::new();
+        let mut wire = Vec::new();
+        for _ in 0..600 {
+            let plaintext = [0u8; RECORD - RECORD_HEADER_LEN - AEAD_TAG_LEN];
+            wire.extend_from_slice(&s.seal(
+                ContentType::ApplicationData,
+                &plaintext,
+                RecordTag::NONE,
+            ));
+        }
+        let mut o = RecordOpener::new();
+        let mut records = 0;
+        for segment in wire.chunks(SEGMENT) {
+            o.push(segment);
+            assert!(
+                o.buf.len() < 2 * RECORD + SEGMENT,
+                "opener buffer grew to {} bytes",
+                o.buf.len()
+            );
+            while o.poll_record().is_some() {
+                records += 1;
+            }
+        }
+        assert_eq!(records, 600);
     }
 
     #[test]
