@@ -1,8 +1,8 @@
 //! Allocation-regression pins for the simulator hot paths.
 //!
 //! Counts every heap allocation one steady-state trial makes (per
-//! scenario, fixed seed) and pins the exact number; the H2 scenarios pin
-//! the bytes requested too, so a per-chunk copy cannot come back behind
+//! scenario, fixed seed) and pins the exact number; the trial scenarios
+//! pin the bytes requested too, so a per-chunk copy cannot come back behind
 //! an unchanged count (say, as a buffer grown on every use). Allocation
 //! counts are fully deterministic for a given seed and build profile, so
 //! any drift here is a real behavioural change on the packet path — not
@@ -60,9 +60,14 @@ const H2_FULL_ATTACK_BYTES_PIN: u64 = 2_711_445;
 const H2_FULL_ATTACK_BYTES_PIN: u64 = 2_662_116;
 
 #[cfg(debug_assertions)]
-const H3_FULL_ATTACK_PIN: u64 = 2_947;
+const H3_FULL_ATTACK_PIN: u64 = 2_152;
 #[cfg(not(debug_assertions))]
-const H3_FULL_ATTACK_PIN: u64 = 2_863;
+const H3_FULL_ATTACK_PIN: u64 = 2_068;
+
+#[cfg(debug_assertions)]
+const H3_FULL_ATTACK_BYTES_PIN: u64 = 1_966_010;
+#[cfg(not(debug_assertions))]
+const H3_FULL_ATTACK_BYTES_PIN: u64 = 1_961_940;
 
 #[cfg(debug_assertions)]
 const TABLE2_OUTCOME_CALLS_PIN: u64 = 44;
@@ -132,10 +137,11 @@ fn h2_full_attack_steady_state_allocs_are_pinned() {
 
 #[test]
 fn h3_full_attack_steady_state_allocs_are_pinned() {
-    let (allocs, _) = steady_state_allocs(|| {
+    let (allocs, bytes) = steady_state_allocs(|| {
         run_isidewith_h3_trial(91_000, Some(AttackConfig::full_attack()));
     });
     assert_pinned("h3_full_attack", allocs, H3_FULL_ATTACK_PIN);
+    assert_bytes_pinned("h3_full_attack", bytes, H3_FULL_ATTACK_BYTES_PIN);
 }
 
 /// The outcome calls a Table II trial makes, the degree-of-multiplexing

@@ -298,19 +298,19 @@ impl QuicConnection {
     /// wire map.
     pub fn stream_send(&mut self, id: u32, data: Bytes, fin: bool, tag: RecordTag) {
         let max = self.cfg.initial_max_stream_data;
-        self.send_streams
-            .get_or_insert_with(id, || SendStream::new(max))
-            .push(data, fin, tag);
+        let stream = self
+            .send_streams
+            .get_or_insert_with(id, || SendStream::new(max));
+        stream.push(data, fin, tag);
+        let pending = stream.has_pending();
+        self.send_streams.set_mark(id, pending);
     }
 
     /// Abandons a stream in both directions: our send side is reset, the
     /// peer is told RESET_STREAM + STOP_SENDING in one immediate datagram
     /// (the reset volley the attack's signature detector watches for).
     pub fn reset_stream(&mut self, id: u32) {
-        let max = self.cfg.initial_max_stream_data;
-        self.send_streams
-            .get_or_insert_with(id, || SendStream::new(max))
-            .reset();
+        self.reset_send_stream(id);
         self.recv_streams
             .get_or_insert_with(id, RecvStream::new)
             .stop();
@@ -318,6 +318,15 @@ impl QuicConnection {
             QuicFrame::ResetStream { id },
             QuicFrame::StopSending { id },
         ]);
+    }
+
+    /// Resets our send side of a stream, opening it if need be.
+    fn reset_send_stream(&mut self, id: u32) {
+        let max = self.cfg.initial_max_stream_data;
+        self.send_streams
+            .get_or_insert_with(id, || SendStream::new(max))
+            .reset();
+        self.send_streams.set_mark(id, false);
     }
 
     /// Queues a CONNECTION_CLOSE to the peer.
@@ -390,10 +399,13 @@ impl QuicConnection {
                     len,
                     fin,
                 } => {
-                    if let Some(s) = self.send_streams.get_mut(id) {
-                        if s.on_frame_lost(offset, len, fin) {
-                            n += 1;
-                        }
+                    if self
+                        .send_streams
+                        .get_mut(id)
+                        .is_some_and(|s| s.on_frame_lost(offset, len, fin))
+                    {
+                        self.send_streams.set_mark(id, true);
+                        n += 1;
                     }
                 }
                 SentFrame::Crypto { offset, len } => {
@@ -493,10 +505,7 @@ impl QuicConnection {
                 self.events.push_back(QuicEvent::StreamReset { id });
             }
             QuicFrame::StopSending { id } => {
-                let max = self.cfg.initial_max_stream_data;
-                self.send_streams
-                    .get_or_insert_with(id, || SendStream::new(max))
-                    .reset();
+                self.reset_send_stream(id);
                 self.events.push_back(QuicEvent::StreamStopped { id });
             }
             QuicFrame::ConnectionClose => {
@@ -668,8 +677,10 @@ impl QuicConnection {
         // (the same order the former BTreeMap ranges walked).
         // With the window shut only probe-class retransmissions go out
         // (and `next_chunk` serves a stream's retransmissions first).
+        // Every stream with pending data is marked (`has_pending`), so
+        // the probe skips only streams that could not match.
         let after = self.last_sent_stream.map_or(0, |id| id + 1);
-        let pick = self.send_streams.next_matching(after, |s| {
+        let pick = self.send_streams.next_marked(after, |s| {
             if window_open {
                 s.has_sendable(conn_credit)
             } else {
@@ -685,6 +696,9 @@ impl QuicConnection {
                 chunk.data.len() as u32,
                 &mut self.runs_scratch,
             );
+        }
+        if !stream.has_pending() {
+            self.send_streams.set_mark(pick, false);
         }
         self.last_sent_stream = Some(pick);
         if !chunk.retransmit {

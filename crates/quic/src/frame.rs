@@ -228,7 +228,13 @@ fn decode_frame(payload: &Bytes, at: usize, limit: usize) -> Option<(QuicFrame, 
             let mut ranges = RangeVec::new();
             for i in 0..count {
                 let off = 2 + 16 * i;
-                ranges.push((read_u64(buf, off)?, read_u64(buf, off + 8)?));
+                let (start, end) = (read_u64(buf, off)?, read_u64(buf, off + 8)?);
+                // An inverted range is a frame encoding error (RFC 9000
+                // §19.3: no computed packet number may be negative).
+                if start > end {
+                    return None;
+                }
+                ranges.push((start, end));
             }
             Some((QuicFrame::Ack { ranges }, need))
         }
@@ -455,6 +461,27 @@ mod tests {
         );
         assert!(decode_datagram(&wire[..wire.len() - TAG_LEN - 10]).is_none());
         assert!(decode_datagram(&[0u8; 4]).is_none());
+    }
+
+    #[test]
+    fn inverted_ack_range_rejected() {
+        let wire = encode_datagram(
+            4,
+            &[QuicFrame::Ack {
+                ranges: vec![(0, 1), (9, 5)].into(),
+            }],
+            None,
+        );
+        assert!(decode_datagram(&wire).is_none());
+        // A single-number range (start == end) is well-formed.
+        let ok = encode_datagram(
+            4,
+            &[QuicFrame::Ack {
+                ranges: vec![(5, 5)].into(),
+            }],
+            None,
+        );
+        assert!(decode_datagram(&ok).is_some());
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! RFC 9002 (which only collapses on persistent congestion) chosen to
 //! mirror the TCP timeout dynamics the paper's attack exploits.
 
-use std::collections::BTreeMap;
+use std::collections::VecDeque;
 
 use h2priv_netsim::time::{SimDuration, SimTime};
 use h2priv_util::smallvec::SmallVec;
@@ -39,12 +39,20 @@ pub const MAX_PACKET_THRESHOLD: u64 = 256;
 pub const INIT_CWND: u64 = 12_000;
 /// Congestion-window floor (2 full datagrams).
 pub const MIN_CWND: u64 = 2_400;
+/// Declared-lost packet numbers this far below the largest acknowledged
+/// one are forgotten: the peer's capped ACK-range encoding never
+/// re-reports them, so they can no longer prove a loss spurious.
+const DECLARED_LOST_HORIZON: u64 = 4_096;
 
 /// A set of received/acknowledged packet numbers kept as disjoint
 /// inclusive ranges.
+///
+/// One sorted vector holds the ranges and is merged in place, so an
+/// insert allocates only when a new gap grows the vector.
 #[derive(Debug, Default, Clone)]
 pub struct AckRanges {
-    ranges: BTreeMap<u64, u64>, // start -> end, disjoint, non-adjacent
+    /// `(start, end)` pairs: ascending, disjoint and non-adjacent.
+    ranges: Vec<(u64, u64)>,
 }
 
 impl AckRanges {
@@ -63,48 +71,32 @@ impl AckRanges {
     /// every number in the range was already present.
     pub fn insert_range(&mut self, start: u64, end: u64) -> bool {
         debug_assert!(start <= end);
-        let mut new_start = start;
-        let mut new_end = end;
-        let fresh;
-        // Merge with any overlapping or adjacent existing ranges.
-        let low = new_start.saturating_sub(1);
-        let mut absorb = Vec::new();
-        for (&s, &e) in self.ranges.range(..=new_end.saturating_add(1)) {
-            if e >= low {
-                absorb.push((s, e));
-            }
+        // The ranges overlapping or adjacent to [start, end] are the run
+        // `lo..hi`: both ends of sorted disjoint ranges ascend.
+        let lo = self
+            .ranges
+            .partition_point(|&(_, e)| e < start.saturating_sub(1));
+        let hi = self
+            .ranges
+            .partition_point(|&(s, _)| s <= end.saturating_add(1));
+        if lo == hi {
+            self.ranges.insert(lo, (start, end));
+            return true;
         }
-        if absorb.is_empty() {
-            fresh = true;
-        } else {
-            // Fresh iff the existing ranges don't already cover every
-            // number in [start, end] (adjacent-only merges cover none).
-            let span = new_end - new_start + 1;
-            let mut overlap = 0u64;
-            for &(s, e) in &absorb {
-                let lo = s.max(new_start);
-                let hi = e.min(new_end);
-                if lo <= hi {
-                    overlap += hi - lo + 1;
-                }
-            }
-            fresh = overlap < span;
-            for (s, e) in absorb {
-                self.ranges.remove(&s);
-                new_start = new_start.min(s);
-                new_end = new_end.max(e);
-            }
-        }
-        self.ranges.insert(new_start, new_end);
+        // Nothing is new only when one range covers [start, end] (then
+        // no other range can touch it): two absorbed ranges leave a gap
+        // inside it, and a merely adjacent range covers none of it.
+        let (first_start, first_end) = self.ranges[lo];
+        let fresh = !(first_start <= start && first_end >= end);
+        self.ranges[lo] = (first_start.min(start), self.ranges[hi - 1].1.max(end));
+        self.ranges.drain(lo + 1..hi);
         fresh
     }
 
     /// `true` if `pn` is in the set.
     pub fn contains(&self, pn: u64) -> bool {
-        self.ranges
-            .range(..=pn)
-            .next_back()
-            .is_some_and(|(_, &e)| e >= pn)
+        let i = self.ranges.partition_point(|&(s, _)| s <= pn);
+        i > 0 && self.ranges[i - 1].1 >= pn
     }
 
     /// Number of disjoint ranges.
@@ -114,27 +106,16 @@ impl AckRanges {
 
     /// All ranges, ascending.
     pub fn iter(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.ranges.iter().map(|(&s, &e)| (s, e))
+        self.ranges.iter().copied()
     }
 
     /// Length of the contiguous run starting at 0 (0 when 0 is absent).
     /// Used for cumulative crypto-byte accounting.
     pub fn contiguous_from_zero(&self) -> u64 {
-        match self.ranges.first_key_value() {
-            Some((&0, &e)) => e + 1,
+        match self.ranges.first() {
+            Some(&(0, e)) => e + 1,
             _ => 0,
         }
-    }
-
-    /// The newest [`MAX_ACK_RANGES`] ranges, ascending — what goes on the
-    /// wire in an ACK frame.
-    pub fn encode_newest(&self) -> Vec<(u64, u64)> {
-        let skip = self.ranges.len().saturating_sub(MAX_ACK_RANGES);
-        self.ranges
-            .iter()
-            .skip(skip)
-            .map(|(&s, &e)| (s, e))
-            .collect()
     }
 
     /// Wire encoding that always reports the newest range and fills the
@@ -154,34 +135,27 @@ impl AckRanges {
             return self.iter().collect();
         }
         let older = n - 1;
-        let mut out = RangeVec::new();
         let mut picks: SmallVec<usize, MAX_ACK_RANGES> = (0..MAX_ACK_RANGES - 1)
             .map(|k| (*cursor + k) % older)
             .collect();
         *cursor = (*cursor + MAX_ACK_RANGES - 1) % older;
         picks.sort_unstable();
-        let mut it = self.ranges.iter();
-        let mut at = 0usize;
+        let mut out = RangeVec::new();
         let mut last = None;
         for &idx in picks.iter() {
-            if last == Some(idx) {
-                continue; // duplicate pick (sorted, so dups are adjacent)
+            if last != Some(idx) {
+                // Sorted, so duplicate picks are adjacent.
+                out.push(self.ranges[idx]);
+                last = Some(idx);
             }
-            last = Some(idx);
-            if let Some((&s, &e)) = it.nth(idx - at) {
-                out.push((s, e));
-            }
-            at = idx + 1;
         }
-        if let Some((&s, &e)) = self.ranges.iter().next_back() {
-            out.push((s, e));
-        }
+        out.push(self.ranges[older]);
         out
     }
 }
 
 /// What a sent packet carried, for retransmission on loss.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SentFrame {
     /// Stream data `[offset, offset+len)` on stream `id`.
     Stream {
@@ -232,7 +206,14 @@ pub struct AckOutcome {
 /// Sender-side loss recovery and congestion state.
 #[derive(Debug)]
 pub struct Recovery {
-    sent: BTreeMap<u64, SentPacket>,
+    /// In-flight ack-eliciting packets: slot `i` holds packet number
+    /// `sent_base + i`. Numbers are dense and increasing, so a deque
+    /// indexes them directly; ACK-only numbers and packets already acked
+    /// or declared lost are `None` holes. The front slot is never a hole
+    /// (holes there are popped), so the deque is empty exactly when
+    /// nothing is in flight.
+    sent: VecDeque<Option<SentPacket>>,
+    sent_base: u64,
     next_pn: u64,
     largest_acked: Option<u64>,
     bytes_in_flight: u64,
@@ -246,17 +227,19 @@ pub struct Recovery {
     recovery_start_pn: Option<u64>,
     pto_count: u32,
     packet_threshold: u64,
-    declared_lost: std::collections::BTreeSet<u64>,
-    /// Reusable packet-number buffer for `on_ack`'s collect-then-mutate
-    /// passes, so steady-state ACK processing stays allocation-free.
-    pn_scratch: Vec<u64>,
+    /// Packet numbers declared lost and not since acknowledged,
+    /// ascending. A packet is declared lost only while it is the oldest
+    /// in flight, so every number here is below every in-flight one and
+    /// new numbers append at the end.
+    declared_lost: Vec<u64>,
 }
 
 impl Recovery {
     /// New recovery state with the given RTT seed and peer ack delay.
     pub fn new(initial_rtt: SimDuration, max_ack_delay: SimDuration) -> Self {
         Self {
-            sent: BTreeMap::new(),
+            sent: VecDeque::new(),
+            sent_base: 0,
             next_pn: 0,
             largest_acked: None,
             bytes_in_flight: 0,
@@ -270,8 +253,7 @@ impl Recovery {
             recovery_start_pn: None,
             pto_count: 0,
             packet_threshold: PACKET_THRESHOLD,
-            declared_lost: std::collections::BTreeSet::new(),
-            pn_scratch: Vec::new(),
+            declared_lost: Vec::new(),
         }
     }
 
@@ -293,15 +275,18 @@ impl Recovery {
         if ack_eliciting {
             self.bytes_in_flight += size;
             self.last_eliciting_sent = Some(now);
-            self.sent.insert(
-                pn,
-                SentPacket {
-                    sent_at: now,
-                    size,
-                    ack_eliciting,
-                    frames,
-                },
-            );
+            if self.sent.is_empty() {
+                self.sent_base = pn;
+            }
+            // Holes for the ACK-only numbers sent since the last packet.
+            let slot = (pn - self.sent_base) as usize;
+            self.sent.resize_with(slot, || None);
+            self.sent.push_back(Some(SentPacket {
+                sent_at: now,
+                size,
+                ack_eliciting,
+                frames,
+            }));
         }
         pn
     }
@@ -314,6 +299,12 @@ impl Recovery {
     /// Current congestion window (bytes).
     pub fn cwnd(&self) -> u64 {
         self.cwnd
+    }
+
+    /// Current slow-start threshold (bytes; `u64::MAX` before the first
+    /// congestion event).
+    pub fn ssthresh(&self) -> u64 {
+        self.ssthresh
     }
 
     /// Smoothed RTT, if a sample exists.
@@ -336,6 +327,25 @@ impl Recovery {
         self.packet_threshold
     }
 
+    /// The `sent` slots holding packet numbers `[start, end]` (empty
+    /// when the range misses the deque or is inverted).
+    fn slots(&self, start: u64, end: u64) -> std::ops::Range<usize> {
+        let len = self.sent.len() as u64;
+        let lo = start.saturating_sub(self.sent_base).min(len);
+        let hi = end
+            .checked_sub(self.sent_base)
+            .map_or(0, |e| e.saturating_add(1).min(len));
+        lo as usize..hi.max(lo) as usize
+    }
+
+    /// Pops the holes at the front, restoring the deque's invariant.
+    fn trim_front(&mut self) {
+        while self.sent.front().is_some_and(Option::is_none) {
+            self.sent.pop_front();
+            self.sent_base += 1;
+        }
+    }
+
     /// Processes ACK ranges from the peer; returns lost frames to requeue.
     pub fn on_ack(&mut self, now: SimTime, ranges: &[(u64, u64)]) -> AckOutcome {
         let mut out = AckOutcome::default();
@@ -351,13 +361,16 @@ impl Recovery {
         // while small ACK-only datagrams keep round-tripping promptly —
         // otherwise the PTO clock runs at the unpaced path's speed and
         // spuriously probes everything the pacer is still holding.
-        let sample_pn = ranges
+        let sample = ranges
             .iter()
-            .filter_map(|&(start, end)| self.sent.range(start..=end).next_back().map(|(&pn, _)| pn))
+            .filter_map(|&(start, end)| {
+                self.slots(start, end)
+                    .rev()
+                    .find(|&i| self.sent[i].is_some())
+            })
             .max();
-        if let Some(pn) = sample_pn {
-            let rtt = now.saturating_since(self.sent[&pn].sent_at);
-            self.update_rtt(rtt);
+        if let Some(sent_at) = sample.and_then(|i| self.sent[i].as_ref().map(|p| p.sent_at)) {
+            self.update_rtt(now.saturating_since(sent_at));
         }
         if self.largest_acked.is_none_or(|la| largest > la) {
             self.largest_acked = Some(largest);
@@ -366,27 +379,23 @@ impl Recovery {
         // Spurious-retransmission detection: an ack for a packet we already
         // declared lost proves the path reordered (not dropped) it, so the
         // reordering threshold was too tight. Raise it to the observed
-        // reordering distance, bounded above.
+        // reordering distance, bounded above; the oldest such packet in a
+        // range is the farthest reordered.
         let mut observed = self.packet_threshold;
         for &(start, end) in ranges {
-            self.pn_scratch.clear();
-            self.pn_scratch
-                .extend(self.declared_lost.range(start..=end).copied());
-            for i in 0..self.pn_scratch.len() {
-                let pn = self.pn_scratch[i];
-                self.declared_lost.remove(&pn);
-                observed = observed.max((largest_acked - pn) + 1);
+            let lo = self.declared_lost.partition_point(|&pn| pn < start);
+            let hi = self.declared_lost.partition_point(|&pn| pn <= end);
+            if lo < hi {
+                observed = observed.max((largest_acked - self.declared_lost[lo]).saturating_add(1));
+                self.declared_lost.drain(lo..hi);
             }
         }
         self.packet_threshold = observed.min(MAX_PACKET_THRESHOLD);
-        // Remove acked packets and credit the congestion window.
+        // Remove acked packets and credit the congestion window, in the
+        // order the ranges list them.
         for &(start, end) in ranges {
-            self.pn_scratch.clear();
-            self.pn_scratch
-                .extend(self.sent.range(start..=end).map(|(&pn, _)| pn));
-            for i in 0..self.pn_scratch.len() {
-                let pn = self.pn_scratch[i];
-                if let Some(pkt) = self.sent.remove(&pn) {
+            for i in self.slots(start, end) {
+                if let Some(pkt) = self.sent[i].take() {
                     out.newly_acked = true;
                     self.bytes_in_flight = self.bytes_in_flight.saturating_sub(pkt.size);
                     if self.cwnd < self.ssthresh {
@@ -404,16 +413,14 @@ impl Recovery {
         // (adaptive) threshold below the largest acked packet is lost.
         if largest_acked >= self.packet_threshold {
             let lost_below = largest_acked - self.packet_threshold;
-            self.pn_scratch.clear();
-            self.pn_scratch
-                .extend(self.sent.range(..=lost_below).map(|(&pn, _)| pn));
             let mut loss_event_pn = None;
-            for i in 0..self.pn_scratch.len() {
-                let pn = self.pn_scratch[i];
-                if let Some(pkt) = self.sent.remove(&pn) {
+            for i in self.slots(0, lost_below) {
+                if let Some(pkt) = self.sent[i].take() {
+                    let pn = self.sent_base + i as u64;
                     self.bytes_in_flight = self.bytes_in_flight.saturating_sub(pkt.size);
                     out.lost.extend(pkt.frames);
-                    self.declared_lost.insert(pn);
+                    debug_assert!(self.declared_lost.last().is_none_or(|&l| l < pn));
+                    self.declared_lost.push(pn);
                     loss_event_pn = Some(pn);
                 }
             }
@@ -421,18 +428,10 @@ impl Recovery {
                 self.on_loss_event(pn);
             }
         }
-        // Bound the spurious-detection memory: packets this far below the
-        // ack horizon will never be re-reported by the peer's capped
-        // ACK-range encoding, so forgetting them is safe and keeps the set
-        // from growing over a long connection.
-        let floor = largest_acked.saturating_sub(4_096);
-        if self
-            .declared_lost
-            .first()
-            .is_some_and(|&oldest| oldest < floor)
-        {
-            self.declared_lost = self.declared_lost.split_off(&floor);
-        }
+        self.trim_front();
+        let floor = largest_acked.saturating_sub(DECLARED_LOST_HORIZON);
+        let stale = self.declared_lost.partition_point(|&pn| pn < floor);
+        self.declared_lost.drain(..stale);
         out
     }
 
@@ -467,10 +466,13 @@ impl Recovery {
     /// and the window collapses to its floor (see module docs).
     /// Returns the frames to retransmit, or `None` if nothing is in flight.
     pub fn on_pto(&mut self) -> Option<SentVec> {
-        let (&pn, _) = self.sent.first_key_value()?;
-        let pkt = self.sent.remove(&pn)?;
+        let pkt = self.sent.pop_front()?.expect("front slot is occupied");
+        let pn = self.sent_base;
+        self.sent_base += 1;
+        self.trim_front();
         self.bytes_in_flight = self.bytes_in_flight.saturating_sub(pkt.size);
-        self.declared_lost.insert(pn);
+        debug_assert!(self.declared_lost.last().is_none_or(|&l| l < pn));
+        self.declared_lost.push(pn);
         self.pto_count += 1;
         self.ssthresh = (self.cwnd / 2).max(MIN_CWND);
         self.cwnd = MIN_CWND;
@@ -528,12 +530,12 @@ mod tests {
     }
 
     #[test]
-    fn encode_newest_caps_ranges() {
+    fn encode_rotating_caps_ranges() {
         let mut r = AckRanges::new();
         for i in 0..20u64 {
             r.insert(i * 2); // 20 disjoint ranges
         }
-        let enc = r.encode_newest();
+        let enc = r.encode_rotating(&mut 0);
         assert_eq!(enc.len(), MAX_ACK_RANGES);
         assert_eq!(enc.last(), Some(&(38, 38)));
         // The cap keeps ACK-only datagrams below the adversary's pacing

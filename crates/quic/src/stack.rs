@@ -7,7 +7,6 @@ use h2priv_netsim::node::Ctx;
 use h2priv_netsim::packet::Packet;
 use h2priv_netsim::time::SimTime;
 use h2priv_tls::WireMap;
-use h2priv_util::bytes::Bytes;
 
 use crate::conn::{QuicConnection, QuicEvent};
 
@@ -123,10 +122,5 @@ impl QuicStack {
     /// Ground truth for everything this endpoint sent.
     pub fn wire_map(&self) -> &WireMap {
         self.quic.wire_map()
-    }
-
-    /// Synthetic body bytes of the given length (zero-filled).
-    pub fn opaque(len: usize) -> Bytes {
-        Bytes::from(vec![0u8; len])
     }
 }

@@ -102,6 +102,17 @@ impl SendStream {
         !self.reset && !self.retransmit.is_empty()
     }
 
+    /// Whether the stream holds anything it could still put on the wire:
+    /// a lost frame, or queued bytes or FIN not yet sent. When `false`,
+    /// both [`SendStream::has_retransmit`] and
+    /// [`SendStream::has_sendable`] are `false` at any credit until the
+    /// next [`SendStream::push`] or [`SendStream::on_frame_lost`].
+    pub fn has_pending(&self) -> bool {
+        !self.reset
+            && (!self.retransmit.is_empty()
+                || (!self.fin_sent && (self.next_offset < self.total_len || self.fin_queued)))
+    }
+
     /// Whether [`SendStream::next_chunk`] would yield a frame given
     /// `conn_credit` bytes of connection-level credit for new data.
     pub fn has_sendable(&self, conn_credit: u64) -> bool {
@@ -228,13 +239,6 @@ impl SendStream {
             let hi = end.min(seg_end);
             runs.push((lo, (hi - lo) as u32, *tag));
         }
-    }
-
-    /// Splits `[offset, offset + len)` into per-tag runs for the wire map.
-    pub fn tag_runs(&self, offset: u64, len: u32) -> Vec<(u64, u32, RecordTag)> {
-        let mut runs = Vec::new();
-        self.tag_runs_into(offset, len, &mut runs);
-        runs
     }
 }
 
@@ -454,7 +458,8 @@ mod tests {
         };
         s.push(Bytes::from(vec![0u8; 40]), false, t1);
         s.push(Bytes::from(vec![0u8; 100]), false, t2);
-        let runs = s.tag_runs(20, 80);
+        let mut runs = Vec::new();
+        s.tag_runs_into(20, 80, &mut runs);
         assert_eq!(runs, vec![(20, 20, t1), (40, 60, t2)]);
     }
 

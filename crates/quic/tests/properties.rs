@@ -86,12 +86,25 @@ fn ack_ranges_match_sorted_set_model() {
             _ => 0,
         };
         prop_assert_eq!(ranges.contiguous_from_zero(), from_zero);
-        let newest: Vec<(u64, u64)> = runs
-            .iter()
-            .skip(runs.len().saturating_sub(MAX_ACK_RANGES))
-            .copied()
-            .collect();
-        prop_assert_eq!(ranges.encode_newest(), newest);
+        // The wire encoding: the newest run plus older runs picked
+        // round-robin from the cursor, or every run when few enough.
+        let cursor = g.usize(0, 1_000);
+        let wire: Vec<(u64, u64)> = if runs.len() <= MAX_ACK_RANGES {
+            runs.clone()
+        } else {
+            let older = runs.len() - 1;
+            let mut picks: Vec<usize> = (0..MAX_ACK_RANGES - 1)
+                .map(|k| (cursor + k) % older)
+                .collect();
+            picks.sort_unstable();
+            picks.dedup();
+            picks
+                .iter()
+                .map(|&i| runs[i])
+                .chain([runs[older]])
+                .collect()
+        };
+        prop_assert_eq!(ranges.encode_rotating(&mut cursor.clone()).to_vec(), wire);
     });
 }
 

@@ -42,13 +42,15 @@ echo "== allocation-regression pins (counting allocator, exact per-trial counts)
 # live in crates/core/tests/alloc_regression.rs.
 cargo test -q --offline --release -p h2priv-core --test alloc_regression
 
-echo "== repobench: its own tests, then a short pinned-digest run of each in-process workload"
+echo "== repobench: its own tests, then a short pinned-digest run of each workload"
 # The benchmark is a package outside the workspace that drives the
 # public API (it builds `IsideWithTrial` by struct literal, for one), so
 # nothing above compiles it. Each run exits 1 when any trial's digest
-# differs from its pinned reference.
+# differs from its pinned reference. `defense_campaign` runs at least one
+# killed-and-resumed 500-cell campaign, checking every journal line —
+# the QUIC padding and split cells among them — against its digest.
 cargo test -q --offline --manifest-path repobench/Cargo.toml
-for w in table2_h2 transfer_h3; do
+for w in table2_h2 transfer_h3 defense_campaign; do
     if ! cargo run --release --offline --quiet --manifest-path repobench/Cargo.toml -- \
         --workload "$w" --seconds 2 >"/tmp/h2priv_repobench_$w.txt" 2>&1; then
         cat "/tmp/h2priv_repobench_$w.txt" >&2
