@@ -8,7 +8,6 @@ pub mod obs;
 pub mod oplog;
 pub mod out;
 pub mod shard;
-pub mod timing;
 
 /// Prints an operator-facing info line through the leveled sink
 /// ([`oplog`]); suppressed by `--quiet`.
@@ -171,12 +170,6 @@ pub fn flag_u64(name: &str, default: u64) -> u64 {
             std::process::exit(2);
         }),
     }
-}
-
-/// Parses the first CLI argument as a trial count, with a default.
-/// Non-numeric input prints usage and exits with status 2.
-pub fn trials_arg(default: usize) -> usize {
-    count_arg(1, "trials", default as u64, &format!("[trials={default}]")) as usize
 }
 
 /// The positional CLI argument at `position` (1-based argv index), with

@@ -80,22 +80,3 @@ pub fn write_result_file(path: &str, contents: &str) {
         std::process::exit(OUTPUT_ERROR_EXIT);
     }
 }
-
-/// Appends `line` plus a newline to `path`, creating the file if absent;
-/// exits nonzero with a diagnostic on failure. Used for append-only
-/// history logs (e.g. `BENCH_history.jsonl`) that accumulate one record
-/// per run across commits.
-pub fn append_result_line(path: &str, line: &str) {
-    let write = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(path)
-        .and_then(|mut f| {
-            f.write_all(line.as_bytes())
-                .and_then(|()| f.write_all(b"\n"))
-        });
-    if let Err(e) = write {
-        let _ = writeln!(io::stderr(), "error: appending to {path}: {e}");
-        std::process::exit(OUTPUT_ERROR_EXIT);
-    }
-}

@@ -185,7 +185,7 @@ pub struct TrialResult {
     /// How the trial terminated.
     pub outcome: TrialOutcome,
     /// Total discrete events the simulator dispatched for this trial
-    /// (the denominator behind `perfbench`'s events/sec).
+    /// (what repobench's `sim.events` and `sim.events_per_s` count).
     pub sim_events: u64,
     /// Virtual time when the simulation stopped.
     pub ended_at: SimTime,

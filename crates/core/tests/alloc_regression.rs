@@ -40,79 +40,56 @@ fn steady_state_allocs(mut f: impl FnMut()) -> (u64, u64) {
 /// decodes on the client response path), so each scenario pins both
 /// profiles.
 #[cfg(debug_assertions)]
-const H2_BASELINE_PIN: u64 = 1_655;
+const H2_BASELINE_PIN: u64 = 1_661;
 #[cfg(not(debug_assertions))]
-const H2_BASELINE_PIN: u64 = 913;
+const H2_BASELINE_PIN: u64 = 919;
 
 #[cfg(debug_assertions)]
-const H2_BASELINE_BYTES_PIN: u64 = 1_978_846;
+const H2_BASELINE_BYTES_PIN: u64 = 1_979_470;
 #[cfg(not(debug_assertions))]
-const H2_BASELINE_BYTES_PIN: u64 = 1_943_021;
+const H2_BASELINE_BYTES_PIN: u64 = 1_943_645;
 
 #[cfg(debug_assertions)]
-const H2_FULL_ATTACK_PIN: u64 = 2_086;
+const H2_FULL_ATTACK_PIN: u64 = 2_093;
 #[cfg(not(debug_assertions))]
-const H2_FULL_ATTACK_PIN: u64 = 1_064;
+const H2_FULL_ATTACK_PIN: u64 = 1_071;
 
 #[cfg(debug_assertions)]
-const H2_FULL_ATTACK_BYTES_PIN: u64 = 2_711_445;
+const H2_FULL_ATTACK_BYTES_PIN: u64 = 2_713_093;
 #[cfg(not(debug_assertions))]
-const H2_FULL_ATTACK_BYTES_PIN: u64 = 2_662_116;
+const H2_FULL_ATTACK_BYTES_PIN: u64 = 2_663_764;
 
 #[cfg(debug_assertions)]
-const H3_FULL_ATTACK_PIN: u64 = 2_152;
+const H3_FULL_ATTACK_PIN: u64 = 2_156;
 #[cfg(not(debug_assertions))]
-const H3_FULL_ATTACK_PIN: u64 = 2_068;
+const H3_FULL_ATTACK_PIN: u64 = 2_072;
 
 #[cfg(debug_assertions)]
-const H3_FULL_ATTACK_BYTES_PIN: u64 = 1_966_010;
+const H3_FULL_ATTACK_BYTES_PIN: u64 = 1_958_186;
 #[cfg(not(debug_assertions))]
-const H3_FULL_ATTACK_BYTES_PIN: u64 = 1_961_940;
+const H3_FULL_ATTACK_BYTES_PIN: u64 = 1_954_116;
 
 #[cfg(debug_assertions)]
 const TABLE2_OUTCOME_CALLS_PIN: u64 = 44;
 #[cfg(not(debug_assertions))]
 const TABLE2_OUTCOME_CALLS_PIN: u64 = 44;
 
-/// Exact pins hold for the default timer-wheel scheduler. The
-/// `reference-queue` oracle build allocates a handful more (BinaryHeap
-/// growth, cancel tombstones), and the oracle suite only promises
-/// byte-identical *results*, not identical allocator traffic — so under
-/// that feature the pin relaxes to a ceiling that still catches a
-/// per-chunk allocation sneaking back in.
+/// Every pin is exact: a drift in either direction fails.
 fn assert_pinned(scenario: &str, allocs: u64, pin: u64) {
-    if h2priv_netsim::REFERENCE_QUEUE {
-        assert!(
-            allocs <= pin + 256,
-            "{scenario} steady-state allocations under the reference queue grew \
-             past the slack band: {allocs} (wheel pin {pin})"
-        );
-    } else {
-        assert_eq!(
-            allocs, pin,
-            "{scenario} steady-state allocations changed: {allocs} (pinned {pin}); \
-             see the module docs before re-baselining"
-        );
-    }
+    assert_eq!(
+        allocs, pin,
+        "{scenario} steady-state allocations changed: {allocs} (pinned {pin}); \
+         see the module docs before re-baselining"
+    );
 }
 
-/// [`assert_pinned`] for bytes requested. The reference queue's growth
-/// adds a few KiB; its 64 KiB slack is still far under the megabytes a
-/// per-chunk copy adds to an H2 trial.
+/// [`assert_pinned`] for bytes requested.
 fn assert_bytes_pinned(scenario: &str, bytes: u64, pin: u64) {
-    if h2priv_netsim::REFERENCE_QUEUE {
-        assert!(
-            bytes <= pin + 65_536,
-            "{scenario} steady-state bytes allocated under the reference queue grew \
-             past the slack band: {bytes} (wheel pin {pin})"
-        );
-    } else {
-        assert_eq!(
-            bytes, pin,
-            "{scenario} steady-state bytes allocated changed: {bytes} (pinned {pin}); \
-             see the module docs before re-baselining"
-        );
-    }
+    assert_eq!(
+        bytes, pin,
+        "{scenario} steady-state bytes allocated changed: {bytes} (pinned {pin}); \
+         see the module docs before re-baselining"
+    );
 }
 
 #[test]

@@ -87,12 +87,12 @@ fn pinned_robustness_sweep_seeds_are_stable() {
     assert_eq!(impaired.retries_used, 1);
 }
 
-/// Pins the exact total event count of every perfbench scenario over the
-/// same 100 seeds (`91_000..91_100`) the committed `BENCH_simperf.json`
-/// baseline reports. The event-core overhaul (timer-wheel scheduler,
-/// slab events) is required to be a drop-in replacement: any change to
-/// event push order, timer semantics, or the shared world-RNG interleave
-/// shifts these totals long before a figure or golden fixture notices.
+/// Pins the exact total event count of the three allocation-pinned
+/// scenarios (`h2_baseline`, `h2_full_attack`, `h3_full_attack`) over
+/// the 100 seeds `91_000..91_100`. Any change to event push order, the
+/// `(time, seq)` tie-break, timer semantics, or the shared world-RNG
+/// interleave shifts these totals long before a figure or golden fixture
+/// notices.
 #[test]
 fn pinned_perfbench_scenario_event_totals_are_stable() {
     let totals = |run: &dyn Fn(u64) -> u64| (91_000u64..91_100).map(run).sum::<u64>();

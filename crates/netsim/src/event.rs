@@ -5,22 +5,15 @@
 //! dispatched in the order they were scheduled. This tie-break makes the
 //! whole simulation deterministic.
 //!
-//! The queue is backed by the hierarchical timer wheel in [`crate::queue`];
-//! building with the `reference-queue` cargo feature swaps in the
-//! `BinaryHeap`-backed reference implementation instead, which is how the
-//! verify gate proves both schedulers produce byte-identical results.
+//! The queue is the `BinaryHeap`-backed [`EventHeap`] of [`crate::queue`];
+//! a cancelled timer leaves a tombstone there that `pop` skips.
 
 use crate::faults;
 use crate::link::LinkId;
 use crate::node::{NodeId, TimerId};
 use crate::packet::Packet;
-use crate::queue::{Handle, Queue};
+use crate::queue::{EventHeap, Handle};
 use crate::time::SimTime;
-
-#[cfg(not(feature = "reference-queue"))]
-type Inner = crate::queue::TimerWheel<EventKind>;
-#[cfg(feature = "reference-queue")]
-type Inner = crate::queue::ReferenceQueue<EventKind>;
 
 /// What happens when an event fires.
 #[derive(Debug)]
@@ -52,7 +45,7 @@ pub(crate) struct ScheduledEvent {
 /// A min-ordered queue of scheduled events.
 #[derive(Default)]
 pub(crate) struct EventQueue {
-    inner: Inner,
+    inner: EventHeap<EventKind>,
 }
 
 impl EventQueue {
@@ -60,7 +53,7 @@ impl EventQueue {
     /// the steady-state event population never reallocates mid-run.
     pub fn with_capacity(cap: usize) -> EventQueue {
         EventQueue {
-            inner: Inner::with_capacity(cap),
+            inner: EventHeap::with_capacity(cap),
         }
     }
 
@@ -105,8 +98,7 @@ impl EventQueue {
         self.inner.len()
     }
 
-    /// Number of cancelled events still occupying queue storage (always 0
-    /// for the timer wheel; the reference queue counts heap tombstones).
+    /// Number of cancelled events whose tombstones are still in the heap.
     pub fn dead(&self) -> usize {
         self.inner.dead()
     }

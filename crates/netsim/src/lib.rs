@@ -15,12 +15,11 @@
 //! * **Virtual time.** [`time::SimTime`] is a nanosecond counter; nothing in
 //!   the simulation reads the wall clock, so every run is exactly
 //!   reproducible from its RNG seed.
-//! * **Event queue.** A hierarchical timer wheel ([`queue`]) of scheduled
-//!   events ordered by `(time, sequence)`; ties are broken by insertion
-//!   order so iteration is deterministic. Events are slab-allocated with
-//!   generation-tagged handles, so timer cancellation is an O(1) unlink.
-//!   A `BinaryHeap`-backed reference queue (cargo feature
-//!   `reference-queue`) serves as the differential oracle.
+//! * **Event queue.** A `BinaryHeap` ([`queue`]) of scheduled events
+//!   ordered by `(time, sequence)`; ties are broken by insertion order so
+//!   iteration is deterministic. Payloads are slab-allocated with
+//!   generation-tagged handles, so cancelling a timer is O(1); its heap
+//!   key stays behind as a tombstone that `pop` skips.
 //! * **Nodes and links.** [`node::Node`]s exchange [`packet::Packet`]s over
 //!   unidirectional [`link::Link`]s that model serialization delay
 //!   (bandwidth), propagation delay, a drop-tail queue, and random loss.
@@ -74,13 +73,6 @@ pub mod stats;
 pub mod time;
 pub mod topology;
 pub mod units;
-
-/// True when the `reference-queue` cargo feature swapped the timer wheel
-/// for the `BinaryHeap` oracle scheduler. Results are byte-identical
-/// either way, but incidental observables that the oracle suite does not
-/// pin — exact allocation counts, chiefly — differ between the two
-/// queues, and tests that assert them consult this to relax.
-pub const REFERENCE_QUEUE: bool = cfg!(feature = "reference-queue");
 
 /// Convenient glob-import of the most commonly used simulator types.
 pub mod prelude {

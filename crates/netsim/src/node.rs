@@ -36,9 +36,9 @@ impl fmt::Display for NodeId {
 /// back to [`Node::on_timer`] when it fires.
 ///
 /// Internally this is a generation-tagged slab handle into the event
-/// queue, which is what makes [`Ctx::cancel`] an O(1) removal instead of
-/// a tombstone: a stale id (already fired or already cancelled) simply
-/// fails the generation check.
+/// queue, which is what makes [`Ctx::cancel`] O(1): it leaves a tombstone
+/// that `pop` skips, so every timer that surfaces is live, and a stale id
+/// (already fired or already cancelled) simply fails the generation check.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TimerId(pub(crate) u64);
 
@@ -115,9 +115,8 @@ impl<'a> Ctx<'a> {
         self.world.queue.push_timer(at, self.node)
     }
 
-    /// Cancels a previously scheduled timer, removing its event from the
-    /// queue in O(1). Cancelling an already-fired or unknown timer is a
-    /// no-op.
+    /// Cancels a previously scheduled timer in O(1); it never fires.
+    /// Cancelling an already-fired or unknown timer is a no-op.
     pub fn cancel(&mut self, timer: TimerId) {
         self.world.queue.cancel(timer);
     }

@@ -1,65 +1,28 @@
-//! The event-core scheduling structures: a hierarchical timer wheel and a
-//! `BinaryHeap`-backed reference queue, both driven through the [`Queue`]
-//! trait.
+//! The simulator's scheduler: [`EventHeap`], a `BinaryHeap` of
+//! `(time, seq)` keys over a slab of payloads.
 //!
 //! ## Ordering invariant
 //!
-//! Both implementations pop events in strict `(time, seq)` order, where
-//! `seq` is a monotone counter assigned at push time. Ties in `time` are
-//! therefore broken by insertion order, which is what makes the whole
-//! simulation deterministic. The differential suite in
-//! `tests/queue_differential.rs` drives both implementations over
-//! randomized schedule/cancel/pop workloads and asserts identical pop
-//! sequences; `scripts/verify.sh` additionally re-runs the end-to-end
-//! seed-stability tests with the reference queue swapped in (cargo feature
-//! `reference-queue`) to prove results are byte-identical either way.
+//! Events pop in strict `(time, seq)` order, where `seq` is a monotone
+//! counter assigned at push time. Ties in `time` are therefore broken by
+//! insertion order, which is what makes the whole simulation
+//! deterministic. `tests/queue_differential.rs` drives the heap against a
+//! brute-force model over randomized schedule/cancel/pop workloads and
+//! asserts identical pops, peeks, lengths and cancel results.
 //!
-//! ## Wheel layout
+//! ## Cancellation
 //!
-//! The virtual clock is quantized into ticks of 2^12 ns (~4.1 µs). The
-//! wheel has 6 levels of 64 slots; level `l` spans 64^(l+1) ticks, so the
-//! whole wheel covers 2^36 ticks ≈ 78 virtual hours. Events beyond the
-//! horizon sit in an overflow list until the cursor gets close enough.
-//! Each level keeps a 64-bit occupancy bitmap, so finding the next
-//! non-empty slot is a rotate + trailing-zeros. Events within one tick of
-//! "now" live in a sorted ready buffer that preserves the exact
-//! `(time, seq)` order; draining a level-0 slot moves its (unordered)
-//! intrusive list into that buffer and sorts it. Higher-level slots
-//! cascade down as the cursor crosses their start tick.
-//!
-//! Events are slab-allocated: [`Handle`] packs a slab index and a
-//! generation tag, so cancelling is an O(1) unlink from the slot's
-//! doubly-linked list (no tombstones left behind) and stale handles are
-//! rejected by the generation check.
+//! Payloads are slab-allocated: [`Handle`] packs a slab index and a
+//! generation tag. Cancelling takes the payload out of the slab and
+//! advances the generation at once, so a stale handle fails the
+//! generation check; the heap key stays behind as a tombstone until it
+//! reaches the top, where [`EventHeap::pop`] and [`EventHeap::peek_time`]
+//! drop it. Tombstones are therefore bounded by the cancelled events
+//! whose deadlines are still ahead of the earliest live one.
 
 use crate::time::SimTime;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-
-/// Sentinel for "no entry" in the intrusive lists.
-const NIL: u32 = u32::MAX;
-/// Bucket marker: the entry is on the free list.
-const FREE_MARK: u32 = u32::MAX;
-/// Bucket marker: the entry sits in the sorted ready buffer.
-const READY_MARK: u32 = u32::MAX - 1;
-/// Bucket marker: the entry sits in the overflow list.
-const OVERFLOW_MARK: u32 = u32::MAX - 2;
-
-/// log2 of the number of slots per wheel level.
-const LEVEL_BITS: u32 = 6;
-/// Slots per wheel level.
-const SLOTS: usize = 1 << LEVEL_BITS;
-/// Number of wheel levels.
-const LEVELS: usize = 6;
-/// log2 of the tick size in nanoseconds (2^12 ns ≈ 4.1 µs).
-const TICK_SHIFT: u32 = 12;
-/// Wheel horizon in ticks: events at `now + SPAN_TICKS` or later overflow.
-const SPAN_TICKS: u64 = 1 << (LEVEL_BITS * LEVELS as u32);
-
-#[inline]
-fn tick_of(time: SimTime) -> u64 {
-    time.as_nanos() >> TICK_SHIFT
-}
 
 /// A generation-tagged reference to a scheduled event.
 ///
@@ -98,7 +61,7 @@ impl Handle {
     }
 }
 
-/// An event removed from a queue by [`Queue::pop`].
+/// An event removed from the queue by [`EventHeap::pop`].
 #[derive(Debug)]
 pub struct Popped<T> {
     /// The absolute time the event was scheduled for.
@@ -111,523 +74,60 @@ pub struct Popped<T> {
     pub payload: T,
 }
 
-/// The scheduling interface shared by [`TimerWheel`] and
-/// [`ReferenceQueue`], so the simulator and the differential oracle can
-/// drive either implementation.
-pub trait Queue<T> {
-    /// A queue preallocated for roughly `cap` concurrently pending events.
-    fn with_capacity(cap: usize) -> Self
-    where
-        Self: Sized;
-
-    /// Schedules the payload produced by `make` at absolute time `time`.
-    /// `make` receives the handle the event will be scheduled under, which
-    /// lets a payload embed its own handle (used for timer ids).
-    fn push_with(&mut self, time: SimTime, make: impl FnOnce(Handle) -> T) -> Handle;
-
-    /// Schedules `payload` at absolute time `time`.
-    fn push(&mut self, time: SimTime, payload: T) -> Handle
-    where
-        Self: Sized,
-    {
-        self.push_with(time, |_| payload)
-    }
-
-    /// Removes and returns the earliest event in `(time, seq)` order.
-    fn pop(&mut self) -> Option<Popped<T>>;
-
-    /// Cancels a pending event, returning its payload. Stale handles
-    /// (already fired, already cancelled, or never issued) return `None`.
-    fn cancel(&mut self, handle: Handle) -> Option<T>;
-
-    /// The time of the earliest pending event. Takes `&mut self` because
-    /// implementations may advance internal cursors to find it.
-    fn peek_time(&mut self) -> Option<SimTime>;
-
-    /// Number of live (pending, not cancelled) events.
-    fn len(&self) -> usize;
-
-    /// `true` if no live events are pending.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Number of dead entries still occupying internal storage. The wheel
-    /// cancels eagerly and always reports 0; the reference queue leaves a
-    /// tombstone per cancel until its heap entry surfaces.
-    fn dead(&self) -> usize;
-}
-
-// ---------------------------------------------------------------------------
-// Timer wheel
-// ---------------------------------------------------------------------------
-
-#[derive(Debug)]
-struct WheelEntry<T> {
-    generation: u32,
-    /// Where the entry currently lives: a `level * SLOTS + slot` bucket,
-    /// or one of the `*_MARK` sentinels.
-    bucket: u32,
-    prev: u32,
-    next: u32,
-    time: SimTime,
-    seq: u64,
-    payload: Option<T>,
-}
-
-#[derive(Debug, Clone, Copy)]
-struct ReadySlot {
-    time: SimTime,
-    seq: u64,
-    idx: u32,
-}
-
-/// The hierarchical timer wheel backing the simulator's event queue.
-///
-/// See the module docs for the layout and the ordering invariant.
-#[derive(Debug)]
-pub struct TimerWheel<T> {
-    entries: Vec<WheelEntry<T>>,
-    free_head: u32,
-    live: usize,
-    next_seq: u64,
-    /// Wheel cursor: the tick of the most recently drained slot. Entries
-    /// at or before this tick go straight to the ready buffer.
-    now_tick: u64,
-    occupied: [u64; LEVELS],
-    buckets: [u32; LEVELS * SLOTS],
-    overflow_head: u32,
-    /// Current-tick events sorted by `(time, seq)`; `ready_head` indexes
-    /// the next unconsumed element.
-    ready: Vec<ReadySlot>,
-    ready_head: usize,
-    /// Lower bound on the earliest start tick of anything filed in the
-    /// wheel levels or the overflow list (`u64::MAX` when both are known
-    /// empty). Lets [`TimerWheel::prepare`] skip the level scan when the
-    /// ready front is already provably the global minimum — the common
-    /// case, since `run_until` peeks and then pops every event. A bound
-    /// left stale-low by a cancel only costs one redundant scan; every
-    /// full scan re-tightens it exactly.
-    pending_bound: u64,
-}
-
-impl<T> Default for TimerWheel<T> {
-    fn default() -> TimerWheel<T> {
-        <TimerWheel<T> as Queue<T>>::with_capacity(0)
-    }
-}
-
-impl<T> TimerWheel<T> {
-    fn alloc(&mut self) -> u32 {
-        if self.free_head != NIL {
-            let idx = self.free_head;
-            self.free_head = self.entries[idx as usize].next;
-            idx
-        } else {
-            let idx = self.entries.len() as u32;
-            self.entries.push(WheelEntry {
-                generation: 0,
-                bucket: FREE_MARK,
-                prev: NIL,
-                next: NIL,
-                time: SimTime::ZERO,
-                seq: 0,
-                payload: None,
-            });
-            idx
-        }
-    }
-
-    /// Frees `idx` (already unlinked), returning the handle it was live
-    /// under and its payload. Advances the generation so the old handle
-    /// goes stale.
-    fn release(&mut self, idx: u32) -> (Handle, Option<T>) {
-        let free_head = self.free_head;
-        let e = &mut self.entries[idx as usize];
-        let handle = Handle::new(idx, e.generation);
-        e.generation = e.generation.wrapping_add(1);
-        e.bucket = FREE_MARK;
-        e.prev = NIL;
-        e.next = free_head;
-        let payload = e.payload.take();
-        self.free_head = idx;
-        self.live -= 1;
-        (handle, payload)
-    }
-
-    fn insert_ready(&mut self, time: SimTime, seq: u64, idx: u32) {
-        let key = (time, seq);
-        let pos = self.ready[self.ready_head..].partition_point(|r| (r.time, r.seq) < key);
-        self.ready
-            .insert(self.ready_head + pos, ReadySlot { time, seq, idx });
-    }
-
-    /// Files entry `idx` (time/seq already set, links cleared) into the
-    /// ready buffer, a wheel bucket, or the overflow list.
-    fn link(&mut self, idx: u32) {
-        let (time, seq) = {
-            let e = &self.entries[idx as usize];
-            (e.time, e.seq)
-        };
-        let tick = tick_of(time);
-        if tick <= self.now_tick {
-            self.entries[idx as usize].bucket = READY_MARK;
-            self.insert_ready(time, seq, idx);
-            return;
-        }
-        let delta = tick - self.now_tick;
-        if delta >= SPAN_TICKS {
-            let head = self.overflow_head;
-            let e = &mut self.entries[idx as usize];
-            e.bucket = OVERFLOW_MARK;
-            e.prev = NIL;
-            e.next = head;
-            self.overflow_head = idx;
-            if head != NIL {
-                self.entries[head as usize].prev = idx;
-            }
-            self.pending_bound = self.pending_bound.min(tick);
-            return;
-        }
-        // delta >= 1, so 63 - leading_zeros is the highest set bit index.
-        let level = ((63 - delta.leading_zeros()) / LEVEL_BITS) as usize;
-        let shift = LEVEL_BITS * level as u32;
-        let slot = ((tick >> shift) & (SLOTS as u64 - 1)) as usize;
-        self.pending_bound = self.pending_bound.min((tick >> shift) << shift);
-        let b = level * SLOTS + slot;
-        let head = self.buckets[b];
-        let e = &mut self.entries[idx as usize];
-        e.bucket = b as u32;
-        e.prev = NIL;
-        e.next = head;
-        self.buckets[b] = idx;
-        self.occupied[level] |= 1u64 << slot;
-        if head != NIL {
-            self.entries[head as usize].prev = idx;
-        }
-    }
-
-    /// Unlinks a live entry from whichever structure holds it.
-    fn unlink(&mut self, idx: u32) {
-        let (bucket, prev, next) = {
-            let e = &self.entries[idx as usize];
-            (e.bucket, e.prev, e.next)
-        };
-        match bucket {
-            READY_MARK => {
-                let e = &self.entries[idx as usize];
-                let key = (e.time, e.seq);
-                let tail = &self.ready[self.ready_head..];
-                let pos = tail.partition_point(|r| (r.time, r.seq) < key);
-                debug_assert!(pos < tail.len() && tail[pos].idx == idx);
-                self.ready.remove(self.ready_head + pos);
-            }
-            OVERFLOW_MARK => {
-                if prev != NIL {
-                    self.entries[prev as usize].next = next;
-                } else {
-                    self.overflow_head = next;
-                }
-                if next != NIL {
-                    self.entries[next as usize].prev = prev;
-                }
-            }
-            b => {
-                let b = b as usize;
-                if prev != NIL {
-                    self.entries[prev as usize].next = next;
-                } else {
-                    self.buckets[b] = next;
-                }
-                if next != NIL {
-                    self.entries[next as usize].prev = prev;
-                }
-                if self.buckets[b] == NIL {
-                    let (level, slot) = (b / SLOTS, b % SLOTS);
-                    self.occupied[level] &= !(1u64 << slot);
-                }
-            }
-        }
-    }
-
-    /// The start tick and slot of the earliest occupied bucket at `level`
-    /// (relative to cursor position `now_tick`), if any.
-    fn level_candidate(&self, level: usize, now_tick: u64) -> Option<(u64, usize)> {
-        let occ = self.occupied[level];
-        if occ == 0 {
-            return None;
-        }
-        let base = now_tick >> (LEVEL_BITS * level as u32);
-        let cur = (base & (SLOTS as u64 - 1)) as u32;
-        // Bit j of `rotated` is slot (cur + 1 + j) mod 64, so the first
-        // set bit is the next occupied slot after the cursor.
-        let rotated = occ.rotate_right(cur + 1);
-        let k = u64::from(rotated.trailing_zeros()) + 1;
-        let tick = (base + k) << (LEVEL_BITS * level as u32);
-        let slot = ((base + k) & (SLOTS as u64 - 1)) as usize;
-        Some((tick, slot))
-    }
-
-    /// The earliest bucket start tick across all levels.
-    fn next_candidate(&self) -> Option<u64> {
-        (0..LEVELS)
-            .filter_map(|level| self.level_candidate(level, self.now_tick).map(|(t, _)| t))
-            .min()
-    }
-
-    fn overflow_min(&self) -> Option<u64> {
-        let mut idx = self.overflow_head;
-        let mut min: Option<u64> = None;
-        while idx != NIL {
-            let e = &self.entries[idx as usize];
-            let t = tick_of(e.time);
-            min = Some(min.map_or(t, |m| m.min(t)));
-            idx = e.next;
-        }
-        min
-    }
-
-    /// Advances the cursor (cascading and draining buckets) until the
-    /// ready buffer's front is the globally earliest event, or the queue
-    /// is empty.
-    fn prepare(&mut self) {
-        // Fast path: the ready front is strictly earlier than every tick
-        // still filed in the wheel or overflow list, so it is the global
-        // minimum and no cursor work is needed.
-        if self.ready_head < self.ready.len()
-            && tick_of(self.ready[self.ready_head].time) < self.pending_bound
-        {
-            return;
-        }
-        loop {
-            if self.ready_head >= self.ready.len() {
-                self.ready.clear();
-                self.ready_head = 0;
-            }
-            let ready_front = self.ready.get(self.ready_head).map(|r| tick_of(r.time));
-            let candidate = self.next_candidate();
-            let omin = (self.overflow_head != NIL)
-                .then(|| self.overflow_min().expect("non-empty overflow has a min"));
-            if let Some(omin) = omin {
-                let beats_levels = candidate.is_none_or(|t| omin <= t);
-                let beats_ready = ready_front.is_none_or(|rt| omin <= rt);
-                if beats_levels && beats_ready {
-                    if omin.saturating_sub(self.now_tick) >= SPAN_TICKS {
-                        // Everything pending is beyond the horizon: jump.
-                        self.now_tick = omin;
-                    }
-                    let mut idx = self.overflow_head;
-                    self.overflow_head = NIL;
-                    while idx != NIL {
-                        let next = self.entries[idx as usize].next;
-                        self.entries[idx as usize].prev = NIL;
-                        self.entries[idx as usize].next = NIL;
-                        self.link(idx);
-                        idx = next;
-                    }
-                    continue;
-                }
-            }
-            let Some(tick) = candidate else {
-                // Wheel levels empty: anything still pending is overflow.
-                self.pending_bound = omin.unwrap_or(u64::MAX);
-                return;
-            };
-            if let Some(rt) = ready_front {
-                if rt < tick {
-                    self.pending_bound = omin.map_or(tick, |o| o.min(tick));
-                    return;
-                }
-            }
-            debug_assert!(tick > self.now_tick, "wheel cursor went backwards");
-            // Several levels can hold a bucket starting at exactly `tick`
-            // (their windows are nested and share aligned boundaries).
-            // Advancing the cursor onto that boundary puts those buckets
-            // at circular distance 0, where the rotate-scan can no longer
-            // see them — so every tied bucket must be located against the
-            // OLD cursor and processed in this pass. Crucially, all tied
-            // buckets are DETACHED before any entry is relinked: cascading
-            // mutates lower-level occupancy, and a cascaded slot can alias
-            // to a smaller circular distance when still measured from the
-            // old cursor, which would both mask the tied bucket and yield
-            // a bogus candidate tick.
-            let old_now = self.now_tick;
-            let mut detached: [u32; LEVELS] = [NIL; LEVELS];
-            for (level, head) in detached.iter_mut().enumerate() {
-                let Some((t, slot)) = self.level_candidate(level, old_now) else {
-                    continue;
-                };
-                if t != tick {
-                    continue;
-                }
-                let b = level * SLOTS + slot;
-                *head = self.buckets[b];
-                self.buckets[b] = NIL;
-                self.occupied[level] &= !(1u64 << slot);
-            }
-            self.now_tick = tick;
-            // Relink relative to the new cursor: entries at exactly `tick`
-            // drain into the ready buffer (the sorted insert restores
-            // exact (time, seq) order), later entries cascade strictly
-            // below their old level. No relink can target a tied bucket
-            // position: an entry belonging to a level-l bucket that starts
-            // at `tick` has delta < 64^l, so it files below level l.
-            for head in detached {
-                let mut idx = head;
-                while idx != NIL {
-                    let next = self.entries[idx as usize].next;
-                    self.entries[idx as usize].prev = NIL;
-                    self.entries[idx as usize].next = NIL;
-                    self.link(idx);
-                    idx = next;
-                }
-            }
-        }
-    }
-}
-
-impl<T> Queue<T> for TimerWheel<T> {
-    fn with_capacity(cap: usize) -> TimerWheel<T> {
-        TimerWheel {
-            entries: Vec::with_capacity(cap),
-            free_head: NIL,
-            live: 0,
-            next_seq: 0,
-            now_tick: 0,
-            occupied: [0; LEVELS],
-            buckets: [NIL; LEVELS * SLOTS],
-            overflow_head: NIL,
-            ready: Vec::with_capacity(16),
-            ready_head: 0,
-            pending_bound: u64::MAX,
-        }
-    }
-
-    fn push_with(&mut self, time: SimTime, make: impl FnOnce(Handle) -> T) -> Handle {
-        let idx = self.alloc();
-        let handle = Handle::new(idx, self.entries[idx as usize].generation);
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let e = &mut self.entries[idx as usize];
-        e.time = time;
-        e.seq = seq;
-        e.payload = Some(make(handle));
-        e.prev = NIL;
-        e.next = NIL;
-        self.live += 1;
-        self.link(idx);
-        handle
-    }
-
-    fn pop(&mut self) -> Option<Popped<T>> {
-        self.prepare();
-        let slot = *self.ready.get(self.ready_head)?;
-        self.ready_head += 1;
-        let (handle, payload) = self.release(slot.idx);
-        Some(Popped {
-            time: slot.time,
-            seq: slot.seq,
-            handle,
-            payload: payload.expect("live entry has payload"),
-        })
-    }
-
-    fn cancel(&mut self, handle: Handle) -> Option<T> {
-        let idx = handle.idx();
-        let e = self.entries.get(idx as usize)?;
-        if e.generation != handle.generation() || e.bucket == FREE_MARK {
-            return None;
-        }
-        self.unlink(idx);
-        let (_, payload) = self.release(idx);
-        payload
-    }
-
-    fn peek_time(&mut self) -> Option<SimTime> {
-        self.prepare();
-        self.ready.get(self.ready_head).map(|r| r.time)
-    }
-
-    fn len(&self) -> usize {
-        self.live
-    }
-
-    fn dead(&self) -> usize {
-        0
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Reference queue (the differential oracle)
-// ---------------------------------------------------------------------------
-
-struct RefKey {
+struct Key {
     time: SimTime,
     seq: u64,
     idx: u32,
     generation: u32,
 }
 
-impl PartialEq for RefKey {
+impl PartialEq for Key {
     fn eq(&self, other: &Self) -> bool {
         self.time == other.time && self.seq == other.seq
     }
 }
-impl Eq for RefKey {}
-impl PartialOrd for RefKey {
+impl Eq for Key {}
+impl PartialOrd for Key {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
-impl Ord for RefKey {
+impl Ord for Key {
     fn cmp(&self, other: &Self) -> Ordering {
         // Reversed: BinaryHeap is a max-heap, we want earliest first.
         (other.time, other.seq).cmp(&(self.time, self.seq))
     }
 }
 
-struct RefEntry<T> {
+struct Entry<T> {
     generation: u32,
     alive: bool,
     payload: Option<T>,
 }
 
-/// The `BinaryHeap`-backed reference queue: the simulator's original
-/// scheduler, kept as the differential oracle (and selectable as the live
-/// scheduler via the `reference-queue` cargo feature).
+/// A min-queue of events in `(time, seq)` order with O(log n) push and
+/// pop and O(1) cancel by [`Handle`].
 ///
-/// Cancellation leaves a tombstone in the heap that is skipped when it
-/// surfaces — the behavior the timer wheel's O(1) unlink replaces.
-pub struct ReferenceQueue<T> {
-    heap: BinaryHeap<RefKey>,
-    entries: Vec<RefEntry<T>>,
+/// See the module docs for the ordering invariant and the tombstones
+/// cancellation leaves.
+pub struct EventHeap<T> {
+    heap: BinaryHeap<Key>,
+    entries: Vec<Entry<T>>,
     free: Vec<u32>,
     live: usize,
     next_seq: u64,
 }
 
-impl<T> Default for ReferenceQueue<T> {
-    fn default() -> ReferenceQueue<T> {
-        <ReferenceQueue<T> as Queue<T>>::with_capacity(0)
+impl<T> Default for EventHeap<T> {
+    fn default() -> EventHeap<T> {
+        EventHeap::with_capacity(0)
     }
 }
 
-impl<T> ReferenceQueue<T> {
-    /// Drops stale heap keys until the top is live (or the heap empties).
-    fn prune_top(&mut self) {
-        while let Some(top) = self.heap.peek() {
-            let e = &self.entries[top.idx as usize];
-            if e.alive && e.generation == top.generation {
-                return;
-            }
-            self.heap.pop();
-        }
-    }
-}
-
-impl<T> Queue<T> for ReferenceQueue<T> {
-    fn with_capacity(cap: usize) -> ReferenceQueue<T> {
-        ReferenceQueue {
+impl<T> EventHeap<T> {
+    /// A queue preallocated for roughly `cap` concurrently pending events.
+    pub fn with_capacity(cap: usize) -> EventHeap<T> {
+        EventHeap {
             heap: BinaryHeap::with_capacity(cap),
             entries: Vec::with_capacity(cap),
             free: Vec::new(),
@@ -636,12 +136,15 @@ impl<T> Queue<T> for ReferenceQueue<T> {
         }
     }
 
-    fn push_with(&mut self, time: SimTime, make: impl FnOnce(Handle) -> T) -> Handle {
+    /// Schedules the payload produced by `make` at absolute time `time`.
+    /// `make` receives the handle the event will be scheduled under, which
+    /// lets a payload embed its own handle (used for timer ids).
+    pub fn push_with(&mut self, time: SimTime, make: impl FnOnce(Handle) -> T) -> Handle {
         let idx = match self.free.pop() {
             Some(idx) => idx,
             None => {
                 let idx = self.entries.len() as u32;
-                self.entries.push(RefEntry {
+                self.entries.push(Entry {
                     generation: 0,
                     alive: false,
                     payload: None,
@@ -655,7 +158,7 @@ impl<T> Queue<T> for ReferenceQueue<T> {
         let e = &mut self.entries[idx as usize];
         e.alive = true;
         e.payload = Some(make(handle));
-        self.heap.push(RefKey {
+        self.heap.push(Key {
             time,
             seq,
             idx,
@@ -665,7 +168,14 @@ impl<T> Queue<T> for ReferenceQueue<T> {
         handle
     }
 
-    fn pop(&mut self) -> Option<Popped<T>> {
+    /// Schedules `payload` at absolute time `time`.
+    pub fn push(&mut self, time: SimTime, payload: T) -> Handle {
+        self.push_with(time, |_| payload)
+    }
+
+    /// Removes and returns the earliest live event in `(time, seq)` order,
+    /// dropping the tombstones of cancelled events on the way.
+    pub fn pop(&mut self) -> Option<Popped<T>> {
         loop {
             let key = self.heap.pop()?;
             let e = &mut self.entries[key.idx as usize];
@@ -687,7 +197,9 @@ impl<T> Queue<T> for ReferenceQueue<T> {
         }
     }
 
-    fn cancel(&mut self, handle: Handle) -> Option<T> {
+    /// Cancels a pending event, returning its payload. Stale handles
+    /// (already fired, already cancelled, or never issued) return `None`.
+    pub fn cancel(&mut self, handle: Handle) -> Option<T> {
         let e = self.entries.get_mut(handle.idx() as usize)?;
         if !e.alive || e.generation != handle.generation() {
             return None;
@@ -700,16 +212,32 @@ impl<T> Queue<T> for ReferenceQueue<T> {
         payload
     }
 
-    fn peek_time(&mut self) -> Option<SimTime> {
-        self.prune_top();
-        self.heap.peek().map(|k| k.time)
+    /// The time of the earliest live event. Takes `&mut self` because it
+    /// drops the tombstones above that event.
+    pub fn peek_time(&mut self) -> Option<SimTime> {
+        while let Some(top) = self.heap.peek() {
+            let e = &self.entries[top.idx as usize];
+            if e.alive && e.generation == top.generation {
+                return Some(top.time);
+            }
+            self.heap.pop();
+        }
+        None
     }
 
-    fn len(&self) -> usize {
+    /// Number of live (pending, not cancelled) events.
+    pub fn len(&self) -> usize {
         self.live
     }
 
-    fn dead(&self) -> usize {
+    /// `true` if no live events are pending.
+    pub fn is_empty(&self) -> bool {
+        self.live == 0
+    }
+
+    /// Number of tombstones: cancelled events whose heap keys have not
+    /// yet reached the top.
+    pub fn dead(&self) -> usize {
         self.heap.len() - self.live
     }
 }
@@ -719,56 +247,34 @@ mod tests {
     use super::*;
     use crate::time::SimDuration;
 
-    fn drain<Q: Queue<u32>>(q: &mut Q) -> Vec<(SimTime, u64, u32)> {
-        std::iter::from_fn(|| q.pop())
-            .map(|p| (p.time, p.seq, p.payload))
-            .collect()
+    fn drain(q: &mut EventHeap<u32>) -> Vec<u32> {
+        std::iter::from_fn(|| q.pop()).map(|p| p.payload).collect()
     }
 
-    fn pops_in_time_order<Q: Queue<u32>>() {
-        let mut q = Q::with_capacity(8);
+    #[test]
+    fn pops_in_time_order() {
+        let mut q = EventHeap::with_capacity(8);
         q.push(SimTime::from_millis(30), 0);
         q.push(SimTime::from_millis(10), 1);
         q.push(SimTime::from_millis(20), 2);
-        let order: Vec<u32> = drain(&mut q).into_iter().map(|(_, _, p)| p).collect();
-        assert_eq!(order, vec![1, 2, 0]);
+        assert_eq!(drain(&mut q), vec![1, 2, 0]);
     }
 
     #[test]
-    fn wheel_pops_in_time_order() {
-        pops_in_time_order::<TimerWheel<u32>>();
-    }
-
-    #[test]
-    fn reference_pops_in_time_order() {
-        pops_in_time_order::<ReferenceQueue<u32>>();
-    }
-
-    fn same_tick_fifo<Q: Queue<u32>>() {
-        // All inside one 4096 ns wheel tick, distinct nanosecond times.
-        let mut q = Q::with_capacity(8);
+    fn same_instant_fifo() {
+        let mut q = EventHeap::with_capacity(8);
         let base = SimTime::from_nanos(1 << 20);
         q.push(base + SimDuration::from_nanos(3), 0);
         q.push(base + SimDuration::from_nanos(1), 1);
         q.push(base + SimDuration::from_nanos(1), 2);
         q.push(base, 3);
-        let order: Vec<u32> = drain(&mut q).into_iter().map(|(_, _, p)| p).collect();
         // Time first, then insertion order for the tie at +1 ns.
-        assert_eq!(order, vec![3, 1, 2, 0]);
+        assert_eq!(drain(&mut q), vec![3, 1, 2, 0]);
     }
 
     #[test]
-    fn wheel_same_tick_fifo() {
-        same_tick_fifo::<TimerWheel<u32>>();
-    }
-
-    #[test]
-    fn reference_same_tick_fifo() {
-        same_tick_fifo::<ReferenceQueue<u32>>();
-    }
-
-    fn cancel_is_exact<Q: Queue<u32>>() {
-        let mut q = Q::with_capacity(8);
+    fn cancel_is_exact() {
+        let mut q = EventHeap::with_capacity(8);
         let a = q.push(SimTime::from_millis(1), 10);
         let b = q.push(SimTime::from_millis(2), 20);
         assert_eq!(q.cancel(a), Some(10));
@@ -782,34 +288,11 @@ mod tests {
     }
 
     #[test]
-    fn wheel_cancel_is_exact() {
-        cancel_is_exact::<TimerWheel<u32>>();
-    }
-
-    #[test]
-    fn reference_cancel_is_exact() {
-        cancel_is_exact::<ReferenceQueue<u32>>();
-    }
-
-    #[test]
-    fn wheel_cancel_leaves_no_tombstones() {
-        let mut q: TimerWheel<u32> = Queue::with_capacity(8);
-        for round in 0..100u32 {
-            let h = q.push(SimTime::from_millis(u64::from(round) + 1), round);
-            assert_eq!(q.cancel(h), Some(round));
-        }
-        assert_eq!(q.len(), 0);
-        assert_eq!(q.dead(), 0);
-        assert_eq!(q.peek_time(), None);
-    }
-
-    #[test]
-    fn reference_cancel_leaves_tombstones() {
-        let mut q: ReferenceQueue<u32> = Queue::with_capacity(8);
-        let mut handles = Vec::new();
-        for round in 0..10u32 {
-            handles.push(q.push(SimTime::from_millis(u64::from(round) + 1), round));
-        }
+    fn cancel_leaves_tombstones() {
+        let mut q = EventHeap::with_capacity(8);
+        let handles: Vec<Handle> = (0..10u32)
+            .map(|round| q.push(SimTime::from_millis(u64::from(round) + 1), round))
+            .collect();
         for h in handles {
             q.cancel(h);
         }
@@ -819,31 +302,21 @@ mod tests {
         assert_eq!(q.dead(), 0);
     }
 
-    fn far_future_overflow<Q: Queue<u32>>() {
-        let mut q = Q::with_capacity(8);
-        // ~50 virtual days: far past the 2^48 ns wheel horizon.
+    #[test]
+    fn far_future_events() {
+        let mut q = EventHeap::with_capacity(8);
+        // ~50 virtual days.
         let far = SimTime::from_secs(50 * 24 * 3600);
         q.push(far, 0);
         q.push(SimTime::from_millis(5), 1);
         q.push(far + SimDuration::from_nanos(1), 2);
         assert_eq!(q.peek_time(), Some(SimTime::from_millis(5)));
-        let order: Vec<u32> = drain(&mut q).into_iter().map(|(_, _, p)| p).collect();
-        assert_eq!(order, vec![1, 0, 2]);
+        assert_eq!(drain(&mut q), vec![1, 0, 2]);
     }
 
     #[test]
-    fn wheel_far_future_overflow() {
-        far_future_overflow::<TimerWheel<u32>>();
-    }
-
-    #[test]
-    fn reference_far_future_overflow() {
-        far_future_overflow::<ReferenceQueue<u32>>();
-    }
-
-    #[test]
-    fn wheel_interleaves_pop_and_push() {
-        let mut q: TimerWheel<u32> = Queue::with_capacity(8);
+    fn interleaves_pop_and_push() {
+        let mut q = EventHeap::with_capacity(8);
         q.push(SimTime::from_millis(1), 0);
         q.push(SimTime::from_secs(2), 1);
         assert_eq!(q.pop().unwrap().payload, 0);
@@ -851,10 +324,7 @@ mod tests {
         q.push(SimTime::from_millis(500), 2);
         // Push at (conceptually) the current instant.
         q.push(SimTime::from_millis(1), 3);
-        assert_eq!(q.pop().unwrap().payload, 3);
-        assert_eq!(q.pop().unwrap().payload, 2);
-        assert_eq!(q.pop().unwrap().payload, 1);
-        assert!(q.pop().is_none());
+        assert_eq!(drain(&mut q), vec![3, 2, 1]);
     }
 
     #[test]
@@ -863,29 +333,5 @@ mod tests {
         assert_eq!(Handle::from_raw(h.raw()), h);
         assert_eq!(h.idx(), 7);
         assert_eq!(h.generation(), 42);
-    }
-
-    /// Regression: a level-0 bucket and a level-1 bucket can start at the
-    /// exact same aligned tick. Advancing the cursor onto that boundary and
-    /// cascading the level-1 bucket first used to alias the cascaded slot
-    /// into the old cursor's scan window, masking the level-0 bucket — its
-    /// event was stranded and popped far out of order. Minimized from a
-    /// differential-oracle failure against the fault-layer workload.
-    #[test]
-    fn tied_bucket_starts_across_levels_pop_in_order() {
-        let mut q: TimerWheel<u64> = Queue::with_capacity(8);
-        // Ticks (at 2^12 ns/tick): 1398 and 1263. Popping 1263 then 1320
-        // leaves the cursor at 1320; the next push lands at tick 1344,
-        // which is both a level-0 slot and the start of the level-1 bucket
-        // [1344, 1408) still holding the tick-1398 event.
-        q.push(SimTime::from_nanos(5_729_000), 0);
-        q.push(SimTime::from_nanos(5_177_032), 1);
-        assert_eq!(q.pop().unwrap().payload, 1);
-        q.push(SimTime::from_nanos(5_407_032), 2);
-        assert_eq!(q.pop().unwrap().payload, 2);
-        q.push(SimTime::from_nanos(5_507_032), 3);
-        assert_eq!(q.pop().unwrap().payload, 3, "tied level-0 bucket lost");
-        assert_eq!(q.pop().unwrap().payload, 0);
-        assert!(q.pop().is_none());
     }
 }

@@ -316,8 +316,8 @@ impl Simulator {
         self.world.stats.events += 1;
         match ev.kind {
             EventKind::NodeTimer { node, timer } => {
-                // Cancelled timers were unlinked from the queue eagerly,
-                // so every timer event that surfaces here is live.
+                // `pop` skips a cancelled timer's tombstone, so every
+                // timer event that surfaces here is live.
                 self.with_node(node, |n, ctx| n.on_timer(ctx, timer));
             }
             EventKind::LinkTxComplete { link } => {
@@ -360,7 +360,7 @@ impl Simulator {
     }
 
     /// Runs until the queue is empty or the next event is later than
-    /// `deadline`; the clock ends at `min(deadline, last event time)`.
+    /// `deadline`; the clock stays at the last processed event.
     pub fn run_until(&mut self, deadline: SimTime) {
         self.start();
         while let Some(t) = self.world.queue.peek_time() {
@@ -369,7 +369,6 @@ impl Simulator {
             }
             self.step();
         }
-        self.now = self.now.max(self.now).min(deadline).max(self.now);
     }
 
     /// Runs until the event queue drains, but never past `deadline`
@@ -390,9 +389,9 @@ impl Simulator {
         self.world.queue.len()
     }
 
-    /// Number of cancelled events still occupying queue storage. The
-    /// timer wheel unlinks cancelled timers eagerly so this is always 0;
-    /// under the `reference-queue` feature it counts heap tombstones.
+    /// Number of cancelled timers whose tombstones are still in the
+    /// queue. `pop` skips a tombstone once it reaches the top, so every
+    /// timer that surfaces is live.
     pub fn pending_dead_events(&self) -> usize {
         self.world.queue.dead()
     }

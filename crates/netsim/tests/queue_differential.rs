@@ -1,55 +1,128 @@
-//! Differential oracle: drives the hierarchical timer wheel and the
-//! `BinaryHeap`-backed reference queue over randomized schedule / cancel /
-//! pop / peek workloads and asserts identical observable behavior — pop
-//! sequences (time, seq, payload), peeked times, lengths, and cancel
-//! results. The workloads cover same-tick FIFO tie-breaks, far-future
-//! overflow ticks, and cancel-then-reschedule of the same handle.
+//! Model check of the event queue: drives [`EventHeap`] and a brute-force
+//! model in lockstep over randomized schedule / cancel / pop / peek
+//! workloads and asserts identical observable behavior after every
+//! operation — pops (time, seq, payload), peeked times, lengths and cancel
+//! results. The workloads cover same-instant FIFO tie-breaks, far-future
+//! events, and cancel-then-reschedule with the spent handle kept around.
 //!
 //! Re-run with: `cargo test -p h2priv-netsim --test queue_differential`
 
-use h2priv_netsim::queue::{Handle, Popped, Queue, ReferenceQueue, TimerWheel};
+use h2priv_netsim::queue::{EventHeap, Handle};
 use h2priv_netsim::time::SimTime;
 use h2priv_util::check::{self, Gen};
 
-/// One live event scheduled in both queues.
-struct LivePair {
-    wheel: Handle,
-    reference: Handle,
-    payload: u64,
+/// The specification: every live `(time, seq, payload)` in a `Vec`, the
+/// earliest found by a linear scan. An event is named by its `seq`, which
+/// stays spent once the event fires or is cancelled — the heap's
+/// stale-handle rule.
+#[derive(Default)]
+struct Model {
+    live: Vec<(SimTime, u64, u64)>,
+    next_seq: u64,
 }
 
-fn assert_same_pop(w: Option<Popped<u64>>, r: Option<Popped<u64>>) -> Option<(SimTime, u64)> {
-    match (w, r) {
-        (None, None) => None,
-        (Some(w), Some(r)) => {
-            assert_eq!(w.time, r.time, "pop time diverged");
-            assert_eq!(w.seq, r.seq, "pop seq diverged");
-            assert_eq!(w.payload, r.payload, "pop payload diverged");
-            Some((w.time, w.payload))
+impl Model {
+    fn push(&mut self, time: SimTime, payload: u64) -> u64 {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.live.push((time, seq, payload));
+        seq
+    }
+
+    fn earliest(&self) -> Option<usize> {
+        (0..self.live.len()).min_by_key(|&i| (self.live[i].0, self.live[i].1))
+    }
+
+    fn pop(&mut self) -> Option<(SimTime, u64, u64)> {
+        let pos = self.earliest()?;
+        Some(self.live.swap_remove(pos))
+    }
+
+    fn peek_time(&self) -> Option<SimTime> {
+        self.earliest().map(|i| self.live[i].0)
+    }
+
+    fn cancel(&mut self, seq: u64) -> Option<u64> {
+        let pos = self.live.iter().position(|e| e.1 == seq)?;
+        Some(self.live.swap_remove(pos).2)
+    }
+}
+
+/// The heap and the model driven in lockstep. `handles[seq]` is the heap
+/// handle of the event the model knows as `seq`.
+#[derive(Default)]
+struct Lockstep {
+    heap: EventHeap<u64>,
+    model: Model,
+    handles: Vec<Handle>,
+}
+
+impl Lockstep {
+    fn push(&mut self, time: SimTime, payload: u64) -> u64 {
+        self.handles.push(self.heap.push(time, payload));
+        let seq = self.model.push(time, payload);
+        self.assert_len();
+        seq
+    }
+
+    fn pop(&mut self) -> Option<(SimTime, u64, u64)> {
+        let got = self.heap.pop();
+        let want = self.model.pop();
+        assert_eq!(
+            got.as_ref().map(|p| (p.time, p.seq, p.payload)),
+            want,
+            "pop diverged"
+        );
+        if let Some(p) = got {
+            assert_eq!(p.handle, self.handles[p.seq as usize], "pop handle");
         }
-        (w, r) => panic!(
-            "pop presence diverged: wheel={:?} reference={:?}",
-            w.map(|p| p.payload),
-            r.map(|p| p.payload)
-        ),
+        self.assert_len();
+        want
+    }
+
+    fn peek(&mut self) {
+        assert_eq!(
+            self.heap.peek_time(),
+            self.model.peek_time(),
+            "peek diverged"
+        );
+        self.assert_len();
+    }
+
+    fn cancel(&mut self, seq: u64) -> Option<u64> {
+        let got = self.heap.cancel(self.handles[seq as usize]);
+        assert_eq!(got, self.model.cancel(seq), "cancel of seq {seq} diverged");
+        self.assert_len();
+        got
+    }
+
+    fn assert_len(&self) {
+        assert_eq!(self.heap.len(), self.model.live.len(), "len diverged");
+        assert_eq!(self.heap.is_empty(), self.model.live.is_empty());
+    }
+
+    /// Pops to the end: the full remaining sequences must match.
+    fn drain(&mut self) {
+        while self.pop().is_some() {}
+        assert_eq!(self.heap.peek_time(), None);
     }
 }
 
 /// Picks a schedule time for a new event. `now` is the time of the last
-/// pop; the simulator never schedules into the past, but the queues must
+/// pop; the simulator never schedules into the past, but the queue must
 /// tolerate it, so a small fraction of pushes land at or before `now`.
 fn gen_time(g: &mut Gen, now: SimTime) -> SimTime {
     let base = now.as_nanos();
     let offset = match g.u8(0, 9) {
-        // Same few nanoseconds: exercises same-tick FIFO ties.
+        // Same few nanoseconds: exercises same-instant FIFO ties.
         0 | 1 => g.u64(0, 3),
-        // Within one wheel tick (2^12 ns).
+        // Within ~4 µs.
         2 | 3 => g.u64(0, (1 << 12) - 1),
-        // Level 0..2 territory: up to ~1 s.
+        // Up to ~1 s.
         4..=6 => g.u64(0, 1_000_000_000),
-        // Level 3..5 territory: up to ~2 h.
+        // Up to ~2 h.
         7 => g.u64(0, 8_000_000_000_000),
-        // Beyond the 2^48 ns wheel horizon: overflow list.
+        // Days to decades ahead.
         8 => (1u64 << 48) + g.u64(0, 1 << 50),
         // At or slightly before now (saturating).
         _ => return SimTime::from_nanos(base.saturating_sub(g.u64(0, 1 << 13))),
@@ -58,172 +131,118 @@ fn gen_time(g: &mut Gen, now: SimTime) -> SimTime {
 }
 
 fn run_workload(g: &mut Gen, ops: usize) {
-    let mut wheel: TimerWheel<u64> = Queue::with_capacity(8);
-    let mut reference: ReferenceQueue<u64> = Queue::with_capacity(8);
-    let mut live: Vec<LivePair> = Vec::new();
-    let mut spent: Vec<LivePair> = Vec::new();
+    let mut q = Lockstep::default();
+    let mut spent: Vec<u64> = Vec::new();
     let mut now = SimTime::ZERO;
-    let mut next_payload = 0u64;
 
     for _ in 0..ops {
         match g.u8(0, 9) {
             // Push (weighted heaviest so the population grows).
             0..=4 => {
                 let t = gen_time(g, now);
-                let payload = next_payload;
-                next_payload += 1;
-                let wh = wheel.push(t, payload);
-                let rh = reference.push(t, payload);
-                live.push(LivePair {
-                    wheel: wh,
-                    reference: rh,
-                    payload,
-                });
+                let payload = g.u64(0, u64::MAX);
+                q.push(t, payload);
             }
-            // Pop from both; advance "now" to the popped time.
+            // Pop; advance "now" to the popped time.
             5 | 6 => {
-                if let Some((t, payload)) = assert_same_pop(wheel.pop(), reference.pop()) {
+                if let Some((t, seq, _)) = q.pop() {
                     now = now.max(t);
-                    let pos = live
-                        .iter()
-                        .position(|p| p.payload == payload)
-                        .expect("popped event was live");
-                    spent.push(live.swap_remove(pos));
+                    spent.push(seq);
                 }
             }
-            // Cancel a random live event in both queues.
+            // Cancel a random live event.
             7 => {
-                if live.is_empty() {
+                if q.model.live.is_empty() {
                     continue;
                 }
-                let pos = g.usize(0, live.len() - 1);
-                let pair = live.swap_remove(pos);
-                assert_eq!(wheel.cancel(pair.wheel), Some(pair.payload));
-                assert_eq!(reference.cancel(pair.reference), Some(pair.payload));
+                let seq = q.model.live[g.usize(0, q.model.live.len() - 1)].1;
+                assert!(q.cancel(seq).is_some());
                 // Cancel-then-reschedule at a fresh time: the spent handle
                 // must stay dead while the new event lives independently.
                 if g.bool(0.5) {
                     let t = gen_time(g, now);
-                    let payload = next_payload;
-                    next_payload += 1;
-                    let wh = wheel.push(t, payload);
-                    let rh = reference.push(t, payload);
-                    assert_eq!(wheel.cancel(pair.wheel), None, "stale handle revived");
-                    assert_eq!(reference.cancel(pair.reference), None);
-                    live.push(LivePair {
-                        wheel: wh,
-                        reference: rh,
-                        payload,
-                    });
-                } else {
-                    spent.push(pair);
+                    let payload = g.u64(0, u64::MAX);
+                    q.push(t, payload);
+                    assert_eq!(q.cancel(seq), None, "stale handle revived");
                 }
+                spent.push(seq);
             }
-            // Cancel a spent (fired or cancelled) handle: no-op in both.
+            // Cancel a spent (fired or cancelled) handle: a no-op.
             8 => {
-                if let Some(pair) = spent.last() {
-                    assert_eq!(wheel.cancel(pair.wheel), None);
-                    assert_eq!(reference.cancel(pair.reference), None);
+                if !spent.is_empty() {
+                    let seq = spent[g.usize(0, spent.len() - 1)];
+                    assert_eq!(q.cancel(seq), None, "spent handle revived");
                 }
             }
-            // Peek.
-            _ => {
-                assert_eq!(wheel.peek_time(), reference.peek_time(), "peek diverged");
-            }
-        }
-        assert_eq!(wheel.len(), reference.len(), "len diverged");
-        assert_eq!(wheel.dead(), 0, "wheel cancel left a tombstone");
-    }
-
-    // Drain to the end: the full remaining pop sequences must match.
-    loop {
-        let done = assert_same_pop(wheel.pop(), reference.pop()).is_none();
-        if done {
-            break;
+            _ => q.peek(),
         }
     }
-    assert!(wheel.is_empty() && reference.is_empty());
+    q.drain();
 }
 
 #[test]
-fn wheel_matches_reference_on_random_workloads() {
-    check::run("queue-differential", 256, |g| {
+fn heap_matches_model_on_random_workloads() {
+    check::run("queue-model", 256, |g| {
         let ops = g.usize(16, 384);
         run_workload(g, ops);
     });
 }
 
 #[test]
-fn wheel_matches_reference_on_long_workloads() {
-    // Fewer cases, bigger populations: deep cascades and large same-tick
-    // batches.
-    check::run("queue-differential-long", 24, |g| {
+fn heap_matches_model_on_long_workloads() {
+    // Fewer cases, bigger populations: deep heaps, long tombstone runs and
+    // large same-instant batches.
+    check::run("queue-model-long", 24, |g| {
         run_workload(g, 3000);
     });
 }
 
 #[test]
-fn wheel_matches_reference_on_metronome_workloads() {
+fn heap_matches_model_on_metronome_workloads() {
     // Fault-layer-shaped traffic: periodic timers plus small hold/release
-    // delays, so `now` advances steadily and almost every push lands within
-    // a few level-0 windows (64 ticks = 2^18 ns) of the cursor. This keeps
-    // the workload at the level-0/level-1 boundary where bucket start ticks
-    // tie across levels — the regime that exposed the tied-bucket aliasing
-    // bug (see `tied_bucket_starts_across_levels_pop_in_order`).
-    check::run("queue-differential-metronome", 128, |g| {
-        let mut wheel: TimerWheel<u64> = Queue::with_capacity(8);
-        let mut reference: ReferenceQueue<u64> = Queue::with_capacity(8);
+    // delays, so `now` advances steadily and every push lands a little
+    // ahead of it.
+    check::run("queue-model-metronome", 128, |g| {
+        let mut q = Lockstep::default();
         let mut now = SimTime::ZERO;
         let mut payload = 0u64;
         let period = g.u64(50_000, 400_000);
         for _ in 0..g.usize(64, 512) {
             for _ in 0..g.usize(1, 3) {
-                // Deltas clustered around 1–4 level-0 windows ahead.
                 let delta = g.u64(0, 4 << 18);
                 let t = SimTime::from_nanos(now.as_nanos() + period + delta);
-                wheel.push(t, payload);
-                reference.push(t, payload);
+                q.push(t, payload);
                 payload += 1;
             }
             if g.bool(0.7) {
-                if let Some((t, _)) = assert_same_pop(wheel.pop(), reference.pop()) {
+                if let Some((t, _, _)) = q.pop() {
                     now = now.max(t);
                 }
             }
         }
-        loop {
-            if assert_same_pop(wheel.pop(), reference.pop()).is_none() {
-                break;
-            }
-        }
+        q.drain();
     });
 }
 
 #[test]
 fn same_tick_fifo_burst_matches() {
-    // A thousand events at the exact same instant must pop in insertion
-    // order from both queues.
-    let mut wheel: TimerWheel<u64> = Queue::with_capacity(8);
-    let mut reference: ReferenceQueue<u64> = Queue::with_capacity(8);
+    // A thousand events at the exact same instant pop in insertion order.
+    let mut q = Lockstep::default();
     let t = SimTime::from_millis(7);
     for i in 0..1000u64 {
-        wheel.push(t, i);
-        reference.push(t, i);
+        q.push(t, i);
     }
     for i in 0..1000u64 {
-        let (w, r) = (wheel.pop().unwrap(), reference.pop().unwrap());
-        assert_eq!(w.payload, i);
-        assert_eq!(r.payload, i);
-        assert_eq!(w.seq, r.seq);
+        assert_eq!(q.pop(), Some((t, i, i)));
     }
+    assert_eq!(q.pop(), None);
 }
 
 #[test]
 fn far_future_then_near_events_interleave_identically() {
-    let mut wheel: TimerWheel<u64> = Queue::with_capacity(8);
-    let mut reference: ReferenceQueue<u64> = Queue::with_capacity(8);
-    // Overflow-resident events at several far-future ticks, then a stream
-    // of near events popped in between.
+    let mut q = Lockstep::default();
+    // Events days to the end of time ahead, then a stream of near events
+    // popped in between.
     for (i, t) in [
         SimTime::from_secs(1 << 20),
         SimTime::from_secs(1 << 24),
@@ -233,17 +252,10 @@ fn far_future_then_near_events_interleave_identically() {
     .into_iter()
     .enumerate()
     {
-        wheel.push(t, 1000 + i as u64);
-        reference.push(t, 1000 + i as u64);
+        q.push(t, 1000 + i as u64);
     }
     for i in 0..64u64 {
-        let t = SimTime::from_millis(i * 37);
-        wheel.push(t, i);
-        reference.push(t, i);
+        q.push(SimTime::from_millis(i * 37), i);
     }
-    loop {
-        if assert_same_pop(wheel.pop(), reference.pop()).is_none() {
-            break;
-        }
-    }
+    q.drain();
 }

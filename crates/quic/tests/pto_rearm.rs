@@ -2,7 +2,7 @@
 //! consecutive expiry, and a newly-acked ack-eliciting packet rearms it
 //! — resetting the backoff multiplier — instead of leaving the inflated
 //! deadline armed. This is the QUIC half of the cancel-and-rearm pattern
-//! the timer wheel's O(1) cancel serves (see `h2priv-netsim`'s
+//! the event heap's O(1) cancel serves (see `h2priv-netsim`'s
 //! `cancel_rearm` suite for the event-storage side of the contract).
 
 use h2priv_netsim::time::{SimDuration, SimTime};

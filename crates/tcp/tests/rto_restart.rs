@@ -2,7 +2,7 @@
 //! *restart* the retransmission timer from the ACK's arrival time — and
 //! clear the exponential backoff — rather than leave the old deadline
 //! armed. On the event core this is the cancel-and-rearm pattern the
-//! timer wheel serves in O(1); here the protocol half of the contract is
+//! event heap serves in O(1); here the protocol half of the contract is
 //! pinned with hand-crafted ACKs (`ts_ecr = 0` suppresses RTT samples,
 //! so the RTO stays at exactly `rto_initial` and deadlines are exact).
 
