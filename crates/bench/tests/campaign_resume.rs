@@ -1,7 +1,7 @@
 //! Resume-identity regression for the sharded campaign runner: whatever
 //! happens to a campaign — run at any shard count, killed at any batch
-//! boundary and resumed — the journal and the folded report must come
-//! out **byte-identical** to an uninterrupted single-shard run. This is
+//! boundary or mid-batch and resumed — the journal and the folded report
+//! must come out **byte-identical** to an uninterrupted run. This is
 //! the process-level extension of `parallel_identity.rs`: scheduling
 //! (and now crashing) is invisible in the results.
 
@@ -26,8 +26,12 @@ struct CampaignRun {
 }
 
 fn campaign(journal: &PathBuf, out: &PathBuf, extra: &[&str]) -> CampaignRun {
+    campaign_of("robustness_sweep", journal, out, extra)
+}
+
+fn campaign_of(experiment: &str, journal: &PathBuf, out: &PathBuf, extra: &[&str]) -> CampaignRun {
     let output = Command::new(env!("CARGO_BIN_EXE_campaign"))
-        .arg("robustness_sweep")
+        .arg(experiment)
         .arg(TRIALS)
         .arg("--journal")
         .arg(journal)
@@ -133,6 +137,50 @@ fn kill_at_every_batch_boundary_then_resume_is_byte_identical() {
         );
         cleanup(&[&journal, &out]);
     }
+}
+
+/// Every registered experiment shards. Table II's one batch of 2 trials
+/// is killed after its first record, so the resume lands mid-batch; the
+/// resumed report must equal the in-process `run`'s.
+#[test]
+fn table2_killed_mid_batch_resumes_to_the_run_report() {
+    let journal = temp_base("table2").with_extension("jsonl");
+    let out = temp_base("table2").with_extension("json");
+    let run_out = temp_base("table2_run").with_extension("json");
+    let killed = campaign_of(
+        "table2",
+        &journal,
+        &out,
+        &[
+            "--shards",
+            "1",
+            "--fail-on-crash",
+            "--inject-kill",
+            "trial=1",
+        ],
+    );
+    assert!(
+        !killed.status.success(),
+        "the injected kill must abort the campaign"
+    );
+    let resumed = campaign_of("table2", &journal, &out, &["--shards", "2", "--resume"]);
+    assert!(resumed.status.success(), "{}", resumed.stderr);
+    let run = Command::new(env!("CARGO_BIN_EXE_run"))
+        .args(["table2", TRIALS, "--quiet", "--out"])
+        .arg(&run_out)
+        .output()
+        .expect("run binary runs");
+    assert!(
+        run.status.success(),
+        "{}",
+        String::from_utf8_lossy(&run.stderr)
+    );
+    assert_eq!(
+        read(&out),
+        read(&run_out),
+        "resumed table2 report differs from run's"
+    );
+    cleanup(&[&journal, &out, &run_out]);
 }
 
 #[test]

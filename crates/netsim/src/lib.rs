@@ -15,11 +15,14 @@
 //! * **Virtual time.** [`time::SimTime`] is a nanosecond counter; nothing in
 //!   the simulation reads the wall clock, so every run is exactly
 //!   reproducible from its RNG seed.
-//! * **Event queue.** A `BinaryHeap` ([`queue`]) of scheduled events
-//!   ordered by `(time, sequence)`; ties are broken by insertion order so
-//!   iteration is deterministic. Payloads are slab-allocated with
-//!   generation-tagged handles, so cancelling a timer is O(1); its heap
-//!   key stays behind as a tombstone that `pop` skips.
+//! * **Event queue.** Events are ordered by `(time, sequence)`; ties are
+//!   broken by insertion order so iteration is deterministic. Timers and
+//!   fault events wait in a `BinaryHeap` ([`queue`]) whose payloads are
+//!   slab-allocated with generation-tagged handles, so cancelling a timer
+//!   is O(1); its heap key stays behind as a tombstone that `pop` skips.
+//!   Each link's serialization and delivery events wait in that link's
+//!   lane ([`event`]), already sorted, and `pop` merges the lanes with
+//!   the heap in exact `(time, sequence)` order.
 //! * **Nodes and links.** [`node::Node`]s exchange [`packet::Packet`]s over
 //!   unidirectional [`link::Link`]s that model serialization delay
 //!   (bandwidth), propagation delay, a drop-tail queue, and random loss.

@@ -8,7 +8,7 @@
 
 use crate::node::NodeId;
 use crate::packet::Packet;
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimDuration;
 use crate::units::Bandwidth;
 use core::fmt;
 use std::collections::VecDeque;
@@ -63,10 +63,12 @@ pub fn clamp_loss(loss: f64) -> f64 {
 pub struct LinkConfig {
     /// Serialization rate; `None` models an unconstrained link.
     pub bandwidth: Option<Bandwidth>,
-    /// One-way propagation delay.
+    /// One-way propagation delay. Fixed once the link exists: the event
+    /// queue's per-link lanes rely on it to keep deliveries in time order.
     pub delay: SimDuration,
     /// Drop-tail queue capacity in bytes (packets beyond this are dropped).
-    /// Ignored when `bandwidth` is `None` (nothing ever queues).
+    /// Packets queue only behind one on the wire, so an unconstrained link
+    /// queues only while a packet that started under a rate finishes.
     pub queue_bytes: u64,
     /// Independent random loss probability per packet.
     pub loss: f64,
@@ -197,10 +199,6 @@ impl Links {
         (ab, ba)
     }
 
-    pub fn get(&self, id: LinkId) -> &Link {
-        &self.links[id.0]
-    }
-
     pub fn get_mut(&mut self, id: LinkId) -> &mut Link {
         &mut self.links[id.0]
     }
@@ -237,26 +235,6 @@ impl Links {
     pub fn stats(&self, id: LinkId) -> LinkStats {
         self.links[id.0].stats
     }
-
-    /// Computes when a packet handed to the link *right now* would finish
-    /// serializing, assuming nothing is queued. Used by tests.
-    #[allow(dead_code)]
-    pub fn ideal_latency(&self, id: LinkId, wire_bytes: u32) -> SimDuration {
-        let l = &self.links[id.0];
-        let tx = l
-            .cfg
-            .bandwidth
-            .map(|bw| bw.transmit_time(wire_bytes))
-            .unwrap_or(SimDuration::ZERO);
-        tx + l.cfg.delay
-    }
-
-    /// The absolute time at which the next queued packet would finish, for
-    /// introspection in tests.
-    #[allow(dead_code)]
-    pub fn busy(&self, id: LinkId) -> bool {
-        self.links[id.0].transmitting.is_some()
-    }
 }
 
 /// What a link does with a packet submitted to it (computed by the world).
@@ -278,6 +256,10 @@ impl Link {
     /// Decides what to do with `pkt`, updating queue state. `lossy_draw`
     /// is the pre-drawn uniform sample for the loss decision (drawn by the
     /// caller so that the RNG lives in one place).
+    ///
+    /// A packet never overtakes one on the wire or queued: even on an
+    /// unconstrained link (throttling lifted mid-transmission) it waits
+    /// behind them, so a link delivers in submission order.
     pub(crate) fn submit(
         &mut self,
         pkt: Packet,
@@ -288,21 +270,23 @@ impl Link {
             return (SubmitOutcome::DroppedLoss, Some(pkt));
         }
         self.stats.sent += 1;
-        match self.cfg.bandwidth {
-            None => (SubmitOutcome::DeliverAfter(self.cfg.delay), Some(pkt)),
-            Some(bw) => {
-                if self.transmitting.is_none() {
+        if self.transmitting.is_some() {
+            if self.queued_bytes + pkt.wire_size() as u64 <= self.cfg.queue_bytes {
+                self.queued_bytes += pkt.wire_size() as u64;
+                self.queue.push_back(pkt);
+                (SubmitOutcome::Queued, None)
+            } else {
+                self.stats.sent -= 1; // not actually sent
+                self.stats.dropped_queue += 1;
+                (SubmitOutcome::DroppedQueue, Some(pkt))
+            }
+        } else {
+            match self.cfg.bandwidth {
+                None => (SubmitOutcome::DeliverAfter(self.cfg.delay), Some(pkt)),
+                Some(bw) => {
                     let tx = bw.transmit_time(pkt.wire_size());
                     self.transmitting = Some(pkt);
                     (SubmitOutcome::StartTx(tx), None)
-                } else if self.queued_bytes + pkt.wire_size() as u64 <= self.cfg.queue_bytes {
-                    self.queued_bytes += pkt.wire_size() as u64;
-                    self.queue.push_back(pkt);
-                    (SubmitOutcome::Queued, None)
-                } else {
-                    self.stats.sent -= 1; // not actually sent
-                    self.stats.dropped_queue += 1;
-                    (SubmitOutcome::DroppedQueue, Some(pkt))
                 }
             }
         }
@@ -310,27 +294,21 @@ impl Link {
 
     /// Finishes the in-flight packet: returns it plus, if another packet is
     /// queued, the serialization time of the next one (which becomes the
-    /// new in-flight packet).
+    /// new in-flight packet). Once the link is unconstrained, queued
+    /// packets leave in order with zero serialization time.
     pub(crate) fn tx_complete(&mut self) -> (Packet, Option<SimDuration>) {
         let done = self.transmitting.take().expect("tx_complete on idle link");
         let next = self.queue.pop_front().map(|p| {
             self.queued_bytes -= p.wire_size() as u64;
-            let bw = self
+            let tx = self
                 .cfg
                 .bandwidth
-                .expect("queued packet on unconstrained link");
-            let tx = bw.transmit_time(p.wire_size());
+                .map_or(SimDuration::ZERO, |bw| bw.transmit_time(p.wire_size()));
             self.transmitting = Some(p);
             tx
         });
         (done, next)
     }
-}
-
-/// The absolute delivery time for a packet that finished serializing at
-/// `now` on a link with the given config.
-pub(crate) fn delivery_time(now: SimTime, cfg: &LinkConfig) -> SimTime {
-    now + cfg.delay
 }
 
 #[cfg(test)]
@@ -447,8 +425,8 @@ mod tests {
         let mut links = Links::new();
         let id = links.add(NodeId(0), NodeId(1), LinkConfig::lan());
         links.set_loss(id, 7.0);
-        assert_eq!(links.get(id).cfg.loss, 1.0);
+        assert_eq!(links.links[id.0].cfg.loss, 1.0);
         links.set_loss(id, f64::NEG_INFINITY);
-        assert_eq!(links.get(id).cfg.loss, 0.0);
+        assert_eq!(links.links[id.0].cfg.loss, 0.0);
     }
 }

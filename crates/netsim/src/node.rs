@@ -135,7 +135,10 @@ impl<'a> Ctx<'a> {
     /// Replaces the bandwidth of `link` (`None` removes the constraint).
     ///
     /// Takes effect for packets whose serialization starts after this call;
-    /// a packet already on the wire finishes at its original rate.
+    /// a packet already on the wire finishes at its original rate. Without
+    /// a constraint, the packets queued behind it (and any sent meanwhile)
+    /// then leave in order with zero serialization time: a link never
+    /// reorders.
     pub fn set_link_bandwidth(&mut self, link: LinkId, bw: Option<Bandwidth>) {
         self.world.links.set_bandwidth(link, bw);
     }

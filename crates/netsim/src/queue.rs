@@ -1,5 +1,7 @@
-//! The simulator's scheduler: [`EventHeap`], a `BinaryHeap` of
-//! `(time, seq)` keys over a slab of payloads.
+//! The simulator's heap of timers and fault events: [`EventHeap`], a
+//! `BinaryHeap` of `(time, seq)` keys over a slab of payloads. Link
+//! events wait in per-link lanes beside it (`event::EventQueue`), and
+//! take their `seq` from the same counter ([`EventHeap::take_seq`]).
 //!
 //! ## Ordering invariant
 //!
@@ -8,7 +10,8 @@
 //! insertion order, which is what makes the whole simulation
 //! deterministic. `tests/queue_differential.rs` drives the heap against a
 //! brute-force model over randomized schedule/cancel/pop workloads and
-//! asserts identical pops, peeks, lengths and cancel results.
+//! asserts identical pops, peeks, lengths and cancel results; a unit
+//! test in `event.rs` does the same for the heap merged with the lanes.
 //!
 //! ## Cancellation
 //!
@@ -16,7 +19,7 @@
 //! generation tag. Cancelling takes the payload out of the slab and
 //! advances the generation at once, so a stale handle fails the
 //! generation check; the heap key stays behind as a tombstone until it
-//! reaches the top, where [`EventHeap::pop`] and [`EventHeap::peek_time`]
+//! reaches the top, where [`EventHeap::pop`] and [`EventHeap::peek_key`]
 //! drop it. Tombstones are therefore bounded by the cancelled events
 //! whose deadlines are still ahead of the earliest live one.
 
@@ -153,8 +156,7 @@ impl<T> EventHeap<T> {
             }
         };
         let handle = Handle::new(idx, self.entries[idx as usize].generation);
-        let seq = self.next_seq;
-        self.next_seq += 1;
+        let seq = self.take_seq();
         let e = &mut self.entries[idx as usize];
         e.alive = true;
         e.payload = Some(make(handle));
@@ -215,14 +217,31 @@ impl<T> EventHeap<T> {
     /// The time of the earliest live event. Takes `&mut self` because it
     /// drops the tombstones above that event.
     pub fn peek_time(&mut self) -> Option<SimTime> {
-        while let Some(top) = self.heap.peek() {
+        self.peek_key().map(|(time, _)| time)
+    }
+
+    /// The `(time, seq)` key of the earliest live event, dropping the
+    /// tombstones above it. With no tombstone in the heap the top is live,
+    /// so the slab is not read.
+    pub fn peek_key(&mut self) -> Option<(SimTime, u64)> {
+        while self.heap.len() > self.live {
+            let top = self.heap.peek().expect("a tombstone is in the heap");
             let e = &self.entries[top.idx as usize];
             if e.alive && e.generation == top.generation {
-                return Some(top.time);
+                break;
             }
             self.heap.pop();
         }
-        None
+        self.heap.peek().map(|top| (top.time, top.seq))
+    }
+
+    /// Takes the next sequence number without scheduling anything here,
+    /// for an event kept outside the heap that must still tie-break
+    /// against the heap's events in push order.
+    pub fn take_seq(&mut self) -> u64 {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        seq
     }
 
     /// Number of live (pending, not cancelled) events.

@@ -79,25 +79,6 @@ where
         .collect()
 }
 
-/// Maps `f` over `items` across up to `jobs` worker threads, returning
-/// the results in the items' original order (see [`run_indexed`]).
-pub fn map_ordered<T, R, F>(jobs: usize, items: Vec<T>, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(T) -> R + Sync,
-{
-    let inputs: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
-    run_indexed(jobs, inputs.len(), |i| {
-        let item = inputs[i]
-            .lock()
-            .expect("input slot poisoned")
-            .take()
-            .expect("each input consumed once");
-        f(item)
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -143,13 +124,6 @@ mod tests {
     }
 
     #[test]
-    fn map_ordered_consumes_items_by_value() {
-        let items: Vec<String> = (0..20).map(|i| format!("s{i}")).collect();
-        let expect: Vec<String> = items.iter().map(|s| s.to_uppercase()).collect();
-        assert_eq!(map_ordered(4, items, |s| s.to_uppercase()), expect);
-    }
-
-    #[test]
     fn more_jobs_than_items_is_fine() {
         let out = run_indexed(64, 3, |i| i * 10);
         assert_eq!(out, vec![0, 10, 20]);
@@ -163,8 +137,6 @@ mod tests {
             let empty: Vec<u64> = run_indexed(jobs, 0, |_| panic!("job body must not run"));
             assert!(empty.is_empty(), "jobs={jobs}");
         }
-        let none: Vec<u64> = map_ordered(8, Vec::<u64>::new(), |_| panic!("no items"));
-        assert!(none.is_empty());
     }
 
     #[test]
@@ -179,11 +151,5 @@ mod tests {
         });
         assert_eq!(out, vec![0, 7, 14, 21, 28]);
         assert_eq!(calls.load(Ordering::Relaxed), 5);
-    }
-
-    #[test]
-    fn map_ordered_with_more_jobs_than_items() {
-        let out = map_ordered(32, vec![1u64, 2, 3], |v| v * v);
-        assert_eq!(out, vec![1, 4, 9]);
     }
 }

@@ -19,8 +19,9 @@ cargo clippy --offline --all-targets -- -D warnings
 echo "== cargo fmt --all -- --check"
 cargo fmt --all -- --check
 
-echo "== event queue: the heap against its brute-force model"
+echo "== event queue: the heap, and the heap merged with the link lanes, against brute-force models"
 cargo test -q --offline -p h2priv-netsim --test queue_differential
+cargo test -q --offline -p h2priv-netsim --lib event::tests::lanes_and_heap_pop_like_one_model_queue
 
 echo "== event queue: cancel/rearm keeps live counts exact and tombstones bounded"
 cargo test -q --offline -p h2priv-netsim --test cancel_rearm
@@ -32,6 +33,30 @@ echo "== allocation-regression pins (counting allocator, exact per-trial counts)
 # and build profile; any drift is a real hot-path change. Exact pins
 # live in crates/core/tests/alloc_regression.rs.
 cargo test -q --offline --release -p h2priv-core --test alloc_regression
+
+echo "== results manifest: every committed artefact regenerates byte for byte"
+# results/MANIFEST lists each file under results/ with the `run` call
+# that makes it; crates/bench/tests/results_manifest.rs checks the list
+# against the registry and the files' CRC-32s. Each experiment runs once.
+RUN=target/release/run
+REGEN=/tmp/h2priv_results
+rm -rf "$REGEN"
+mkdir -p "$REGEN"
+grep -v '^#' results/MANIFEST | while read -r exp trials _seed file _crc; do
+    [ -n "$exp" ] || continue
+    out="$REGEN/$exp.$trials"
+    if [ ! -e "$out.json" ]; then
+        "$RUN" "$exp" "$trials" --out "$out.json" >"$out.txt" 2>/dev/null
+    fi
+    case "$file" in
+        *.json) made="$out.json" ;;
+        *) made="$out.txt" ;;
+    esac
+    if ! cmp -s "$made" "results/$file"; then
+        echo "ERROR: results/$file differs from run $exp $trials" >&2
+        exit 1
+    fi
+done
 
 echo "== repobench: its own tests, then a short pinned-digest run of each workload"
 # The benchmark is a package outside the workspace that drives the
@@ -51,7 +76,6 @@ for w in table2_h2 transfer_h3 defense_campaign; do
 done
 
 echo "== parallel executor smoke (--jobs 2)"
-RUN=target/release/run
 "$RUN" table1 2 --jobs 2 >/dev/null 2>&1
 
 echo "== trace smoke (--trace jsonl parses and is byte-identical across --jobs)"
@@ -60,43 +84,6 @@ echo "== trace smoke (--trace jsonl parses and is byte-identical across --jobs)"
 test -s /tmp/h2priv_trace_j1.jsonl
 cmp /tmp/h2priv_trace_j1.jsonl /tmp/h2priv_trace_j2.jsonl
 cargo run --release --offline -p h2priv-bench --bin trace_check -- /tmp/h2priv_trace_j1.jsonl
-
-echo "== campaign gate (sharded run + injected kill + resume == sequential run)"
-# The sharded campaign runner must be invisible in the results: a 2-shard
-# run that is killed at an injected crash point and then resumed has to
-# produce byte-identical journal and report to an uninterrupted 1-shard
-# run. Small trial budget keeps this under a minute.
-CAMPAIGN=target/release/campaign
-rm -f /tmp/h2priv_camp_seq.jsonl /tmp/h2priv_camp_seq.json \
-      /tmp/h2priv_camp_shard.jsonl /tmp/h2priv_camp_shard.json
-"$CAMPAIGN" robustness_sweep 2 --shards 1 --quiet \
-    --journal /tmp/h2priv_camp_seq.jsonl --out /tmp/h2priv_camp_seq.json
-if "$CAMPAIGN" robustness_sweep 2 --shards 2 --quiet --fail-on-crash \
-    --inject-kill trial=6 \
-    --journal /tmp/h2priv_camp_shard.jsonl --out /tmp/h2priv_camp_shard.json \
-    2>/dev/null; then
-    echo "ERROR: injected kill did not abort the campaign" >&2
-    exit 1
-fi
-"$CAMPAIGN" robustness_sweep 2 --shards 2 --quiet --resume \
-    --journal /tmp/h2priv_camp_shard.jsonl --out /tmp/h2priv_camp_shard.json
-cmp /tmp/h2priv_camp_seq.jsonl /tmp/h2priv_camp_shard.jsonl
-cmp /tmp/h2priv_camp_seq.json /tmp/h2priv_camp_shard.json
-
-echo "== campaign gate (table2: kill mid-batch + resume == run)"
-# Every registered experiment shards. Table II's one batch of 2 trials
-# is killed after its first record, so the resume lands mid-batch; the
-# resumed report must equal the in-process run's.
-rm -f /tmp/h2priv_camp_t2.jsonl /tmp/h2priv_camp_t2.json /tmp/h2priv_run_t2.json
-if "$CAMPAIGN" table2 2 --shards 1 --quiet --fail-on-crash --inject-kill trial=1 \
-    --journal /tmp/h2priv_camp_t2.jsonl --out /tmp/h2priv_camp_t2.json 2>/dev/null; then
-    echo "ERROR: injected kill did not abort the table2 campaign" >&2
-    exit 1
-fi
-"$CAMPAIGN" table2 2 --shards 2 --quiet --resume \
-    --journal /tmp/h2priv_camp_t2.jsonl --out /tmp/h2priv_camp_t2.json
-"$RUN" table2 2 --quiet --out /tmp/h2priv_run_t2.json >/dev/null
-cmp /tmp/h2priv_camp_t2.json /tmp/h2priv_run_t2.json
 
 echo "== defense matrix smoke (--jobs identity)"
 # A 6-trial matrix is byte-identical across --jobs levels. Its success
