@@ -1,6 +1,6 @@
 //! The append-only campaign journal and its crash recovery.
 //!
-//! The journal is a jsonl file of [`record`](crate::record) lines: one
+//! The journal is a jsonl file of [`record`] lines: one
 //! `header` line naming the campaign, then one `record` line per
 //! completed cell, appended **strictly in global cell order** and
 //! flushed per append. The ordering invariant is what makes recovery

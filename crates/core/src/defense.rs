@@ -7,18 +7,18 @@
 //! eight emblem images in a random order *independent of the survey
 //! result*. Sizes still identify which party each image belongs to, but
 //! the position-based ranking inference — the actual secret — collapses
-//! to chance. [`evaluate_defense`] quantifies that.
+//! to chance. The `defense_matrix` experiment measures that, as its
+//! [`Defense::PriorityRandomization`] cells.
 
-use crate::attack::{AttackConfig, TransportKind};
-use crate::experiment::{run_isidewith_trial_with, survey_ground_truth, TrialOptions};
+use crate::attack::TransportKind;
 use h2priv_h2::{ClientConfig, ServerConfig, ShapingConfig};
 use h2priv_netsim::rng::SimRng;
-use h2priv_util::impl_to_json;
-use h2priv_web::{IsideWith, Party, Site, Trigger};
+use h2priv_web::{IsideWith, Site, Trigger};
 
 /// A pluggable server/transport-side countermeasure. Attached to a trial
-/// via [`TrialOptions::defense`]; [`Defense::None`] changes nothing —
-/// no extra RNG draws, no config changes, byte-identical runs.
+/// via [`TrialOptions::defense`](crate::experiment::TrialOptions::defense);
+/// [`Defense::None`] changes nothing — no extra RNG draws, no config
+/// changes, byte-identical runs.
 ///
 /// Each variant maps onto knobs that already live in the endpoint/site
 /// layers; this enum is only the selection surface the experiment
@@ -182,131 +182,6 @@ pub fn randomize_image_order(iw: &IsideWith, rng: &mut SimRng) -> Site {
         }
     }
     Site::new(site.name.clone(), site.objects().to_vec(), plan)
-}
-
-/// Aggregate defense evaluation.
-#[derive(Debug, Clone)]
-pub struct DefenseReport {
-    /// Mean per-position ranking accuracy with the plain site (the
-    /// attack working as in Table II).
-    pub accuracy_undefended_pct: f64,
-    /// Mean per-position ranking accuracy against priority
-    /// randomization.
-    pub accuracy_defended_pct: f64,
-    /// % of images still *identified by size* under the defense (the
-    /// defense hides the order, not the identities).
-    pub identified_defended_pct: f64,
-    /// Trials per arm.
-    pub trials: usize,
-}
-
-impl_to_json!(struct PushDefenseReport {
-    accuracy_plain_pct,
-    accuracy_pushed_pct,
-    identified_pushed_pct,
-    trials,
-});
-
-impl_to_json!(struct DefenseReport {
-    accuracy_undefended_pct,
-    accuracy_defended_pct,
-    identified_defended_pct,
-    trials,
-});
-
-/// Runs `trials` full attacks against both the plain and the defended
-/// site and compares ranking accuracy.
-pub fn evaluate_defense(trials: usize, base_seed: u64) -> DefenseReport {
-    let mut undefended_hits = 0usize;
-    let mut defended_hits = 0usize;
-    let mut defended_identified = 0usize;
-    let positions = 8usize;
-
-    for t in 0..trials {
-        let seed = base_seed + 5_000_000 + t as u64;
-        let mut opts = TrialOptions::new(seed, Some(AttackConfig::full_attack()));
-        let plain = run_isidewith_trial_with(opts.clone());
-        undefended_hits += plain.sequence_success().iter().filter(|b| **b).count();
-
-        // Defended arm: same ground truth, shuffled delivery order.
-        opts.defense = Defense::PriorityRandomization;
-        let defended = run_isidewith_trial_with(opts);
-        // Ranking inference: does position i of the *inferred* order
-        // match the true result order? (The adversary does not know the
-        // delivery order was shuffled.)
-        let inferred = defended.prediction.party_sequence();
-        for (i, truth) in defended.iw.result_order.iter().enumerate() {
-            if inferred.get(i) == Some(truth) {
-                defended_hits += 1;
-            }
-        }
-        defended_identified += Party::ALL
-            .iter()
-            .filter(|p| defended.prediction.contains(&p.to_string()))
-            .count();
-    }
-
-    let denom = (trials * positions) as f64;
-    DefenseReport {
-        accuracy_undefended_pct: 100.0 * undefended_hits as f64 / denom,
-        accuracy_defended_pct: 100.0 * defended_hits as f64 / denom,
-        identified_defended_pct: 100.0 * defended_identified as f64 / denom,
-        trials,
-    }
-}
-
-/// Aggregate report for the server-push defense (paper Section VII:
-/// "Several HTTP/2 features such as server push ... can be leveraged
-/// for privacy").
-#[derive(Debug, Clone)]
-pub struct PushDefenseReport {
-    /// Mean per-position ranking accuracy without push.
-    pub accuracy_plain_pct: f64,
-    /// Mean per-position ranking accuracy with the emblems pushed in
-    /// canonical (non-result) order.
-    pub accuracy_pushed_pct: f64,
-    /// % of emblem images still identified by size under push.
-    pub identified_pushed_pct: f64,
-    /// Trials per arm.
-    pub trials: usize,
-}
-
-/// Evaluates pushing the 8 emblem images (canonical order) with the
-/// result HTML against the full attack. Pushed objects have no GETs for
-/// the adversary's pacer to hold, and their delivery order no longer
-/// encodes the survey result.
-pub fn evaluate_push_defense(trials: usize, base_seed: u64) -> PushDefenseReport {
-    let mut plain_hits = 0usize;
-    let mut pushed_hits = 0usize;
-    let mut pushed_identified = 0usize;
-    let positions = 8usize;
-
-    for t in 0..trials {
-        let seed = base_seed + 6_000_000 + t as u64;
-        let mut opts = TrialOptions::new(seed, Some(AttackConfig::full_attack()));
-        let plain = run_isidewith_trial_with(opts.clone());
-        plain_hits += plain.sequence_success().iter().filter(|b| **b).count();
-
-        // Push arm: emblems pushed with the HTML, canonical order.
-        let iw = survey_ground_truth(seed);
-        let canonical: Vec<_> = Party::ALL.iter().map(|p| iw.image_of(*p)).collect();
-        opts.server.push_manifest = vec![(iw.html, canonical)];
-        let pushed = run_isidewith_trial_with(opts);
-        pushed_hits += pushed.sequence_success().iter().filter(|b| **b).count();
-        pushed_identified += pushed
-            .image_outcomes()
-            .iter()
-            .filter(|o| o.identified)
-            .count();
-    }
-
-    let denom = (trials * positions) as f64;
-    PushDefenseReport {
-        accuracy_plain_pct: 100.0 * plain_hits as f64 / denom,
-        accuracy_pushed_pct: 100.0 * pushed_hits as f64 / denom,
-        identified_pushed_pct: 100.0 * pushed_identified as f64 / denom,
-        trials,
-    }
 }
 
 #[cfg(test)]

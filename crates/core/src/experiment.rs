@@ -70,7 +70,7 @@ pub struct TrialOptions {
     /// When `true`, the watchdog ends the simulation at the first full
     /// stalled window instead of running out the horizon. Keep `false`
     /// (the default) to preserve the exact event sequence of a plain
-    /// `run_until_idle(horizon)` run.
+    /// `run_until(horizon)` run.
     pub fail_fast: bool,
     /// Countermeasure under test. [`Defense::None`] (the default)
     /// changes nothing: no config knobs move, no site transformation
@@ -460,7 +460,7 @@ fn trial_over<E: Endpoints>(site: Site, opts: &TrialOptions) -> TrialResult {
 /// forward-progress probe, so the same loop drives TCP and QUIC trials.
 ///
 /// With `fail_fast` off, the event sequence processed is exactly what a
-/// single `run_until_idle(horizon)` would process — chunk boundaries only
+/// single `run_until(horizon)` would process — chunk boundaries only
 /// partition the same ordered event stream, and the progress probes read
 /// nothing that mutates state or consumes RNG draws — so default-path
 /// trials stay byte-identical to the pre-watchdog harness.
@@ -499,7 +499,7 @@ fn watchdog_loop(
         // events (e.g. everything pending lies past the horizon), so the
         // loop always reaches the horizon.
         chunk_end = (chunk_end.max(sim.now()) + window).min(horizon);
-        sim.run_until_idle(chunk_end);
+        sim.run_until(chunk_end);
         let probe = probe_fn(sim);
         let delivered = sim.stats().packets_delivered;
         let (_, _, page_done, broken) = probe;

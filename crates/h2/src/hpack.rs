@@ -83,7 +83,7 @@ pub const MAX_INT_CONTINUATION: usize = (1usize << 35) - 1;
 
 /// An integer too large for the bounded HPACK varint.
 ///
-/// [`decode_int`] rejects continuations past five 7-bit groups as
+/// `decode_int` rejects continuations past five 7-bit groups as
 /// corrupt, so an unbounded encoder would happily emit integers its own
 /// decoder refuses — an encode-side error, not a silent truncation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -17,7 +17,7 @@ fn run_page_load(
     let client = ClientNode::new(site.clone(), ClientConfig::default());
     let server = ServerNode::new(site, server_cfg);
     let topo = PathTopology::build(&mut sim, client, Box::new(Passthrough), server, &cfg);
-    sim.run_until_idle(SimTime::from_secs(90));
+    sim.run_until(SimTime::from_secs(90));
     let report = sim.node_mut::<ClientNode>(topo.client).take_report();
     (report, sim, topo)
 }

@@ -1,13 +1,18 @@
-//! The discrete-event queue: an [`EventHeap`] for timers and fault
-//! events, and one *lane* per link for that link's serialization and
-//! delivery events.
+//! The discrete-event queue: two [`EventHeap`]s, one for timers and one
+//! for fault events, and one *lane* per link for that link's
+//! serialization and delivery events.
 //!
 //! Events are ordered by `(time, sequence)`: the sequence number is a
 //! monotone counter assigned at scheduling time, so simultaneous events are
 //! dispatched in the order they were scheduled. This tie-break makes the
-//! whole simulation deterministic. The heap's counter numbers every
-//! event, lane events included, so `EventQueue::pop` returns exactly
-//! the order one heap holding every event would.
+//! whole simulation deterministic. `EventQueue` owns the one counter
+//! that numbers every event, in either heap or any lane, so
+//! `EventQueue::pop_until` returns exactly the order one heap holding
+//! every event would. A timer's `seq` is also its [`TimerId`].
+//!
+//! Timers and fault events live in separate heaps so that a timer entry
+//! stays 24 bytes (time, `seq`, node) while a fault event carries a
+//! whole [`Packet`]; most trials schedule no fault event at all.
 //!
 //! A lane needs no heap because of two invariants of the link model,
 //! both asserted at push:
@@ -17,32 +22,39 @@
 //!   and a link's delay never changes, so a lane's deliveries arrive in
 //!   time order and a FIFO keeps them sorted.
 //!
-//! A pop therefore takes the least `(time, seq)` among the heap's top and
-//! every lane's two heads. A cancelled timer leaves a tombstone in the
-//! heap that `pop` skips; lane events are never cancelled.
+//! A pop therefore takes the least `(time, seq)` among the two heaps' tops
+//! and every lane's two heads. Nothing is ever cancelled.
 
 use crate::faults;
 use crate::link::LinkId;
 use crate::node::{NodeId, TimerId};
 use crate::packet::Packet;
-use crate::queue::{EventHeap, Handle};
+use crate::queue::EventHeap;
 use crate::time::SimTime;
 use std::collections::VecDeque;
 
 /// What happens when an event fires.
 #[derive(Debug)]
 pub(crate) enum EventKind {
-    /// A node timer expires.
-    NodeTimer { node: NodeId, timer: TimerId },
+    /// A node timer expires; its [`TimerId`] is the event's `seq`.
+    NodeTimer { node: NodeId },
     /// A link finishes serializing the packet currently on its wire.
     LinkTxComplete { link: LinkId },
     /// A packet arrives at the receiving end of a link.
     LinkDeliver { link: LinkId, pkt: Packet },
+    /// An event of the fault layer.
+    Fault(FaultEvent),
+}
+
+/// An event of the fault layer: the only kind besides timers that waits
+/// in a heap rather than a lane.
+#[derive(Debug)]
+pub(crate) enum FaultEvent {
     /// A packet held by the fault layer (reordering delay or duplicate
     /// copy) is released to its link.
-    FaultRelease { link: LinkId, pkt: Packet },
+    Release { link: LinkId, pkt: Packet },
     /// A scripted fault action fires against a link.
-    FaultAction {
+    Action {
         link: LinkId,
         action: faults::FaultAction,
     },
@@ -51,7 +63,6 @@ pub(crate) enum EventKind {
 #[derive(Debug)]
 pub(crate) struct ScheduledEvent {
     pub time: SimTime,
-    #[allow(dead_code)] // read by the model test, which checks the tie-break order
     pub seq: u64,
     pub kind: EventKind,
 }
@@ -73,26 +84,30 @@ const LANE_CAPACITY: usize = 128;
 /// Where the earliest pending event waits.
 #[derive(Clone, Copy)]
 enum Head {
-    Heap,
+    Timer,
+    Fault,
     Tx(usize),
     Deliver(usize),
 }
 
 /// A min-ordered queue of scheduled events: timers and fault events in
-/// an [`EventHeap`], link events in per-link lanes.
+/// an [`EventHeap`] each, link events in per-link lanes.
 #[derive(Default)]
 pub(crate) struct EventQueue {
-    heap: EventHeap<EventKind>,
+    timers: EventHeap<NodeId>,
+    faults: EventHeap<FaultEvent>,
     lanes: Vec<Lane>,
+    next_seq: u64,
 }
 
 impl EventQueue {
-    /// A queue whose heap storage is preallocated for `cap` events, so
-    /// the steady-state timer population never reallocates mid-run.
+    /// A queue whose timer heap is preallocated for `cap` timers, so the
+    /// steady-state timer population never reallocates mid-run. The fault
+    /// heap grows on demand.
     pub fn with_capacity(cap: usize) -> EventQueue {
         EventQueue {
-            heap: EventHeap::with_capacity(cap),
-            lanes: Vec::new(),
+            timers: EventHeap::with_capacity(cap),
+            ..EventQueue::default()
         }
     }
 
@@ -106,35 +121,31 @@ impl EventQueue {
         });
     }
 
-    /// Schedules a timer or fault event at absolute time `time`. Link
-    /// events go through [`EventQueue::push_tx`] and
-    /// [`EventQueue::push_delivery`].
-    pub fn push(&mut self, time: SimTime, kind: EventKind) {
-        debug_assert!(
-            !matches!(
-                kind,
-                EventKind::LinkTxComplete { .. } | EventKind::LinkDeliver { .. }
-            ),
-            "link events belong in their lane"
-        );
-        self.heap.push(time, kind);
+    /// The next tie-break `seq`, shared by both heaps and every lane.
+    fn take_seq(&mut self) -> u64 {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        seq
     }
 
-    /// Schedules a `NodeTimer` event for `node` at `time`; the returned
-    /// [`TimerId`] wraps the slab handle, so it can later be cancelled in
-    /// O(1) via [`EventQueue::cancel`].
+    /// Schedules a `NodeTimer` event for `node` at `time`; its id is the
+    /// `seq` it is scheduled under, unique for the queue's lifetime.
     pub fn push_timer(&mut self, time: SimTime, node: NodeId) -> TimerId {
-        let handle = self.heap.push_with(time, |handle| EventKind::NodeTimer {
-            node,
-            timer: TimerId(handle.raw()),
-        });
-        TimerId(handle.raw())
+        let seq = self.take_seq();
+        self.timers.push(time, seq, node);
+        TimerId(seq)
+    }
+
+    /// Schedules a fault event at absolute time `time`.
+    pub fn push_fault(&mut self, time: SimTime, event: FaultEvent) {
+        let seq = self.take_seq();
+        self.faults.push(time, seq, event);
     }
 
     /// Schedules `link`'s `LinkTxComplete` at `time`. A link serializes
     /// one packet at a time, so none may be pending.
     pub fn push_tx(&mut self, link: LinkId, time: SimTime) {
-        let seq = self.heap.take_seq();
+        let seq = self.take_seq();
         let lane = &mut self.lanes[link.index()];
         debug_assert!(lane.tx.is_none(), "{link} is already serializing");
         lane.tx = Some((time, seq));
@@ -143,7 +154,7 @@ impl EventQueue {
     /// Schedules the delivery of `pkt` over `link` at `time`, which may
     /// not precede the lane's latest delivery.
     pub fn push_delivery(&mut self, link: LinkId, time: SimTime, pkt: Packet) {
-        let seq = self.heap.take_seq();
+        let seq = self.take_seq();
         let lane = &mut self.lanes[link.index()];
         debug_assert!(
             lane.deliveries.back().is_none_or(|last| last.0 <= time),
@@ -152,22 +163,17 @@ impl EventQueue {
         lane.deliveries.push_back((time, seq, pkt));
     }
 
-    /// Cancels a pending timer event. Stale ids (already fired or already
-    /// cancelled) are a no-op; returns whether a live event was removed.
-    pub fn cancel(&mut self, timer: TimerId) -> bool {
-        self.heap.cancel(Handle::from_raw(timer.0)).is_some()
-    }
-
-    /// Removes and returns the earliest event.
-    pub fn pop(&mut self) -> Option<ScheduledEvent> {
-        self.pop_until(SimTime::MAX)
-    }
-
     /// Removes and returns the earliest event if it is due no later than
     /// `deadline`; otherwise leaves the queue as it is.
     pub fn pop_until(&mut self, deadline: SimTime) -> Option<ScheduledEvent> {
-        let mut best = self.heap.peek_key();
-        let mut head = Head::Heap;
+        let mut best = self.timers.peek_key();
+        let mut head = Head::Timer;
+        if let Some(key) = self.faults.peek_key() {
+            if best.is_none_or(|b| key < b) {
+                best = Some(key);
+                head = Head::Fault;
+            }
+        }
         for (i, lane) in self.lanes.iter().enumerate() {
             if let Some(key) = lane.tx {
                 if best.is_none_or(|b| key < b) {
@@ -187,9 +193,11 @@ impl EventQueue {
             return None;
         }
         let kind = match head {
-            Head::Heap => {
-                let p = self.heap.pop().expect("the heap's top is live");
-                p.payload
+            Head::Timer => EventKind::NodeTimer {
+                node: self.timers.pop().expect("the timer heap's top").payload,
+            },
+            Head::Fault => {
+                EventKind::Fault(self.faults.pop().expect("the fault heap's top").payload)
             }
             Head::Tx(i) => {
                 self.lanes[i].tx = None;
@@ -213,17 +221,13 @@ impl EventQueue {
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.timers.len()
+            + self.faults.len()
             + self
                 .lanes
                 .iter()
                 .map(|l| usize::from(l.tx.is_some()) + l.deliveries.len())
                 .sum::<usize>()
-    }
-
-    /// Number of cancelled timers whose tombstones are still in the heap.
-    pub fn dead(&self) -> usize {
-        self.heap.dead()
     }
 }
 
@@ -245,20 +249,17 @@ mod tests {
     use h2priv_util::bytes::Bytes;
     use h2priv_util::check::{self, Gen};
 
-    fn timer(node: usize, t: u64) -> EventKind {
-        EventKind::NodeTimer {
-            node: NodeId(node),
-            timer: TimerId(t),
-        }
+    fn pop(q: &mut EventQueue) -> Option<ScheduledEvent> {
+        q.pop_until(SimTime::MAX)
     }
 
     #[test]
     fn pops_in_time_order() {
         let mut q = EventQueue::default();
-        q.push(SimTime::from_millis(30), timer(0, 0));
-        q.push(SimTime::from_millis(10), timer(0, 1));
-        q.push(SimTime::from_millis(20), timer(0, 2));
-        let order: Vec<u64> = std::iter::from_fn(|| q.pop())
+        q.push_timer(SimTime::from_millis(30), NodeId(0));
+        q.push_timer(SimTime::from_millis(10), NodeId(0));
+        q.push_timer(SimTime::from_millis(20), NodeId(0));
+        let order: Vec<u64> = std::iter::from_fn(|| pop(&mut q))
             .map(|e| e.time.as_millis())
             .collect();
         assert_eq!(order, vec![10, 20, 30]);
@@ -269,11 +270,11 @@ mod tests {
         let mut q = EventQueue::default();
         let t = SimTime::from_millis(5);
         for i in 0..10 {
-            q.push(t, timer(0, i));
+            q.push_timer(t, NodeId(i));
         }
-        let order: Vec<u64> = std::iter::from_fn(|| q.pop())
+        let order: Vec<usize> = std::iter::from_fn(|| pop(&mut q))
             .map(|e| match e.kind {
-                EventKind::NodeTimer { timer, .. } => timer.0,
+                EventKind::NodeTimer { node } => node.0,
                 _ => unreachable!(),
             })
             .collect();
@@ -284,11 +285,11 @@ mod tests {
     fn with_capacity_preallocates_and_behaves_identically() {
         let mut q = EventQueue::with_capacity(64);
         assert_eq!(q.len(), 0);
-        q.push(SimTime::from_millis(2), timer(0, 0));
-        q.push(SimTime::from_millis(1), timer(0, 1));
+        q.push_timer(SimTime::from_millis(2), NodeId(0));
+        q.push_timer(SimTime::from_millis(1), NodeId(0));
         assert_eq!(q.len(), 2);
-        assert_eq!(q.pop().unwrap().time, SimTime::from_millis(1));
-        assert_eq!(q.pop().unwrap().time, SimTime::from_millis(2));
+        assert_eq!(pop(&mut q).unwrap().time, SimTime::from_millis(1));
+        assert_eq!(pop(&mut q).unwrap().time, SimTime::from_millis(2));
         assert_eq!(q.len(), 0);
     }
 
@@ -296,8 +297,8 @@ mod tests {
     fn pop_until_leaves_later_events_pending() {
         let mut q = EventQueue::default();
         assert!(q.pop_until(SimTime::MAX).is_none());
-        q.push(SimTime::from_millis(9), timer(0, 0));
-        q.push(SimTime::from_millis(3), timer(0, 1));
+        q.push_timer(SimTime::from_millis(9), NodeId(0));
+        q.push_timer(SimTime::from_millis(3), NodeId(0));
         assert!(q.pop_until(SimTime::from_millis(2)).is_none());
         assert_eq!(q.len(), 2);
         let due = q.pop_until(SimTime::from_millis(3)).expect("due at 3 ms");
@@ -307,20 +308,22 @@ mod tests {
     }
 
     #[test]
-    fn timer_events_cancel_exactly_once() {
+    fn timer_ids_are_the_seqs_they_pop_with() {
         let mut q = EventQueue::default();
-        let a = q.push_timer(SimTime::from_millis(1), NodeId(0));
-        let b = q.push_timer(SimTime::from_millis(2), NodeId(0));
-        assert!(q.cancel(a));
-        assert!(!q.cancel(a), "double cancel is a no-op");
-        assert_eq!(q.len(), 1);
-        let fired = q.pop().expect("b still pending");
-        match fired.kind {
-            EventKind::NodeTimer { timer, .. } => assert_eq!(timer, b),
-            _ => unreachable!(),
-        }
-        assert!(!q.cancel(b), "cancel after fire is a no-op");
-        assert_eq!(q.len(), 0);
+        q.push_fault(
+            SimTime::from_millis(1),
+            FaultEvent::Action {
+                link: LinkId::from_raw(0),
+                action: FaultAction::LinkDown,
+            },
+        );
+        let a = q.push_timer(SimTime::from_millis(2), NodeId(0));
+        let b = q.push_timer(SimTime::from_millis(2), NodeId(1));
+        assert_eq!((a, b), (TimerId(1), TimerId(2)));
+        assert_eq!(pop(&mut q).map(|e| e.seq), Some(0));
+        assert_eq!(pop(&mut q).map(|e| TimerId(e.seq)), Some(a));
+        assert_eq!(pop(&mut q).map(|e| TimerId(e.seq)), Some(b));
+        assert!(pop(&mut q).is_none());
     }
 
     /// What the model knows of a pending event: its kind, its link (or
@@ -334,11 +337,15 @@ mod tests {
         Deliver(usize, u64),
     }
 
-    fn tag(kind: &EventKind) -> Tag {
-        match kind {
-            EventKind::NodeTimer { timer, .. } => Tag::Timer(timer.0),
-            EventKind::FaultRelease { link, pkt } => Tag::Release(link.index(), pkt.id.0),
-            EventKind::FaultAction { link, .. } => Tag::Action(link.index()),
+    /// A timer's tag is the id `push_timer` returned, so comparing tags
+    /// also checks that a timer pops with its id as its `seq`.
+    fn tag(ev: &ScheduledEvent) -> Tag {
+        match &ev.kind {
+            EventKind::NodeTimer { .. } => Tag::Timer(ev.seq),
+            EventKind::Fault(FaultEvent::Release { link, pkt }) => {
+                Tag::Release(link.index(), pkt.id.0)
+            }
+            EventKind::Fault(FaultEvent::Action { link, .. }) => Tag::Action(link.index()),
             EventKind::LinkTxComplete { link } => Tag::Tx(link.index()),
             EventKind::LinkDeliver { link, pkt } => Tag::Deliver(link.index(), pkt.id.0),
         }
@@ -369,12 +376,10 @@ mod tests {
     }
 
     /// The specification: every pending `(time, seq, tag)` in one `Vec`,
-    /// the earliest found by a linear scan, and the keys of cancelled
-    /// timers the heap still holds as tombstones.
+    /// the earliest found by a linear scan.
     #[derive(Default)]
     struct Model {
         live: Vec<(SimTime, u64, Tag)>,
-        tombstones: Vec<(SimTime, u64)>,
         next_seq: u64,
         /// Pops whose instant a heap event and a lane event shared.
         mixed_ties: usize,
@@ -386,25 +391,7 @@ mod tests {
             self.next_seq += 1;
         }
 
-        fn cancel(&mut self, id: u64) -> bool {
-            let Some(pos) = self.live.iter().position(|e| e.2 == Tag::Timer(id)) else {
-                return false;
-            };
-            let (time, seq, _) = self.live.swap_remove(pos);
-            self.tombstones.push((time, seq));
-            true
-        }
-
         fn pop_until(&mut self, deadline: SimTime) -> Option<(SimTime, u64, Tag)> {
-            // The heap drops the tombstones above its earliest live event.
-            let heap_min = self
-                .live
-                .iter()
-                .filter(|e| in_heap(e.2))
-                .map(|e| (e.0, e.1))
-                .min();
-            self.tombstones
-                .retain(|&key| heap_min.is_some_and(|min| key > min));
             let pos = (0..self.live.len()).min_by_key(|&i| (self.live[i].0, self.live[i].1))?;
             let time = self.live[pos].0;
             if time > deadline {
@@ -453,10 +440,9 @@ mod tests {
             self.model.live.iter().any(|e| e.2 == Tag::Tx(link))
         }
 
-        fn push_timer(&mut self, time: SimTime) -> u64 {
+        fn push_timer(&mut self, time: SimTime) {
             let id = self.queue.push_timer(time, NodeId(0)).0;
             self.model.push(time, Tag::Timer(id));
-            id
         }
 
         fn push_fault(&mut self, time: SimTime, link: usize, release: bool) {
@@ -466,12 +452,12 @@ mod tests {
                 self.model.push(time, Tag::Release(link, self.next_packet));
                 self.next_packet += 1;
                 self.queue
-                    .push(time, EventKind::FaultRelease { link: lid, pkt });
+                    .push_fault(time, FaultEvent::Release { link: lid, pkt });
             } else {
                 self.model.push(time, Tag::Action(link));
                 let action = FaultAction::LinkDown;
                 self.queue
-                    .push(time, EventKind::FaultAction { link: lid, action });
+                    .push_fault(time, FaultEvent::Action { link: lid, action });
             }
         }
 
@@ -493,31 +479,15 @@ mod tests {
             let got = self.queue.pop_until(deadline);
             let want = self.model.pop_until(deadline);
             assert_eq!(
-                got.as_ref().map(|e| (e.time, e.seq, tag(&e.kind))),
+                got.as_ref().map(|e| (e.time, e.seq, tag(e))),
                 want,
                 "pop_until({deadline:?}) diverged"
             );
             want
         }
 
-        fn pop(&mut self) -> Option<(SimTime, u64, Tag)> {
-            let got = self.queue.pop();
-            let want = self.model.pop_until(SimTime::MAX);
-            assert_eq!(
-                got.as_ref().map(|e| (e.time, e.seq, tag(&e.kind))),
-                want,
-                "pop diverged"
-            );
-            want
-        }
-
-        fn assert_counts(&self) {
+        fn assert_len(&self) {
             assert_eq!(self.queue.len(), self.model.live.len(), "len diverged");
-            assert_eq!(
-                self.queue.dead(),
-                self.model.tombstones.len(),
-                "dead diverged"
-            );
         }
     }
 
@@ -537,68 +507,42 @@ mod tests {
     fn run_lockstep(g: &mut Gen, ops: usize) -> usize {
         let mut q = Lockstep::new(g.usize(4, 8));
         let mut now = SimTime::ZERO;
-        let mut timers: Vec<u64> = Vec::new();
-        let mut spent: Vec<u64> = Vec::new();
         for _ in 0..ops {
             let link = g.usize(0, q.links() - 1);
-            match g.u8(0, 15) {
-                0 | 1 => timers.push(q.push_timer(soon(g, now))),
+            let popped = match g.u8(0, 13) {
+                0 | 1 => {
+                    q.push_timer(soon(g, now));
+                    None
+                }
                 2 => {
                     let release = g.bool(0.5);
                     q.push_fault(soon(g, now), link, release);
+                    None
                 }
                 3 | 4 => {
                     if !q.tx_pending(link) {
                         q.push_tx(soon(g, now), link);
                     }
+                    None
                 }
                 5..=7 => {
                     let time = soon(g, now).max(q.last_delivery[link]);
                     q.push_delivery(time, link);
+                    None
                 }
-                // Cancel a pending timer, maybe rescheduling it.
-                8 => {
-                    if !timers.is_empty() {
-                        let id = timers.swap_remove(g.usize(0, timers.len() - 1));
-                        let live = q.model.live.iter().any(|e| e.2 == Tag::Timer(id));
-                        assert_eq!(q.queue.cancel(TimerId(id)), live, "cancel of {id}");
-                        assert_eq!(q.model.cancel(id), live);
-                        spent.push(id);
-                        if g.bool(0.5) {
-                            timers.push(q.push_timer(soon(g, now)));
-                        }
-                    }
-                }
-                // A spent handle (fired or cancelled) cancels nothing.
-                9 => {
-                    if !spent.is_empty() {
-                        let id = spent[g.usize(0, spent.len() - 1)];
-                        assert!(!q.queue.cancel(TimerId(id)), "spent handle revived");
-                        assert!(!q.model.cancel(id));
-                    }
-                }
-                10..=12 => {
-                    if let Some((t, _, tag)) = q.pop() {
-                        now = t;
-                        if let Tag::Timer(id) = tag {
-                            spent.push(id);
-                        }
-                    }
-                }
+                8..=10 => q.pop_until(SimTime::MAX),
                 _ => {
                     let deadline = soon(g, now);
-                    if let Some((t, _, tag)) = q.pop_until(deadline) {
-                        now = t;
-                        if let Tag::Timer(id) = tag {
-                            spent.push(id);
-                        }
-                    }
+                    q.pop_until(deadline)
                 }
+            };
+            if let Some((t, _, _)) = popped {
+                now = t;
             }
-            q.assert_counts();
+            q.assert_len();
         }
-        while q.pop().is_some() {
-            q.assert_counts();
+        while q.pop_until(SimTime::MAX).is_some() {
+            q.assert_len();
         }
         assert_eq!(q.queue.len(), 0);
         q.model.mixed_ties

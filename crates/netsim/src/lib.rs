@@ -16,18 +16,18 @@
 //!   the simulation reads the wall clock, so every run is exactly
 //!   reproducible from its RNG seed.
 //! * **Event queue.** Events are ordered by `(time, sequence)`; ties are
-//!   broken by insertion order so iteration is deterministic. Timers and
-//!   fault events wait in a `BinaryHeap` ([`queue`]) whose payloads are
-//!   slab-allocated with generation-tagged handles, so cancelling a timer
-//!   is O(1); its heap key stays behind as a tombstone that `pop` skips.
-//!   Each link's serialization and delivery events wait in that link's
-//!   lane ([`event`]), already sorted, and `pop` merges the lanes with
-//!   the heap in exact `(time, sequence)` order.
+//!   broken by insertion order so iteration is deterministic. Timers wait
+//!   in one `BinaryHeap` ([`queue`]) and fault events in another; each
+//!   link's serialization and delivery events wait in that link's lane
+//!   ([`event`]), already sorted, and a pop merges the lanes with the
+//!   heaps in exact `(time, sequence)` order. A timer's id is its
+//!   sequence number. Timers are never cancelled: a node ignores one it
+//!   no longer wants when it fires.
 //! * **Nodes and links.** [`node::Node`]s exchange [`packet::Packet`]s over
-//!   unidirectional [`link::Link`]s that model serialization delay
-//!   (bandwidth), propagation delay, a drop-tail queue, and random loss.
-//!   Bandwidth can be changed at runtime, which is how the adversary
-//!   throttles the path.
+//!   unidirectional links, each set up by a [`link::LinkConfig`], that
+//!   model serialization delay (bandwidth), propagation delay, a
+//!   drop-tail queue, and random loss. Bandwidth can be changed at
+//!   runtime, which is how the adversary throttles the path.
 //! * **Capture.** Every wire event can be mirrored into a
 //!   [`capture::CaptureSink`], the hook used by the `h2priv-trace` crate to
 //!   implement its tshark-like capture.

@@ -437,7 +437,7 @@ mod tests {
             Catcher { times: vec![] },
             &PathConfig::default(),
         );
-        sim.run_until_idle(SimTime::from_secs(10));
+        sim.run_until(SimTime::from_secs(10));
         (sim, topo)
     }
 

@@ -35,10 +35,10 @@ impl fmt::Display for NodeId {
 /// Identifies a scheduled timer; returned by [`Ctx::schedule`] and passed
 /// back to [`Node::on_timer`] when it fires.
 ///
-/// Internally this is a generation-tagged slab handle into the event
-/// queue, which is what makes [`Ctx::cancel`] O(1): it leaves a tombstone
-/// that `pop` skips, so every timer that surfaces is live, and a stale id
-/// (already fired or already cancelled) simply fails the generation check.
+/// It is the sequence number the timer was scheduled under, so no two
+/// timers of one simulator ever share an id. A timer cannot be cancelled:
+/// a node that no longer wants one keeps the id in a map of pending
+/// purposes and ignores it when it fires.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TimerId(pub(crate) u64);
 
@@ -115,12 +115,6 @@ impl<'a> Ctx<'a> {
         self.world.queue.push_timer(at, self.node)
     }
 
-    /// Cancels a previously scheduled timer in O(1); it never fires.
-    /// Cancelling an already-fired or unknown timer is a no-op.
-    pub fn cancel(&mut self, timer: TimerId) {
-        self.world.queue.cancel(timer);
-    }
-
     /// The link carrying traffic in the opposite direction of `link`, if
     /// the topology registered one.
     pub fn reverse_link(&self, link: LinkId) -> Option<LinkId> {
@@ -161,10 +155,17 @@ mod tests {
     use crate::packet::{FlowId, HostAddr, TcpFlags, TcpHeader};
     use crate::sim::Simulator;
     use h2priv_util::bytes::Bytes;
+    use std::cell::RefCell;
+    use std::rc::Rc;
+
+    /// Every timer a node saw fire, as `(node, id)`, in dispatch order.
+    type Fired = Rc<RefCell<Vec<(NodeId, TimerId)>>>;
 
     struct Sender {
         out: Option<LinkId>,
         sent: u32,
+        scheduled: Vec<TimerId>,
+        fired: Fired,
     }
     struct Receiver {
         got: Vec<u32>,
@@ -190,18 +191,33 @@ mod tests {
         )
     }
 
+    impl Sender {
+        fn new(fired: &Fired) -> Sender {
+            Sender {
+                out: None,
+                sent: 0,
+                scheduled: Vec::new(),
+                fired: Rc::clone(fired),
+            }
+        }
+    }
+
     impl Node for Sender {
         fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-            self.out = Some(ctx.egress_links()[0]);
-            ctx.schedule(SimDuration::from_millis(1));
+            self.out = ctx.egress_links().first().copied();
+            self.scheduled
+                .push(ctx.schedule(SimDuration::from_millis(1)));
         }
         fn on_packet(&mut self, _ctx: &mut Ctx<'_>, _from: LinkId, _pkt: Packet) {}
-        fn on_timer(&mut self, ctx: &mut Ctx<'_>, _timer: TimerId) {
-            let link = self.out.expect("started");
-            ctx.send(link, pkt(self.sent));
+        fn on_timer(&mut self, ctx: &mut Ctx<'_>, timer: TimerId) {
+            self.fired.borrow_mut().push((ctx.node_id(), timer));
+            if let Some(link) = self.out {
+                ctx.send(link, pkt(self.sent));
+            }
             self.sent += 1;
             if self.sent < 3 {
-                ctx.schedule(SimDuration::from_millis(1));
+                self.scheduled
+                    .push(ctx.schedule(SimDuration::from_millis(1)));
             }
         }
     }
@@ -213,34 +229,36 @@ mod tests {
         fn on_timer(&mut self, _ctx: &mut Ctx<'_>, _timer: TimerId) {}
     }
 
+    /// Two nodes schedule their timers at the same instants. Each
+    /// `on_timer` gets an id its own node's `schedule` returned, in the
+    /// order that node scheduled them: the endpoints key their pending
+    /// timers by id and rely on exactly this.
     #[test]
     fn timers_and_sends_deliver_in_order() {
+        let fired = Fired::default();
         let mut sim = Simulator::new(1);
-        let s = sim.add_node(Sender { out: None, sent: 0 });
+        let s = sim.add_node(Sender::new(&fired));
         let r = sim.add_node(Receiver { got: vec![] });
+        let twin = sim.add_node(Sender::new(&fired));
         sim.connect(s, r, LinkConfig::lan());
-        sim.run_until_idle(SimTime::from_secs(1));
+        sim.run_until(SimTime::from_secs(1));
         assert_eq!(sim.node_ref::<Receiver>(r).got, vec![0, 1, 2]);
-    }
 
-    #[test]
-    fn cancelled_timer_does_not_fire() {
-        struct Canceller {
-            fired: bool,
-        }
-        impl Node for Canceller {
-            fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-                let t = ctx.schedule(SimDuration::from_millis(10));
-                ctx.cancel(t);
-            }
-            fn on_packet(&mut self, _c: &mut Ctx<'_>, _f: LinkId, _p: Packet) {}
-            fn on_timer(&mut self, _c: &mut Ctx<'_>, _t: TimerId) {
-                self.fired = true;
-            }
-        }
-        let mut sim = Simulator::new(1);
-        let n = sim.add_node(Canceller { fired: false });
-        sim.run_until_idle(SimTime::from_secs(1));
-        assert!(!sim.node_ref::<Canceller>(n).fired);
+        let ids = |node| sim.node_ref::<Sender>(node).scheduled.clone();
+        let (mine, theirs) = (ids(s), ids(twin));
+        assert_eq!((mine.len(), theirs.len()), (3, 3));
+        let fired = fired.borrow();
+        let fired_at =
+            |node| -> Vec<TimerId> { fired.iter().filter(|f| f.0 == node).map(|f| f.1).collect() };
+        assert_eq!(fired_at(s), mine);
+        assert_eq!(fired_at(twin), theirs);
+        // Same instants, so the two nodes' timers interleave, each pair
+        // in the order its timers were scheduled.
+        let interleaved: Vec<TimerId> = mine
+            .iter()
+            .zip(&theirs)
+            .flat_map(|(&a, &b)| [a, b])
+            .collect();
+        assert_eq!(fired.iter().map(|f| f.1).collect::<Vec<_>>(), interleaved);
     }
 }

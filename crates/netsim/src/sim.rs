@@ -3,10 +3,10 @@
 //! deadline is reached.
 
 use crate::capture::{CaptureEvent, CapturePoint, CaptureSink};
-use crate::event::{EventKind, EventQueue, ScheduledEvent};
+use crate::event::{EventKind, EventQueue, FaultEvent, ScheduledEvent};
 use crate::faults::{FaultAction, FaultConfig, FaultEngine, FaultStats, FaultVerdict};
 use crate::link::{LinkConfig, LinkId, LinkStats, Links, SubmitOutcome};
-use crate::node::{Ctx, Node, NodeId};
+use crate::node::{Ctx, Node, NodeId, TimerId};
 use crate::packet::Packet;
 use crate::rng::SimRng;
 use crate::stats::SimStats;
@@ -45,9 +45,9 @@ impl World {
                     ev.fields.push(("delay_ns", delay.as_nanos().into()));
                 });
                 let copy = pkt.clone();
-                self.queue.push(
+                self.queue.push_fault(
                     now + delay,
-                    EventKind::FaultRelease {
+                    FaultEvent::Release {
                         link: link_id,
                         pkt: copy,
                     },
@@ -61,7 +61,7 @@ impl World {
                     ev.fields.push(("delay_ns", delay.as_nanos().into()));
                 });
                 self.queue
-                    .push(now + delay, EventKind::FaultRelease { link: link_id, pkt });
+                    .push_fault(now + delay, FaultEvent::Release { link: link_id, pkt });
             }
             FaultVerdict::Drop => {
                 telemetry::emit("netsim", "fault_drop", |ev| {
@@ -155,11 +155,11 @@ pub struct Simulator {
     world: World,
 }
 
-/// Initial event-heap capacity. The heap holds a trial's timers and
-/// fault events (link events wait in their lanes), which peaked at 473
-/// over 200 of the benchmark's Table II trials and at 520 over 200 of
-/// its H3 transfer trials; preallocating for that population keeps the
-/// hot push/pop path free of heap growth.
+/// Initial timer-heap capacity. Timers peaked at 473 pending over 200 of
+/// the benchmark's Table II trials and at 520 over 200 of its H3 transfer
+/// trials; preallocating 24 bytes for each of 1,024 keeps the hot
+/// push/pop path free of heap growth. Link events wait in their lanes,
+/// and fault events in a heap of their own that grows on demand.
 const EVENT_QUEUE_CAPACITY: usize = 1024;
 
 impl Simulator {
@@ -266,7 +266,7 @@ impl Simulator {
         for &(time, action) in &cfg.schedule {
             self.world
                 .queue
-                .push(time, EventKind::FaultAction { link, action });
+                .push_fault(time, FaultEvent::Action { link, action });
         }
         self.world.faults.attach(link, cfg, rng);
     }
@@ -277,10 +277,9 @@ impl Simulator {
         self.world.faults.stats(link)
     }
 
-    /// Calls every node's `on_start` exactly once. Invoked automatically by
-    /// the run methods; callable explicitly when a test wants to step
-    /// manually afterwards.
-    pub fn start(&mut self) {
+    /// Calls every node's `on_start` exactly once, on the first
+    /// [`Simulator::run_until`].
+    fn start(&mut self) {
         if self.started {
             return;
         }
@@ -306,26 +305,14 @@ impl Simulator {
         r
     }
 
-    /// Processes a single event. Returns `false` when the queue is empty.
-    pub fn step(&mut self) -> bool {
-        self.start();
-        let Some(ev) = self.world.queue.pop() else {
-            return false;
-        };
-        self.dispatch(ev);
-        true
-    }
-
     fn dispatch(&mut self, ev: ScheduledEvent) {
         debug_assert!(ev.time >= self.now, "time went backwards");
         self.now = ev.time;
         telemetry::set_sim_now(self.now.as_nanos());
         self.world.stats.events += 1;
         match ev.kind {
-            EventKind::NodeTimer { node, timer } => {
-                // `pop` skips a cancelled timer's tombstone, so every
-                // timer event that surfaces here is live.
-                self.with_node(node, |n, ctx| n.on_timer(ctx, timer));
+            EventKind::NodeTimer { node } => {
+                self.with_node(node, |n, ctx| n.on_timer(ctx, TimerId(ev.seq)));
             }
             EventKind::LinkTxComplete { link } => {
                 let wire = self.world.links.get_mut(link);
@@ -344,10 +331,10 @@ impl Simulator {
                 self.world.stats.packets_delivered += 1;
                 self.with_node(to, |n, ctx| n.on_packet(ctx, link, pkt));
             }
-            EventKind::FaultRelease { link, pkt } => {
+            EventKind::Fault(FaultEvent::Release { link, pkt }) => {
                 self.world.submit_direct(self.now, link, pkt);
             }
-            EventKind::FaultAction { link, action } => {
+            EventKind::Fault(FaultEvent::Action { link, action }) => {
                 if !self.world.faults.apply_state_action(link, action) {
                     match action {
                         FaultAction::SetBandwidth(bw) => {
@@ -362,7 +349,8 @@ impl Simulator {
     }
 
     /// Runs until the queue is empty or the next event is later than
-    /// `deadline`; the clock stays at the last processed event.
+    /// `deadline`; the clock stays at the last processed event. The first
+    /// call starts every node.
     pub fn run_until(&mut self, deadline: SimTime) {
         self.start();
         while let Some(ev) = self.world.queue.pop_until(deadline) {
@@ -370,24 +358,10 @@ impl Simulator {
         }
     }
 
-    /// Runs until the event queue drains, but never past `deadline`
-    /// (a safety net against livelocked models). The same loop as
-    /// [`Simulator::run_until`].
-    pub fn run_until_idle(&mut self, deadline: SimTime) {
-        self.run_until(deadline);
-    }
-
-    /// Number of pending events: timers and fault events in the heap,
+    /// Number of pending events: timers and fault events in their heaps,
     /// link events in the lanes.
     pub fn pending_events(&self) -> usize {
         self.world.queue.len()
-    }
-
-    /// Number of cancelled timers whose tombstones are still in the
-    /// heap. `pop` skips a tombstone once it reaches the top, so every
-    /// timer that surfaces is live; lane events are never cancelled.
-    pub fn pending_dead_events(&self) -> usize {
-        self.world.queue.dead()
     }
 }
 
@@ -481,7 +455,7 @@ mod tests {
             loss: 0.0,
         };
         let (mut sim, s) = build(3, 125 - 54, cfg);
-        sim.run_until_idle(SimTime::from_secs(5));
+        sim.run_until(SimTime::from_secs(5));
         let recv = &sim.node_ref::<Sink>(s).received;
         assert_eq!(recv.len(), 3);
         // First packet: 1 ms tx + 10 ms prop = 11 ms; then 1 ms apart.
@@ -532,7 +506,7 @@ mod tests {
         let u = sim.add_node(Unthrottler { out: None, sent: 0 });
         let s = sim.add_node(Sink { received: vec![] });
         sim.connect(u, s, cfg);
-        sim.run_until_idle(SimTime::from_secs(1));
+        sim.run_until(SimTime::from_secs(1));
         // The first packet keeps its 8 ms at the old rate; the wire frees
         // at 8 ms and the queued ones, the late fourth among them, follow
         // with zero serialization time, each `delay` after that.
@@ -548,7 +522,7 @@ mod tests {
     fn full_loss_drops_everything() {
         let cfg = LinkConfig::lan().with_loss(1.0);
         let (mut sim, s) = build(5, 100, cfg);
-        sim.run_until_idle(SimTime::from_secs(1));
+        sim.run_until(SimTime::from_secs(1));
         assert!(sim.node_ref::<Sink>(s).received.is_empty());
         assert_eq!(sim.stats().packets_dropped, 5);
     }
@@ -559,7 +533,7 @@ mod tests {
         let cfg = LinkConfig::lan().with_loss(1.0);
         let (mut sim, _) = build(4, 100, cfg);
         sim.set_capture_sink(sink.clone());
-        sim.run_until_idle(SimTime::from_secs(1));
+        sim.run_until(SimTime::from_secs(1));
         assert_eq!(sink.borrow().drops, 4);
     }
 
@@ -572,9 +546,9 @@ mod tests {
             loss: 0.0,
         };
         let (mut sim, s) = build(1, 100, cfg);
-        sim.run_until_idle(SimTime::from_millis(50));
+        sim.run_until(SimTime::from_millis(50));
         assert!(sim.node_ref::<Sink>(s).received.is_empty());
-        sim.run_until_idle(SimTime::from_secs(1));
+        sim.run_until(SimTime::from_secs(1));
         assert_eq!(sim.node_ref::<Sink>(s).received.len(), 1);
     }
 
@@ -583,7 +557,7 @@ mod tests {
         let mk = || {
             let cfg = LinkConfig::lan().with_loss(0.3);
             let (mut sim, s) = build(50, 500, cfg);
-            sim.run_until_idle(SimTime::from_secs(1));
+            sim.run_until(SimTime::from_secs(1));
             sim.node_ref::<Sink>(s).received.clone()
         };
         assert_eq!(mk(), mk());

@@ -250,7 +250,7 @@ mod tests {
             Dummy,
             &PathConfig::default(),
         );
-        sim.run_until_idle(crate::time::SimTime::from_secs(5));
+        sim.run_until(crate::time::SimTime::from_secs(5));
         // Both gateways forwarded one packet each…
         assert_eq!(
             sim.node_ref::<Middlebox>(topo.path.middlebox)

@@ -130,7 +130,7 @@ fn fault_layer_conserves_packets() {
             g.u64(0, 9_999),
         );
         let mut sim = built.sim;
-        sim.run_until_idle(SimTime::from_secs(300));
+        sim.run_until(SimTime::from_secs(300));
         assert_eq!(sim.pending_events(), 0, "simulation must drain");
 
         let fs = sim.fault_stats(built.link).expect("faults attached");
@@ -172,7 +172,7 @@ fn gilbert_elliott_long_run_loss_converges() {
                 g.u64(0, 9_999),
             );
             let mut sim = built.sim;
-            sim.run_until_idle(SimTime::from_secs(600));
+            sim.run_until(SimTime::from_secs(600));
             let fs = sim.fault_stats(built.link).expect("faults attached");
             let observed = fs.dropped_burst as f64 / fs.evaluated as f64;
             // Bursty losses are correlated, so the effective sample size is
@@ -195,7 +195,7 @@ fn scripted_flap_window_is_exact() {
         FaultConfig::none().with_flap(SimTime::from_millis(30), SimDuration::from_millis(30));
     let built = build(100, 1_000, LinkConfig::lan(), faults, 5);
     let mut sim = built.sim;
-    sim.run_until_idle(SimTime::from_secs(10));
+    sim.run_until(SimTime::from_secs(10));
     let fs = sim.fault_stats(built.link).unwrap();
     // Sends at 30..59 ms inclusive fall inside the window. The down event
     // at exactly 30 ms is scheduled before the send timer (attach_faults
@@ -223,7 +223,7 @@ fn duplication_and_reordering_are_observable() {
         });
     let built = build(200, 100, LinkConfig::lan(), faults, 11);
     let mut sim = built.sim;
-    sim.run_until_idle(SimTime::from_secs(10));
+    sim.run_until(SimTime::from_secs(10));
     let fs = sim.fault_stats(built.link).unwrap();
     assert!(fs.duplicated > 0);
     assert!(fs.reordered > 0);
@@ -254,7 +254,7 @@ fn faults_preserve_seed_determinism() {
             });
         let built = build(500, 50, LinkConfig::lan().with_loss(0.05), faults, seed);
         let mut sim = built.sim;
-        sim.run_until_idle(SimTime::from_secs(60));
+        sim.run_until(SimTime::from_secs(60));
         (
             sim.node_ref::<Pulser>(built.sink).received.clone(),
             sim.fault_stats(built.link).unwrap(),

@@ -83,7 +83,7 @@ fn run_pair(plan: Vec<(u64, u32, usize)>, cfg: LinkConfig, seed: u64) -> Vec<(u6
     let a = sim.add_node(Scripted::new(plan));
     let b = sim.add_node(Scripted::new(vec![]));
     sim.connect(a, b, cfg);
-    sim.run_until_idle(SimTime::from_secs(120));
+    sim.run_until(SimTime::from_secs(120));
     sim.node_ref::<Scripted>(b).received.clone()
 }
 
@@ -201,7 +201,7 @@ fn middlebox_delays_create_reordering_and_drops_remove() {
             ..PathConfig::default()
         },
     );
-    sim.run_until_idle(SimTime::from_secs(10));
+    sim.run_until(SimTime::from_secs(10));
     let received = &sim.node_ref::<Scripted>(topo.server).received;
     let dropped: Vec<u32> = (0..n).filter(|s| s % 5 == 4).collect();
     for d in &dropped {
@@ -252,7 +252,7 @@ fn bandwidth_change_applies_to_later_packets() {
         Scripted::new(vec![]),
         &PathConfig::default(),
     );
-    sim.run_until_idle(SimTime::from_secs(60));
+    sim.run_until(SimTime::from_secs(60));
     let received = &sim.node_ref::<Scripted>(topo.server).received;
     assert_eq!(received.len(), 3);
     // The throttle applies from the first packet's own egress onwards:

@@ -1,34 +1,23 @@
-//! Model check of the event queue: drives [`EventHeap`] and a brute-force
-//! model in lockstep over randomized schedule / cancel / pop / peek
-//! workloads and asserts identical observable behavior after every
-//! operation — pops (time, seq, payload), peeked times, lengths and cancel
-//! results. The workloads cover same-instant FIFO tie-breaks, far-future
-//! events, and cancel-then-reschedule with the spent handle kept around.
+//! Model check of the event heap: drives [`EventHeap`] and a brute-force
+//! model in lockstep over randomized push / pop / peek workloads and
+//! asserts identical observable behavior after every operation — pops
+//! (time, seq, payload), peeked keys and lengths. The workloads cover
+//! same-instant FIFO tie-breaks and far-future events.
 //!
 //! Re-run with: `cargo test -p h2priv-netsim --test queue_differential`
 
-use h2priv_netsim::queue::{EventHeap, Handle};
+use h2priv_netsim::queue::EventHeap;
 use h2priv_netsim::time::SimTime;
 use h2priv_util::check::{self, Gen};
 
-/// The specification: every live `(time, seq, payload)` in a `Vec`, the
-/// earliest found by a linear scan. An event is named by its `seq`, which
-/// stays spent once the event fires or is cancelled — the heap's
-/// stale-handle rule.
+/// The specification: every pending `(time, seq, payload)` in a `Vec`,
+/// the earliest found by a linear scan.
 #[derive(Default)]
 struct Model {
     live: Vec<(SimTime, u64, u64)>,
-    next_seq: u64,
 }
 
 impl Model {
-    fn push(&mut self, time: SimTime, payload: u64) -> u64 {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.live.push((time, seq, payload));
-        seq
-    }
-
     fn earliest(&self) -> Option<usize> {
         (0..self.live.len()).min_by_key(|&i| (self.live[i].0, self.live[i].1))
     }
@@ -38,62 +27,44 @@ impl Model {
         Some(self.live.swap_remove(pos))
     }
 
-    fn peek_time(&self) -> Option<SimTime> {
-        self.earliest().map(|i| self.live[i].0)
-    }
-
-    fn cancel(&mut self, seq: u64) -> Option<u64> {
-        let pos = self.live.iter().position(|e| e.1 == seq)?;
-        Some(self.live.swap_remove(pos).2)
+    fn peek_key(&self) -> Option<(SimTime, u64)> {
+        self.earliest().map(|i| (self.live[i].0, self.live[i].1))
     }
 }
 
-/// The heap and the model driven in lockstep. `handles[seq]` is the heap
-/// handle of the event the model knows as `seq`.
+/// The heap and the model driven in lockstep; `next_seq` numbers the
+/// pushes, as the simulator's event queue does.
 #[derive(Default)]
 struct Lockstep {
     heap: EventHeap<u64>,
     model: Model,
-    handles: Vec<Handle>,
+    next_seq: u64,
 }
 
 impl Lockstep {
-    fn push(&mut self, time: SimTime, payload: u64) -> u64 {
-        self.handles.push(self.heap.push(time, payload));
-        let seq = self.model.push(time, payload);
+    fn push(&mut self, time: SimTime, payload: u64) {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.heap.push(time, seq, payload);
+        self.model.live.push((time, seq, payload));
         self.assert_len();
-        seq
     }
 
     fn pop(&mut self) -> Option<(SimTime, u64, u64)> {
         let got = self.heap.pop();
         let want = self.model.pop();
         assert_eq!(
-            got.as_ref().map(|p| (p.time, p.seq, p.payload)),
+            got.map(|p| (p.time, p.seq, p.payload)),
             want,
             "pop diverged"
         );
-        if let Some(p) = got {
-            assert_eq!(p.handle, self.handles[p.seq as usize], "pop handle");
-        }
         self.assert_len();
         want
     }
 
     fn peek(&mut self) {
-        assert_eq!(
-            self.heap.peek_time(),
-            self.model.peek_time(),
-            "peek diverged"
-        );
+        assert_eq!(self.heap.peek_key(), self.model.peek_key(), "peek diverged");
         self.assert_len();
-    }
-
-    fn cancel(&mut self, seq: u64) -> Option<u64> {
-        let got = self.heap.cancel(self.handles[seq as usize]);
-        assert_eq!(got, self.model.cancel(seq), "cancel of seq {seq} diverged");
-        self.assert_len();
-        got
     }
 
     fn assert_len(&self) {
@@ -104,7 +75,7 @@ impl Lockstep {
     /// Pops to the end: the full remaining sequences must match.
     fn drain(&mut self) {
         while self.pop().is_some() {}
-        assert_eq!(self.heap.peek_time(), None);
+        assert_eq!(self.heap.peek_key(), None);
     }
 }
 
@@ -132,7 +103,6 @@ fn gen_time(g: &mut Gen, now: SimTime) -> SimTime {
 
 fn run_workload(g: &mut Gen, ops: usize) {
     let mut q = Lockstep::default();
-    let mut spent: Vec<u64> = Vec::new();
     let mut now = SimTime::ZERO;
 
     for _ in 0..ops {
@@ -144,34 +114,9 @@ fn run_workload(g: &mut Gen, ops: usize) {
                 q.push(t, payload);
             }
             // Pop; advance "now" to the popped time.
-            5 | 6 => {
-                if let Some((t, seq, _)) = q.pop() {
+            5..=7 => {
+                if let Some((t, _, _)) = q.pop() {
                     now = now.max(t);
-                    spent.push(seq);
-                }
-            }
-            // Cancel a random live event.
-            7 => {
-                if q.model.live.is_empty() {
-                    continue;
-                }
-                let seq = q.model.live[g.usize(0, q.model.live.len() - 1)].1;
-                assert!(q.cancel(seq).is_some());
-                // Cancel-then-reschedule at a fresh time: the spent handle
-                // must stay dead while the new event lives independently.
-                if g.bool(0.5) {
-                    let t = gen_time(g, now);
-                    let payload = g.u64(0, u64::MAX);
-                    q.push(t, payload);
-                    assert_eq!(q.cancel(seq), None, "stale handle revived");
-                }
-                spent.push(seq);
-            }
-            // Cancel a spent (fired or cancelled) handle: a no-op.
-            8 => {
-                if !spent.is_empty() {
-                    let seq = spent[g.usize(0, spent.len() - 1)];
-                    assert_eq!(q.cancel(seq), None, "spent handle revived");
                 }
             }
             _ => q.peek(),
@@ -190,8 +135,8 @@ fn heap_matches_model_on_random_workloads() {
 
 #[test]
 fn heap_matches_model_on_long_workloads() {
-    // Fewer cases, bigger populations: deep heaps, long tombstone runs and
-    // large same-instant batches.
+    // Fewer cases, bigger populations: deep heaps and large same-instant
+    // batches.
     check::run("queue-model-long", 24, |g| {
         run_workload(g, 3000);
     });

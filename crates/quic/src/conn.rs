@@ -110,7 +110,7 @@ pub enum QuicEvent {
 }
 
 /// Connection counters, the datagram analogue of
-/// [`TcpStats`](h2priv_tcp::TcpStats).
+/// [`TcpStats`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QuicStats {
     /// Datagrams transmitted (including retransmission carriers).

@@ -278,7 +278,7 @@ fn h3_faulted_trial(seed: u64, target_loss: f64, burst: f64) -> FaultedTrial {
     let ge = FaultConfig::none().with_burst_loss(GilbertElliott::bursty(target_loss, burst));
     sim.attach_faults(topo.mbox_to_server, ge.clone());
     sim.attach_faults(topo.server_to_mbox, ge);
-    sim.run_until_idle(SimTime::ZERO + SimDuration::from_secs(300));
+    sim.run_until(SimTime::ZERO + SimDuration::from_secs(300));
     let report = sim.node_mut::<H3ClientNode>(topo.client).take_report();
     let client_node = sim.node_ref::<H3ClientNode>(topo.client);
     let server_node = sim.node_ref::<H3ServerNode>(topo.server);

@@ -1,9 +1,11 @@
 //! RFC 9002 §6.2 regression: the probe timeout doubles with each
 //! consecutive expiry, and a newly-acked ack-eliciting packet rearms it
 //! — resetting the backoff multiplier — instead of leaving the inflated
-//! deadline armed. This is the QUIC half of the cancel-and-rearm pattern
-//! the event heap's O(1) cancel serves (see `h2priv-netsim`'s
-//! `cancel_rearm` suite for the event-storage side of the contract).
+//! deadline armed. The simulator never cancels a timer: the endpoint
+//! schedules a tick for whatever deadline `timer_needs_rescheduling`
+//! reports, and `QuicConnection::on_timer` ignores a stale tick that
+//! fires before the current deadline. So the rearm lives entirely in the
+//! deadline `Recovery` computes, which these tests pin.
 
 use h2priv_netsim::time::{SimDuration, SimTime};
 use h2priv_quic::recovery::{Recovery, SentVec};

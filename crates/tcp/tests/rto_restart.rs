@@ -1,10 +1,13 @@
 //! RFC 6298 §5.3 regression: every ACK that acknowledges new data must
 //! *restart* the retransmission timer from the ACK's arrival time — and
 //! clear the exponential backoff — rather than leave the old deadline
-//! armed. On the event core this is the cancel-and-rearm pattern the
-//! event heap serves in O(1); here the protocol half of the contract is
-//! pinned with hand-crafted ACKs (`ts_ecr = 0` suppresses RTT samples,
-//! so the RTO stays at exactly `rto_initial` and deadlines are exact).
+//! armed. The simulator never cancels a timer: the host schedules a tick
+//! for whatever deadline `timer_needs_rescheduling` reports, and
+//! `TcpConnection::on_timer` returns early on a stale tick that fires
+//! before the current deadline. So the whole contract lives in the
+//! connection's deadline, pinned here with hand-crafted ACKs
+//! (`ts_ecr = 0` suppresses RTT samples, so the RTO stays at exactly
+//! `rto_initial` and deadlines are exact).
 
 use h2priv_netsim::packet::{FlowId, HostAddr, TcpFlags, TcpHeader};
 use h2priv_netsim::time::{SimDuration, SimTime};

@@ -63,7 +63,7 @@ struct PendingRecord {
 /// for the lifetime of the trace would pin every transport-owned payload
 /// buffer (the QUIC path pools and reuses them), turning each pooled
 /// buffer into a one-shot allocation. The copy costs a memcpy per packet;
-/// the arena costs ~one allocation per [`ARENA_CHUNK`] of traffic.
+/// the arena costs ~one allocation per 64 KiB chunk of traffic.
 #[derive(Debug, Default)]
 pub struct TraceCollector {
     trace: Trace,

@@ -9,9 +9,6 @@
 //!   stores [`record::PacketRecord`]s: timestamps, cleartext TCP/IP
 //!   headers, sizes, and raw (ciphertext) payload bytes — exactly what a
 //!   real gateway running tshark records.
-//! * [`filter`] implements a small display-filter language so attack code
-//!   can say things like `ssl.record.content_type == 23 and tcp.len > 60`
-//!   — the very filter the paper quotes for counting GET requests.
 //! * [`reassembly`] rebuilds each direction's TCP byte stream from
 //!   segments (deduplicating retransmissions — and counting them, which
 //!   is the measurement behind Table I and Fig. 5) and parses the
@@ -33,14 +30,11 @@
 pub mod analysis;
 pub mod capture;
 pub mod datagram;
-pub mod export;
-pub mod filter;
 pub mod reassembly;
 pub mod record;
 
 pub use analysis::{TransmissionUnit, UnitConfig};
 pub use capture::{SharedTrace, Trace, TraceCollector};
 pub use datagram::{segment_datagram_units, DatagramUnitConfig};
-pub use filter::FilterExpr;
 pub use reassembly::{SeenRecord, StreamView};
 pub use record::PacketRecord;

@@ -45,11 +45,6 @@ impl PacketRecord {
     pub fn tcp_len(&self) -> u32 {
         self.payload.len() as u32
     }
-
-    /// Total wire size including headers.
-    pub fn wire_len(&self) -> u32 {
-        self.tcp_len() + h2priv_netsim::packet::WIRE_OVERHEAD
-    }
 }
 
 #[cfg(test)]
@@ -83,7 +78,6 @@ mod tests {
             true,
         );
         assert_eq!(r.tcp_len(), 77);
-        assert_eq!(r.wire_len(), 77 + 54);
         assert_eq!(r.header.seq, 42);
         assert!(r.dropped_by_policy);
     }

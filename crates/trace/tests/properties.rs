@@ -1,7 +1,6 @@
 //! Property tests for the adversary's measurement stack: TLS-record
 //! reassembly must recover the exact record sequence from any packet
-//! segmentation (with duplication and reordering), and the filter
-//! language must obey boolean algebra.
+//! segmentation (with duplication and reordering).
 
 use h2priv_netsim::packet::{Direction, FlowId, HostAddr, TcpFlags, TcpHeader};
 use h2priv_netsim::time::SimTime;
@@ -9,7 +8,6 @@ use h2priv_tls::{ContentType, RecordSealer, RecordTag};
 use h2priv_trace::capture::Trace;
 use h2priv_trace::reassembly::reassemble;
 use h2priv_trace::record::PacketRecord;
-use h2priv_trace::FilterExpr;
 use h2priv_util::bytes::Bytes;
 use h2priv_util::check::{self, Gen};
 use h2priv_util::{prop_assert, prop_assert_eq};
@@ -122,50 +120,6 @@ fn duplicates_counted_not_delivered() {
     });
 }
 
-/// De Morgan: !(A && B) === (!A || !B) over arbitrary packets.
-#[test]
-fn filter_de_morgan() {
-    check::run("filter_de_morgan", 48, |g: &mut Gen| {
-        let len = g.u32(0, 1_999);
-        let seq = g.u32(0, 9_999);
-        let s2c = g.bool(0.5);
-        let mut p = seg(seq, &vec![0u8; len as usize], 1, false);
-        p.direction = if s2c {
-            Direction::ServerToClient
-        } else {
-            Direction::ClientToServer
-        };
-        let a = "tcp.len > 100";
-        let b = "dir == s2c";
-        let lhs = FilterExpr::parse(&format!("not ({a} and {b})")).unwrap();
-        let rhs = FilterExpr::parse(&format!("(not {a}) or (not {b})")).unwrap();
-        prop_assert_eq!(lhs.matches(&p), rhs.matches(&p));
-    });
-}
-
-/// Parsing is total: random printable strings either parse or return
-/// an error, never panic.
-#[test]
-fn filter_parse_never_panics() {
-    check::run("filter_parse_never_panics", 48, |g: &mut Gen| {
-        let s = g.ascii_string(64);
-        let _ = FilterExpr::parse(&s);
-    });
-}
-
-/// A parsed expression's Debug/re-parse of canonical operators stays
-/// semantically stable on sample packets.
-#[test]
-fn filter_threshold_semantics() {
-    check::run("filter_threshold_semantics", 48, |g: &mut Gen| {
-        let threshold = g.u32(0, 2_999);
-        let len = g.u32(0, 2_999);
-        let f = FilterExpr::parse(&format!("tcp.len >= {threshold}")).unwrap();
-        let p = seg(1, &vec![0u8; len as usize], 1, false);
-        prop_assert_eq!(f.matches(&p), len >= threshold);
-    });
-}
-
 #[test]
 fn reassembly_is_insensitive_to_out_of_order_bursts() {
     // Segments delivered fully reversed still reassemble (offsets drive
@@ -187,32 +141,4 @@ fn reassembly_is_insensitive_to_out_of_order_bursts() {
     let view = reassemble(&Trace { packets }, Direction::ServerToClient, false);
     let lens: Vec<u16> = view.records.iter().map(|r| r.plaintext_len).collect();
     assert_eq!(lens, vec![400, 900, 50]);
-}
-
-#[test]
-fn filter_matches_trace_queries_end_to_end() {
-    // Build a small mixed trace and check count queries like the paper's.
-    let mut sealer = RecordSealer::new();
-    let mut packets = vec![seg(99, &[], 0, true)];
-    let mut off = 0u32;
-    for (i, (ct, len)) in [
-        (ContentType::Handshake, 512usize),
-        (ContentType::ApplicationData, 200),
-        (ContentType::ApplicationData, 13),
-        (ContentType::ApplicationData, 180),
-    ]
-    .iter()
-    .enumerate()
-    {
-        let wire = sealer.seal(*ct, &vec![0u8; *len], RecordTag::NONE);
-        let mut p = seg(100 + off, &wire, 1 + i as u64, false);
-        p.direction = Direction::ClientToServer;
-        off += wire.len() as u32;
-        packets.push(p);
-    }
-    let trace = Trace { packets };
-    let gets =
-        FilterExpr::parse("ssl.record.content_type == 23 and ssl.record.length >= 120").unwrap();
-    let hits = trace.packets.iter().filter(|p| gets.matches(p)).count();
-    assert_eq!(hits, 2, "two GET-sized app records");
 }

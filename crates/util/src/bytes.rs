@@ -137,10 +137,10 @@ impl Bytes {
 /// the `Vec` itself is recycled; the pool therefore parks the whole
 /// `Arc<Vec<u8>>` — control block and storage together — so a pooled
 /// [`acquire`](BytesPool::acquire)/[`freeze`](PooledBuf::freeze) round
-/// trip performs **zero** allocations once warm. [`reclaim`]
-/// (BytesPool::reclaim) accepts a buffer back only when the handle is
-/// the allocation's sole owner (no live clones or slices), so a pooled
-/// buffer can never be observed mutating under a reader.
+/// trip performs **zero** allocations once warm.
+/// [`reclaim`](BytesPool::reclaim) accepts a buffer back only when the
+/// handle is the allocation's sole owner (no live clones or slices), so a
+/// pooled buffer can never be observed mutating under a reader.
 #[derive(Debug)]
 pub struct BytesPool {
     free: Vec<Arc<Vec<u8>>>,

@@ -28,7 +28,7 @@
 //!   with a byte offset instead of a hard parse error.
 //! * [`crc32`] — CRC-32 (IEEE) for the campaign journal's per-record
 //!   checksums.
-//! * [`smallvec`] — an inline-capacity vector for the packet hot path,
+//! * [`smallvec`](mod@smallvec) — an inline-capacity vector for the packet hot path,
 //!   so per-datagram frame lists never touch the heap in steady state.
 //! * [`alloc`] — a counting global allocator (opt-in per binary) with
 //!   per-thread counters, turning "zero allocations in steady state"

@@ -16,17 +16,15 @@ cargo test -q --offline
 echo "== cargo clippy --offline --all-targets -- -D warnings"
 cargo clippy --offline --all-targets -- -D warnings
 
+echo "== cargo doc --offline --no-deps --workspace, warnings denied"
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
+
 echo "== cargo fmt --all -- --check"
 cargo fmt --all -- --check
 
-echo "== event queue: the heap, and the heap merged with the link lanes, against brute-force models"
+echo "== event queue: the heap, and the heaps merged with the link lanes, against brute-force models"
 cargo test -q --offline -p h2priv-netsim --test queue_differential
 cargo test -q --offline -p h2priv-netsim --lib event::tests::lanes_and_heap_pop_like_one_model_queue
-
-echo "== event queue: cancel/rearm keeps live counts exact and tombstones bounded"
-cargo test -q --offline -p h2priv-netsim --test cancel_rearm
-cargo test -q --offline -p h2priv-tcp --test rto_restart
-cargo test -q --offline -p h2priv-quic --test pto_rearm
 
 echo "== allocation-regression pins (counting allocator, exact per-trial counts)"
 # Steady-state allocations per trial are deterministic for a given seed
