@@ -67,11 +67,7 @@ fn main() {
 
     {
         use h2priv_netsim::packet::Direction;
-        let view = h2priv_trace::reassembly::reassemble(
-            &trial.result.trace,
-            Direction::ServerToClient,
-            false,
-        );
+        let stream = trial.result.trace.stream(Direction::ServerToClient);
         let last_pkt = trial
             .result
             .trace
@@ -79,15 +75,16 @@ fn main() {
             .last()
             .map(|p| p.time.as_secs_f64())
             .unwrap_or(0.0);
-        let last_rec = view
-            .records
+        let last_rec = stream
+            .records()
             .last()
             .map(|r| r.completed_at.as_secs_f64())
             .unwrap_or(0.0);
         oinfo!(
-            "\n-- s2c reassembly: records={} retx_segs={} unique={} desynced={} contiguous_end={} parse_ptr={} last_pkt@{last_pkt:.2}s last_rec@{last_rec:.2}s",
-            view.records.len(), view.retransmitted_segments, view.unique_bytes,
-            view.desynced, view.contiguous_end, view.parse_ptr
+            "\n-- s2c records={} desynced={} contiguous_end={} last_pkt@{last_pkt:.2}s last_rec@{last_rec:.2}s",
+            stream.records().len(),
+            stream.desynced(),
+            stream.contiguous_end()
         );
     }
     {

@@ -211,8 +211,9 @@ pub struct TrialResult {
 
 impl TrialResult {
     /// The paper's "number of retransmissions" measurement: wire-level
-    /// (TCP) retransmissions on both endpoints, as a tshark capture
-    /// counts them. Application-layer re-requests (whose served copies
+    /// (TCP) retransmissions on both endpoints, summed from the
+    /// endpoints' own counters ([`TcpStats::retransmits`]), not from the
+    /// capture. Application-layer re-requests (whose served copies
     /// the paper calls "retransmitted versions of the object") are
     /// reported separately in [`ClientReport::h2_rerequests`].
     pub fn total_retransmissions(&self) -> u64 {

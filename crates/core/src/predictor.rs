@@ -1,8 +1,8 @@
 //! The object-prediction module — the Python-script component of the
 //! paper's adversary (Section V).
 //!
-//! Inputs: the captured trace (sizes + timing only). Pipeline:
-//! reassemble the server→client record stream, segment it into
+//! Inputs: the captured trace (sizes + timing only). Pipeline: take
+//! the server→client TLS records the capture read, segment them into
 //! transmission units ([`h2priv_trace::analysis`]), estimate each unit's
 //! object size, and match the estimates against a **pre-compiled size →
 //! identity map** (the paper: "our adversary has a pre-compiled list of
@@ -13,7 +13,6 @@ use h2priv_netsim::time::{SimDuration, SimTime};
 use h2priv_trace::analysis::{segment_units, TransmissionUnit, UnitConfig};
 use h2priv_trace::capture::Trace;
 use h2priv_trace::datagram::{segment_datagram_units, DatagramUnitConfig};
-use h2priv_trace::reassembly::{reassemble_with, ReassemblyScratch};
 use h2priv_util::impl_to_json;
 use h2priv_util::telemetry;
 use h2priv_web::isidewith::{PARTY_IMAGE_SIZES, RESULT_HTML_SIZE};
@@ -211,22 +210,8 @@ pub fn predict_from_trace(
     unit_cfg: &UnitConfig,
     from: Option<SimTime>,
 ) -> Prediction {
-    // One reassembly scratch per worker thread: consecutive trials on
-    // the same thread reuse the stream-assembly allocation instead of
-    // growing a fresh multi-megabyte buffer each time.
-    thread_local! {
-        static SCRATCH: std::cell::RefCell<ReassemblyScratch> =
-            std::cell::RefCell::new(ReassemblyScratch::default());
-    }
-    let view = SCRATCH.with(|scratch| {
-        reassemble_with(
-            &mut scratch.borrow_mut(),
-            trace,
-            Direction::ServerToClient,
-            false,
-        )
-    });
-    let units = segment_units(&view.records, unit_cfg);
+    let records = trace.stream(Direction::ServerToClient).records();
+    let units = segment_units(records, unit_cfg);
     let units: Vec<IdentifiedUnit> = units
         .into_iter()
         .filter(|u| from.is_none_or(|t| u.start >= t))

@@ -2,12 +2,13 @@
 //! ground truth from real simulated page loads.
 
 use h2priv_core::attack::AttackConfig;
-use h2priv_core::experiment::{run_isidewith_trial, run_site_trial, TrialOptions};
+use h2priv_core::experiment::{
+    run_isidewith_h3_trial, run_isidewith_trial, run_site_trial, TrialOptions,
+};
 use h2priv_core::partial::{explain_units, PartialConfig};
 use h2priv_core::predictor::SizeMap;
 use h2priv_netsim::packet::Direction;
 use h2priv_netsim::time::SimDuration;
-use h2priv_trace::reassembly::reassemble;
 use h2priv_web::sites::blog_site;
 
 /// The monitor's GET count (record-header heuristic over ciphertext)
@@ -28,12 +29,12 @@ fn monitor_get_count_matches_ground_truth() {
     }
 }
 
-/// Reassembly of the server→client capture recovers exactly the bytes
-/// the server sealed (ground truth wire map).
+/// The capture's server→client stream recovers exactly the bytes the
+/// server sealed (ground truth wire map), as back-to-back records.
 #[test]
 fn reassembled_stream_matches_server_wire_map() {
     let trial = run_isidewith_trial(9_100, None);
-    let view = reassemble(&trial.result.trace, Direction::ServerToClient, false);
+    let stream = trial.result.trace.stream(Direction::ServerToClient);
     let sealed_end = trial
         .result
         .wire_map
@@ -42,14 +43,30 @@ fn reassembled_stream_matches_server_wire_map() {
         .map(|s| s.end)
         .expect("server sent records");
     assert_eq!(
-        view.unique_bytes, sealed_end,
-        "every sealed byte observed exactly once"
+        stream.contiguous_end(),
+        sealed_end,
+        "every sealed byte observed"
     );
-    assert!(!view.desynced);
-    assert_eq!(
-        view.parse_ptr, sealed_end,
-        "record parsing covered the whole stream"
-    );
+    assert!(!stream.desynced());
+    let mut at = 0;
+    for r in stream.records() {
+        assert_eq!(r.stream_offset, at, "records tile the stream");
+        at += 5 + u64::from(r.body_len);
+    }
+    assert_eq!(at, sealed_end, "record parsing covered the whole stream");
+}
+
+/// QUIC datagrams never carry a SYN, so on H3 neither direction's TLS
+/// stream starts, whatever the datagrams hold.
+#[test]
+fn h3_trial_streams_stay_empty() {
+    let trial = run_isidewith_h3_trial(9_150, Some(AttackConfig::full_attack()));
+    let t = &trial.result.trace;
+    assert!(t.data_packets(Direction::ServerToClient).count() > 100);
+    for dir in [Direction::ClientToServer, Direction::ServerToClient] {
+        assert!(t.stream(dir).records().is_empty(), "{dir}");
+        assert_eq!(t.stream(dir).contiguous_end(), 0, "{dir}");
+    }
 }
 
 /// The adversary's analysis window excludes pre-attack units.
@@ -120,9 +137,9 @@ fn trace_has_both_directions_and_handshake() {
 #[test]
 fn wire_record_sizes_respect_monitor_threshold() {
     let trial = run_isidewith_trial(9_500, None);
-    let view = reassemble(&trial.result.trace, Direction::ClientToServer, false);
+    let stream = trial.result.trace.stream(Direction::ClientToServer);
     let gets = trial.result.client.requests.len();
-    let big: Vec<u16> = view
+    let big: Vec<u16> = stream
         .app_records()
         .filter(|r| r.body_len >= 80)
         .map(|r| r.body_len)

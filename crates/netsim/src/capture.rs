@@ -1,42 +1,29 @@
-//! The capture hook: a tshark-like tap on the simulated wire.
+//! The capture hook: a tshark-like tap at the adversary's middlebox.
 //!
 //! The `h2priv-trace` crate implements [`CaptureSink`] to build packet
-//! traces; the simulator and the middlebox feed it [`CaptureEvent`]s. The
-//! sink is shared via `Rc<RefCell<..>>` because the simulation is strictly
-//! single-threaded.
+//! traces; a tapped middlebox feeds it one [`CaptureEvent`] per packet
+//! that transits it, the paper's compromised gateway and the only vantage
+//! point the attack has. The event lends the packet for the duration of
+//! the call, so a sink copies what it keeps. The sink is shared via
+//! `Rc<RefCell<..>>` because the simulation is strictly single-threaded.
 
-use crate::link::LinkId;
 use crate::packet::{Direction, Packet};
 use crate::time::SimTime;
 use std::cell::RefCell;
 use std::rc::Rc;
 
-/// Where on the path an event was captured.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum CapturePoint {
-    /// The packet transited the adversary's middlebox (the paper's
-    /// compromised gateway). This is the vantage point all attack logic
-    /// uses.
-    Middlebox,
-    /// The packet was dropped by a link (loss or queue overflow).
-    LinkDrop(LinkId),
-    /// The packet was delivered to its destination node.
-    Delivery(LinkId),
-}
-
-/// One captured wire event.
-#[derive(Debug, Clone)]
-pub struct CaptureEvent {
+/// One packet transiting the middlebox.
+#[derive(Debug, Clone, Copy)]
+pub struct CaptureEvent<'a> {
     /// When it happened.
     pub time: SimTime,
-    /// Travel direction relative to the client-server path, when known.
-    pub direction: Option<Direction>,
-    /// The packet involved. Payload bytes are ciphertext-equivalent: sinks
-    /// may record sizes and the cleartext TLS record headers, nothing else
-    /// is meaningful to an eavesdropper.
-    pub packet: Packet,
-    /// Whether the middlebox's policy dropped this packet (only meaningful
-    /// at [`CapturePoint::Middlebox`]).
+    /// Travel direction relative to the client-server path.
+    pub direction: Direction,
+    /// The packet. Payload bytes are ciphertext-equivalent: sinks may
+    /// record sizes and the cleartext TLS record headers, nothing else is
+    /// meaningful to an eavesdropper.
+    pub packet: &'a Packet,
+    /// Whether the middlebox's policy dropped this packet after seeing it.
     pub dropped_by_policy: bool,
 }
 
@@ -44,7 +31,7 @@ pub struct CaptureEvent {
 pub trait CaptureSink {
     /// Records one event. Implementations must not assume events arrive in
     /// any order other than non-decreasing time.
-    fn record(&mut self, point: CapturePoint, event: &CaptureEvent);
+    fn record(&mut self, event: &CaptureEvent<'_>);
 }
 
 /// A shareable, interiorly-mutable capture sink handle.
@@ -55,19 +42,11 @@ pub type SharedSink = Rc<RefCell<dyn CaptureSink>>;
 pub struct CountingSink {
     /// Events seen at the middlebox.
     pub middlebox: u64,
-    /// Drop events.
-    pub drops: u64,
-    /// Delivery events.
-    pub deliveries: u64,
 }
 
 impl CaptureSink for CountingSink {
-    fn record(&mut self, point: CapturePoint, _event: &CaptureEvent) {
-        match point {
-            CapturePoint::Middlebox => self.middlebox += 1,
-            CapturePoint::LinkDrop(_) => self.drops += 1,
-            CapturePoint::Delivery(_) => self.deliveries += 1,
-        }
+    fn record(&mut self, _event: &CaptureEvent<'_>) {
+        self.middlebox += 1;
     }
 }
 
@@ -82,45 +61,49 @@ mod tests {
     use crate::packet::{FlowId, HostAddr, TcpFlags, TcpHeader};
     use h2priv_util::bytes::Bytes;
 
-    fn ev() -> CaptureEvent {
+    fn packet() -> Packet {
+        Packet::new(
+            TcpHeader {
+                flow: FlowId {
+                    src: HostAddr(0),
+                    dst: HostAddr(1),
+                    sport: 1,
+                    dport: 443,
+                },
+                seq: 0,
+                ack: 0,
+                flags: TcpFlags::ACK,
+                window: 0,
+                ts_val: 0,
+                ts_ecr: 0,
+            },
+            Bytes::new(),
+        )
+    }
+
+    fn ev(packet: &Packet) -> CaptureEvent<'_> {
         CaptureEvent {
             time: SimTime::ZERO,
-            direction: Some(Direction::ClientToServer),
-            packet: Packet::new(
-                TcpHeader {
-                    flow: FlowId {
-                        src: HostAddr(0),
-                        dst: HostAddr(1),
-                        sport: 1,
-                        dport: 443,
-                    },
-                    seq: 0,
-                    ack: 0,
-                    flags: TcpFlags::ACK,
-                    window: 0,
-                    ts_val: 0,
-                    ts_ecr: 0,
-                },
-                Bytes::new(),
-            ),
+            direction: Direction::ClientToServer,
+            packet,
             dropped_by_policy: false,
         }
     }
 
     #[test]
-    fn counting_sink_counts_by_point() {
+    fn counting_sink_counts_events() {
+        let pkt = packet();
         let mut s = CountingSink::default();
-        s.record(CapturePoint::Middlebox, &ev());
-        s.record(CapturePoint::Middlebox, &ev());
-        s.record(CapturePoint::LinkDrop(LinkId(0)), &ev());
-        s.record(CapturePoint::Delivery(LinkId(1)), &ev());
-        assert_eq!((s.middlebox, s.drops, s.deliveries), (2, 1, 1));
+        s.record(&ev(&pkt));
+        s.record(&ev(&pkt));
+        assert_eq!(s.middlebox, 2);
     }
 
     #[test]
     fn shared_sink_is_usable_through_handle() {
+        let pkt = packet();
         let handle = shared(CountingSink::default());
-        handle.borrow_mut().record(CapturePoint::Middlebox, &ev());
+        handle.borrow_mut().record(&ev(&pkt));
         assert_eq!(handle.borrow().middlebox, 1);
     }
 }

@@ -28,9 +28,9 @@
 //!   model serialization delay (bandwidth), propagation delay, a
 //!   drop-tail queue, and random loss. Bandwidth can be changed at
 //!   runtime, which is how the adversary throttles the path.
-//! * **Capture.** Every wire event can be mirrored into a
-//!   [`capture::CaptureSink`], the hook used by the `h2priv-trace` crate to
-//!   implement its tshark-like capture.
+//! * **Capture.** Every packet that transits a tapped middlebox is lent
+//!   to a [`capture::CaptureSink`], the hook used by the `h2priv-trace`
+//!   crate to implement its tshark-like capture.
 //!
 //! ## Example
 //!
@@ -79,7 +79,7 @@ pub mod units;
 
 /// Convenient glob-import of the most commonly used simulator types.
 pub mod prelude {
-    pub use crate::capture::{CaptureEvent, CapturePoint, CaptureSink, SharedSink};
+    pub use crate::capture::{CaptureEvent, CaptureSink, SharedSink};
     pub use crate::faults::{
         Duplicate, FaultAction, FaultConfig, FaultStats, GilbertElliott, Reorder,
     };

@@ -24,8 +24,7 @@ impl LinkId {
     }
 
     /// Builds a `LinkId` from a raw index. Only meaningful for ids that
-    /// came from [`Self::index`]; provided so downstream crates can
-    /// construct capture points in tests.
+    /// came from [`Self::index`].
     pub fn from_raw(index: usize) -> LinkId {
         LinkId(index)
     }

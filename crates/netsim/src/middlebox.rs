@@ -8,7 +8,7 @@
 //! [`PacketView`] rather than the packet itself, and acts by returning a
 //! [`Verdict`] or by calling the throttle/timer methods on [`PolicyCtx`].
 
-use crate::capture::{CaptureEvent, CapturePoint};
+use crate::capture::CaptureEvent;
 use crate::link::LinkId;
 use crate::node::{Ctx, Node, TimerId};
 use crate::packet::{Direction, Packet, TcpHeader};
@@ -297,15 +297,12 @@ impl Node for Middlebox {
             p.on_packet(pctx, dir, PacketView { pkt: &pkt })
         });
         if self.tapped {
-            ctx.capture(
-                CapturePoint::Middlebox,
-                CaptureEvent {
-                    time: ctx.now(),
-                    direction: Some(dir),
-                    packet: pkt.clone(),
-                    dropped_by_policy: verdict == Verdict::Drop,
-                },
-            );
+            ctx.capture(&CaptureEvent {
+                time: ctx.now(),
+                direction: dir,
+                packet: &pkt,
+                dropped_by_policy: verdict == Verdict::Drop,
+            });
         }
         match verdict {
             Verdict::Forward => {

@@ -6,7 +6,7 @@
 //! (send packets, schedule timers, tweak links) goes through [`Ctx`], which
 //! keeps the borrow structure simple and the simulation deterministic.
 
-use crate::capture::{CaptureEvent, CapturePoint};
+use crate::capture::CaptureEvent;
 use crate::link::LinkId;
 use crate::packet::{Packet, PacketId};
 use crate::rng::SimRng;
@@ -143,8 +143,8 @@ impl<'a> Ctx<'a> {
     }
 
     /// Records a capture event into the attached sink, if any.
-    pub fn capture(&mut self, point: CapturePoint, ev: CaptureEvent) {
-        self.world.capture(point, ev);
+    pub fn capture(&mut self, ev: &CaptureEvent<'_>) {
+        self.world.capture(ev);
     }
 }
 

@@ -2,7 +2,7 @@
 //! the links, and dispatches events until the simulation goes idle or a
 //! deadline is reached.
 
-use crate::capture::{CaptureEvent, CapturePoint, CaptureSink};
+use crate::capture::{CaptureEvent, CaptureSink};
 use crate::event::{EventKind, EventQueue, FaultEvent, ScheduledEvent};
 use crate::faults::{FaultAction, FaultConfig, FaultEngine, FaultStats, FaultVerdict};
 use crate::link::{LinkConfig, LinkId, LinkStats, Links, SubmitOutcome};
@@ -71,15 +71,6 @@ impl World {
                 });
                 telemetry::count("netsim.fault_drops", 1);
                 self.stats.packets_dropped += 1;
-                self.capture(
-                    CapturePoint::LinkDrop(link_id),
-                    CaptureEvent {
-                        time: now,
-                        direction: None,
-                        packet: pkt,
-                        dropped_by_policy: false,
-                    },
-                );
             }
         }
     }
@@ -111,22 +102,13 @@ impl World {
                     ev.fields.push(("wire_size", pkt.wire_size().into()));
                 });
                 telemetry::count("netsim.link_drops", 1);
-                self.capture(
-                    CapturePoint::LinkDrop(link_id),
-                    CaptureEvent {
-                        time: now,
-                        direction: None,
-                        packet: pkt,
-                        dropped_by_policy: false,
-                    },
-                );
             }
         }
     }
 
-    pub fn capture(&mut self, point: CapturePoint, ev: CaptureEvent) {
+    pub fn capture(&mut self, ev: &CaptureEvent<'_>) {
         if let Some(sink) = &self.sink {
-            sink.borrow_mut().record(point, &ev);
+            sink.borrow_mut().record(ev);
         }
     }
 }
@@ -378,7 +360,6 @@ impl core::fmt::Debug for Simulator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::capture::{shared, CountingSink};
     use crate::packet::{FlowId, HostAddr, TcpFlags, TcpHeader};
     use crate::time::SimDuration;
     use h2priv_util::bytes::Bytes;
@@ -525,16 +506,6 @@ mod tests {
         sim.run_until(SimTime::from_secs(1));
         assert!(sim.node_ref::<Sink>(s).received.is_empty());
         assert_eq!(sim.stats().packets_dropped, 5);
-    }
-
-    #[test]
-    fn capture_sink_sees_drops() {
-        let sink = shared(CountingSink::default());
-        let cfg = LinkConfig::lan().with_loss(1.0);
-        let (mut sim, _) = build(4, 100, cfg);
-        sim.set_capture_sink(sink.clone());
-        sim.run_until(SimTime::from_secs(1));
-        assert_eq!(sink.borrow().drops, 4);
     }
 
     #[test]

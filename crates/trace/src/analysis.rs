@@ -59,8 +59,8 @@ impl_to_json!(struct TransmissionUnit { start, end, estimated_payload, records }
 
 /// Segments application-data records into transmission units.
 ///
-/// `records` must be in stream order (as produced by
-/// [`crate::reassembly::reassemble`]).
+/// `records` must be in stream order (as
+/// [`crate::reassembly::TlsStream::records`] gives them).
 pub fn segment_units(records: &[SeenRecord], cfg: &UnitConfig) -> Vec<TransmissionUnit> {
     let mut units = Vec::new();
     let mut current: Option<TransmissionUnit> = None;

@@ -1,18 +1,20 @@
 //! The capture sink attached to the simulator.
 
+use crate::reassembly::TlsStream;
 use crate::record::PacketRecord;
-use h2priv_netsim::capture::{CaptureEvent, CapturePoint, CaptureSink};
+use h2priv_netsim::capture::{CaptureEvent, CaptureSink};
 use h2priv_netsim::packet::Direction;
-use h2priv_util::bytes::Bytes;
 use std::cell::RefCell;
 use std::rc::Rc;
 
 /// A completed capture: every packet that transited the middlebox, in
-/// time order.
+/// time order, and the TLS records of each direction.
 #[derive(Debug, Default, Clone)]
 pub struct Trace {
     /// Captured packets in capture order.
     pub packets: Vec<PacketRecord>,
+    /// Each direction's records, indexed by `Direction as usize`.
+    streams: [TlsStream; 2],
 }
 
 impl Trace {
@@ -26,6 +28,13 @@ impl Trace {
         self.in_direction(dir).filter(|p| p.tcp_len() > 0)
     }
 
+    /// The TLS records of direction `dir`, read from every packet the
+    /// adversary's policy let through (the ones it dropped never reached
+    /// the receiver). Empty on a QUIC capture, which has no SYN.
+    pub fn stream(&self, dir: Direction) -> &TlsStream {
+        &self.streams[dir as usize]
+    }
+
     /// Number of captured packets.
     pub fn len(&self) -> usize {
         self.packets.len()
@@ -37,38 +46,15 @@ impl Trace {
     }
 }
 
-/// Payload arena chunk size. Big enough that one chunk holds dozens of
-/// MTU-sized payloads (one allocation amortised across all of them).
-const ARENA_CHUNK: usize = 64 * 1024;
-
-/// A recorded packet whose payload still lives in the open arena chunk.
-#[derive(Debug)]
-struct PendingRecord {
-    time: h2priv_netsim::time::SimTime,
-    direction: Direction,
-    header: h2priv_netsim::packet::TcpHeader,
-    dropped_by_policy: bool,
-    start: usize,
-    len: usize,
-}
-
 /// Capture sink collecting middlebox transits into a [`Trace`].
 ///
-/// Only [`CapturePoint::Middlebox`] events are recorded — the adversary's
-/// vantage point. Link drops and deliveries elsewhere on the path are
-/// invisible to it, as in reality.
-///
-/// Payload bytes are **copied** into a chunked arena instead of holding a
-/// reference to the packet's own buffer: retaining the original `Bytes`
-/// for the lifetime of the trace would pin every transport-owned payload
-/// buffer (the QUIC path pools and reuses them), turning each pooled
-/// buffer into a one-shot allocation. The copy costs a memcpy per packet;
-/// the arena costs ~one allocation per 64 KiB chunk of traffic.
+/// Each packet leaves a [`PacketRecord`] (header, length, time) and passes
+/// its payload through its direction's [`TlsStream`], which keeps only the
+/// record headers. No payload byte outlives the capture: the bytes a
+/// stream holds ahead of a gap are dropped when the trace is taken.
 #[derive(Debug, Default)]
 pub struct TraceCollector {
     trace: Trace,
-    pending: Vec<PendingRecord>,
-    chunk: Vec<u8>,
 }
 
 impl TraceCollector {
@@ -79,55 +65,35 @@ impl TraceCollector {
 
     /// Takes the completed trace, leaving the collector empty.
     pub fn take_trace(&mut self) -> Trace {
-        self.flush_chunk();
-        std::mem::take(&mut self.trace)
+        let mut trace = std::mem::take(&mut self.trace);
+        for stream in &mut trace.streams {
+            stream.close();
+        }
+        trace
     }
 
     /// Consumes the collector, returning the trace.
     pub fn into_trace(mut self) -> Trace {
         self.take_trace()
     }
-
-    /// Freezes the open arena chunk and materialises the records whose
-    /// payloads live in it.
-    fn flush_chunk(&mut self) {
-        if self.pending.is_empty() && self.chunk.is_empty() {
-            return;
-        }
-        let bytes = Bytes::from(std::mem::take(&mut self.chunk));
-        for p in self.pending.drain(..) {
-            self.trace.packets.push(PacketRecord {
-                time: p.time,
-                direction: p.direction,
-                header: p.header,
-                payload: bytes.slice(p.start..p.start + p.len),
-                dropped_by_policy: p.dropped_by_policy,
-            });
-        }
-    }
 }
 
 impl CaptureSink for TraceCollector {
-    fn record(&mut self, point: CapturePoint, event: &CaptureEvent) {
-        if point != CapturePoint::Middlebox {
-            return;
+    fn record(&mut self, event: &CaptureEvent<'_>) {
+        let pkt = event.packet;
+        if !event.dropped_by_policy {
+            self.trace.streams[event.direction as usize].push(
+                event.time,
+                &pkt.header,
+                &pkt.payload,
+            );
         }
-        let dir = event.direction.expect("middlebox events carry a direction");
-        let payload = &event.packet.payload;
-        if self.chunk.len() + payload.len() > self.chunk.capacity() {
-            self.flush_chunk();
-            self.chunk.reserve(ARENA_CHUNK.max(payload.len()));
-        }
-        let start = self.chunk.len();
-        self.chunk.extend_from_slice(payload);
-        self.pending.push(PendingRecord {
-            time: event.time,
-            direction: dir,
-            header: event.packet.header,
-            dropped_by_policy: event.dropped_by_policy,
-            start,
-            len: payload.len(),
-        });
+        self.trace.packets.push(PacketRecord::from_packet(
+            event.time,
+            event.direction,
+            pkt,
+            event.dropped_by_policy,
+        ));
     }
 }
 
@@ -148,72 +114,54 @@ mod tests {
     use h2priv_netsim::time::SimTime;
     use h2priv_util::bytes::Bytes;
 
-    fn ev(dir: Direction, len: usize) -> CaptureEvent {
-        CaptureEvent {
-            time: SimTime::ZERO,
-            direction: Some(dir),
-            packet: Packet::new(
-                TcpHeader {
-                    flow: FlowId {
-                        src: HostAddr(1),
-                        dst: HostAddr(2),
-                        sport: 1,
-                        dport: 443,
-                    },
-                    seq: 0,
-                    ack: 0,
-                    flags: TcpFlags::ACK,
-                    window: 0,
-                    ts_val: 0,
-                    ts_ecr: 0,
+    fn packet(len: usize) -> Packet {
+        Packet::new(
+            TcpHeader {
+                flow: FlowId {
+                    src: HostAddr(1),
+                    dst: HostAddr(2),
+                    sport: 1,
+                    dport: 443,
                 },
-                Bytes::from(vec![0u8; len]),
-            ),
+                seq: 0,
+                ack: 0,
+                flags: TcpFlags::ACK,
+                window: 0,
+                ts_val: 0,
+                ts_ecr: 0,
+            },
+            Bytes::from(vec![0u8; len]),
+        )
+    }
+
+    fn record(c: &mut TraceCollector, dir: Direction, len: usize) {
+        c.record(&CaptureEvent {
+            time: SimTime::ZERO,
+            direction: dir,
+            packet: &packet(len),
             dropped_by_policy: false,
-        }
+        });
     }
 
     #[test]
-    fn collects_only_middlebox_events() {
+    fn collects_every_event_with_its_length() {
         let mut c = TraceCollector::new();
-        c.record(CapturePoint::Middlebox, &ev(Direction::ClientToServer, 10));
-        c.record(
-            CapturePoint::LinkDrop(h2priv_netsim::link::LinkId::from_raw(0)),
-            &ev(Direction::ClientToServer, 10),
-        );
-        c.record(CapturePoint::Middlebox, &ev(Direction::ServerToClient, 0));
+        record(&mut c, Direction::ClientToServer, 10);
+        record(&mut c, Direction::ServerToClient, 0);
         let t = c.take_trace();
         assert_eq!(t.len(), 2);
         assert_eq!(t.in_direction(Direction::ClientToServer).count(), 1);
+        assert_eq!(t.packets[0].tcp_len(), 10);
         assert_eq!(t.data_packets(Direction::ServerToClient).count(), 0);
-    }
-
-    #[test]
-    fn arena_copy_preserves_payload_bytes_across_chunk_boundaries() {
-        let mut c = TraceCollector::new();
-        // Payloads large enough to force several arena chunks.
-        let n = 200;
-        for i in 0..n {
-            let mut e = ev(Direction::ClientToServer, 1_200);
-            let body = vec![(i % 251) as u8; 1_200];
-            e.packet.payload = Bytes::from(body);
-            c.record(CapturePoint::Middlebox, &e);
-        }
-        let t = c.take_trace();
-        assert_eq!(t.len(), n);
-        for (i, rec) in t.packets.iter().enumerate() {
-            assert_eq!(rec.payload.len(), 1_200);
-            assert!(rec.payload.iter().all(|&b| b == (i % 251) as u8));
-        }
     }
 
     #[test]
     fn take_trace_leaves_collector_reusable() {
         let mut c = TraceCollector::new();
-        c.record(CapturePoint::Middlebox, &ev(Direction::ClientToServer, 5));
+        record(&mut c, Direction::ClientToServer, 5);
         assert_eq!(c.take_trace().len(), 1);
         assert_eq!(c.take_trace().len(), 0);
-        c.record(CapturePoint::Middlebox, &ev(Direction::ServerToClient, 7));
+        record(&mut c, Direction::ServerToClient, 7);
         assert_eq!(c.take_trace().len(), 1);
     }
 }

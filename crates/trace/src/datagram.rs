@@ -139,7 +139,9 @@ mod tests {
     }
 
     fn trace_of(packets: Vec<PacketRecord>) -> Trace {
-        Trace { packets }
+        let mut trace = Trace::default();
+        trace.packets = packets;
+        trace
     }
 
     #[test]

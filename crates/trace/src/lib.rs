@@ -7,12 +7,12 @@
 //! * [`capture::TraceCollector`] taps the simulated wire at the
 //!   compromised middlebox (via the `h2priv-netsim` capture hook) and
 //!   stores [`record::PacketRecord`]s: timestamps, cleartext TCP/IP
-//!   headers, sizes, and raw (ciphertext) payload bytes — exactly what a
-//!   real gateway running tshark records.
-//! * [`reassembly`] rebuilds each direction's TCP byte stream from
-//!   segments (deduplicating retransmissions — and counting them, which
-//!   is the measurement behind Table I and Fig. 5) and parses the
-//!   cleartext TLS record headers out of it.
+//!   headers and payload sizes — what a real gateway running tshark
+//!   shows — but no payload bytes.
+//! * [`reassembly::TlsStream`] follows each direction's TCP byte stream
+//!   as packets pass (skipping retransmitted bytes, holding segments that
+//!   arrive ahead of a gap) and reads the cleartext TLS record headers
+//!   out of it.
 //! * [`analysis`] segments the server→client record sequence into
 //!   transmission units using the paper's delimiter insight (Fig. 1) plus
 //!   inter-record idle gaps, producing the size estimates the prediction
@@ -36,5 +36,5 @@ pub mod record;
 pub use analysis::{TransmissionUnit, UnitConfig};
 pub use capture::{SharedTrace, Trace, TraceCollector};
 pub use datagram::{segment_datagram_units, DatagramUnitConfig};
-pub use reassembly::{SeenRecord, StreamView};
+pub use reassembly::{SeenRecord, TlsStream};
 pub use record::PacketRecord;

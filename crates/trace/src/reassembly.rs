@@ -1,13 +1,8 @@
-//! TCP stream reassembly and TLS record extraction from a capture —
-//! what tshark's "follow stream" + SSL dissector do for the paper's
-//! adversary.
-//!
-//! Besides the record sequence, reassembly yields the adversary-visible
-//! **retransmission count** (segments whose byte range was already seen),
-//! the measurement behind the paper's Table I and Fig. 5.
+//! TLS record extraction from one direction of a captured TCP connection,
+//! as packets pass — what tshark's "follow stream" and SSL dissector do
+//! for the paper's adversary, without keeping the stream's bytes.
 
-use crate::capture::Trace;
-use h2priv_netsim::packet::Direction;
+use h2priv_netsim::packet::TcpHeader;
 use h2priv_netsim::time::SimTime;
 use h2priv_tls::record::{RecordHeader, AEAD_TAG_LEN, RECORD_HEADER_LEN};
 use std::collections::BTreeMap;
@@ -34,342 +29,362 @@ impl SeenRecord {
     pub fn is_app_data(&self) -> bool {
         self.content_type == 23
     }
+
+    /// Stream offset one past the record's last byte.
+    fn end(&self) -> u64 {
+        self.stream_offset + (RECORD_HEADER_LEN + usize::from(self.body_len)) as u64
+    }
 }
 
-/// The reassembled view of one direction of the connection.
+/// The TLS records of one direction of the (single) connection, read from
+/// its segments in capture order.
+///
+/// The stream starts at the direction's SYN: stream offset 0 is the byte
+/// after it, and bytes captured before it are ignored. A segment whose
+/// bytes all passed already (a retransmission) is skipped. One that
+/// arrives ahead of a gap is held, keyed by its offset (the longest
+/// segment per offset), until the gap fills. Record headers are read from
+/// the in-order bytes as they pass, and nothing else of them is kept. A
+/// record is stamped with the time of the packet whose bytes finished it.
+/// A header that fails to decode means the stream is corrupt: parsing
+/// stops there, keeping the records read so far.
 #[derive(Debug, Clone, Default)]
-pub struct StreamView {
-    /// Records in stream order.
-    pub records: Vec<SeenRecord>,
-    /// Data segments carrying only already-seen bytes (wire-visible
-    /// retransmissions).
-    pub retransmitted_segments: u64,
-    /// Total payload bytes observed, duplicates included.
-    pub total_payload_bytes: u64,
-    /// Distinct stream bytes observed.
-    pub unique_bytes: u64,
-    /// Whether record parsing desynchronised (corrupt header seen).
-    pub desynced: bool,
-    /// End of the contiguous stream prefix at capture end.
-    pub contiguous_end: u64,
-    /// Offset at which record parsing stopped.
-    pub parse_ptr: u64,
+pub struct TlsStream {
+    /// Sequence number of stream offset 0, once the SYN has passed.
+    base: Option<u32>,
+    /// End of the in-order bytes: every byte before it has passed.
+    next: u64,
+    /// Segments that arrived ahead of a gap, by stream offset.
+    held: BTreeMap<u64, Vec<u8>>,
+    /// Offset of the record header being read.
+    header_at: u64,
+    /// The bytes of that header read so far.
+    header: [u8; RECORD_HEADER_LEN],
+    header_len: usize,
+    /// The record whose header was read but whose body has not passed.
+    open: Option<SeenRecord>,
+    records: Vec<SeenRecord>,
+    desynced: bool,
 }
 
-impl StreamView {
+impl TlsStream {
+    /// Records in stream order.
+    pub fn records(&self) -> &[SeenRecord] {
+        &self.records
+    }
+
     /// Application-data records only.
     pub fn app_records(&self) -> impl Iterator<Item = &SeenRecord> + '_ {
         self.records.iter().filter(|r| r.is_app_data())
     }
-}
 
-/// Reusable scratch state for [`reassemble`]: the stream-assembly byte
-/// buffer, whose allocation survives from one call to the next. A worker
-/// thread chewing through hundreds of trials reassembles into the same
-/// buffer instead of growing a fresh one per trial.
-#[derive(Debug, Default)]
-pub struct ReassemblyScratch {
-    assembled: Vec<u8>,
-}
+    /// Whether record parsing desynchronised (a corrupt header was seen).
+    pub fn desynced(&self) -> bool {
+        self.desynced
+    }
 
-/// Reassembles direction `dir` of the (single) connection in `trace`.
-///
-/// `include_policy_dropped` controls whether packets the adversary itself
-/// dropped count towards the stream (they transit the monitor but never
-/// reach the receiver; the paper's analysis excludes them, so the default
-/// used by the attack code is `false`).
-pub fn reassemble(trace: &Trace, dir: Direction, include_policy_dropped: bool) -> StreamView {
-    reassemble_with(
-        &mut ReassemblyScratch::default(),
-        trace,
-        dir,
-        include_policy_dropped,
-    )
-}
+    /// End of the contiguous stream prefix seen so far.
+    pub fn contiguous_end(&self) -> u64 {
+        self.next
+    }
 
-/// [`reassemble`] writing through caller-owned scratch buffers, so
-/// repeated calls (one per trial on a pool worker) reuse allocations.
-pub fn reassemble_with(
-    scratch: &mut ReassemblyScratch,
-    trace: &Trace,
-    dir: Direction,
-    include_policy_dropped: bool,
-) -> StreamView {
-    let mut view = StreamView::default();
-    // Initial sequence number: from the SYN if captured, else the first
-    // data segment.
-    let mut base: Option<u32> = None;
-    for p in trace.in_direction(dir) {
-        if p.header.flags.syn {
-            base = Some(p.header.seq.wrapping_add(1));
-            break;
+    /// Feeds one segment captured at `time`.
+    pub(crate) fn push(&mut self, time: SimTime, tcp: &TcpHeader, payload: &[u8]) {
+        if tcp.flags.syn && self.base.is_none() {
+            self.base = Some(tcp.seq.wrapping_add(1));
+        }
+        let Some(base) = self.base else { return };
+        if payload.is_empty() || self.desynced {
+            return;
+        }
+        let off = u64::from(tcp.seq.wrapping_sub(base));
+        if off + payload.len() as u64 <= self.next {
+            return;
+        }
+        if off > self.next {
+            let held = self.held.entry(off).or_default();
+            if payload.len() > held.len() {
+                held.clear();
+                held.extend_from_slice(payload);
+            }
+            return;
+        }
+        self.read(&payload[(self.next - off) as usize..], time);
+        while let Some(first) = self.held.first_entry() {
+            if *first.key() > self.next {
+                break;
+            }
+            let (off, bytes) = first.remove_entry();
+            if off + bytes.len() as u64 > self.next {
+                self.read(&bytes[(self.next - off) as usize..], time);
+            }
         }
     }
 
-    let assembled: &mut Vec<u8> = &mut scratch.assembled;
-    assembled.clear();
-    // One cheap pass to size the assembly buffer: the stream is at most
-    // the sum of the direction's payload bytes, so a single upfront
-    // reserve replaces the repeated mid-loop `resize` reallocations.
-    let payload_total: usize = trace.in_direction(dir).map(|p| p.payload.len()).sum();
-    assembled.reserve(payload_total);
-    // Covered intervals (start -> end), non-overlapping, merged.
-    let mut covered: BTreeMap<u64, u64> = BTreeMap::new();
-    let mut parse_ptr: u64 = 0;
-    let mut desynced = false;
+    /// Drops the segments still held ahead of a gap: the capture is over.
+    pub(crate) fn close(&mut self) {
+        self.held = BTreeMap::new();
+    }
 
-    for p in trace.in_direction(dir) {
-        if p.payload.is_empty() {
-            continue;
-        }
-        if p.dropped_by_policy && !include_policy_dropped {
-            continue;
-        }
-        let base = *base.get_or_insert(p.header.seq);
-        let off = p.header.seq.wrapping_sub(base) as u64;
-        let len = p.payload.len() as u64;
-        view.total_payload_bytes += len;
-
-        // Compute newly covered bytes.
-        let new_bytes = insert_interval(&mut covered, off, off + len);
-        view.unique_bytes += new_bytes;
-        if new_bytes == 0 {
-            view.retransmitted_segments += 1;
-            continue;
-        }
-        if new_bytes < len {
-            // Partial overlap still indicates a retransmission event.
-            view.retransmitted_segments += 1;
-        }
-        // Copy payload into the assembly buffer.
-        let end = (off + len) as usize;
-        if assembled.len() < end {
-            assembled.resize(end, 0);
-        }
-        assembled[off as usize..end].copy_from_slice(&p.payload);
-
-        // Advance the contiguous prefix.
-        let contiguous_end = contiguous_prefix(&covered);
-
-        // Parse as many complete records as the prefix now holds.
-        if desynced {
-            continue;
-        }
-        while parse_ptr + RECORD_HEADER_LEN as u64 <= contiguous_end {
-            let hdr_bytes = &assembled[parse_ptr as usize..parse_ptr as usize + RECORD_HEADER_LEN];
-            let Some(hdr) = RecordHeader::decode(hdr_bytes) else {
-                desynced = true; // corrupt stream: stop, keep what we have
-                break;
-            };
-            let total = RECORD_HEADER_LEN as u64 + hdr.length as u64;
-            if parse_ptr + total > contiguous_end {
-                break;
+    /// Reads the bytes starting at `self.next`, which finished passing at
+    /// `time`.
+    fn read(&mut self, bytes: &[u8], time: SimTime) {
+        let start = self.next;
+        self.next += bytes.len() as u64;
+        while !self.desynced {
+            if let Some(open) = self.open {
+                if open.end() > self.next {
+                    return;
+                }
+                self.records.push(SeenRecord {
+                    completed_at: time,
+                    ..open
+                });
+                self.open = None;
+                self.header_at = open.end();
+                self.header_len = 0;
             }
-            view.records.push(SeenRecord {
+            let from = self.header_at + self.header_len as u64;
+            if from >= self.next {
+                return;
+            }
+            let at = (from - start) as usize;
+            let take = (RECORD_HEADER_LEN - self.header_len).min(bytes.len() - at);
+            self.header[self.header_len..self.header_len + take]
+                .copy_from_slice(&bytes[at..at + take]);
+            self.header_len += take;
+            if self.header_len < RECORD_HEADER_LEN {
+                return;
+            }
+            let Some(hdr) = RecordHeader::decode(&self.header) else {
+                self.desynced = true;
+                return;
+            };
+            self.open = Some(SeenRecord {
                 content_type: hdr.content_type.as_byte(),
                 body_len: hdr.length,
                 plaintext_len: hdr.length.saturating_sub(AEAD_TAG_LEN as u16),
-                stream_offset: parse_ptr,
-                completed_at: p.time,
+                stream_offset: self.header_at,
+                completed_at: time,
             });
-            parse_ptr += total;
         }
-        view.contiguous_end = contiguous_end;
-    }
-    view.desynced = desynced;
-    view.parse_ptr = parse_ptr;
-    view
-}
-
-/// Inserts `[start, end)` into the interval map, merging as needed.
-/// Returns the number of newly covered bytes.
-fn insert_interval(map: &mut BTreeMap<u64, u64>, start: u64, end: u64) -> u64 {
-    if start >= end {
-        return 0;
-    }
-    let mut new_start = start;
-    let mut new_end = end;
-    let mut newly = end - start;
-    // Absorb overlapping/adjacent intervals, rightmost first. Stored
-    // intervals are disjoint, so their starts and ends are both sorted:
-    // once the rightmost candidate (largest start <= new_end) ends
-    // before new_start, no earlier interval can touch the range either,
-    // and each absorbed interval's overlap with the growing range equals
-    // its overlap with the original [start, end).
-    while let Some((&s, &e)) = map.range(..=new_end).next_back() {
-        if e < new_start {
-            break;
-        }
-        newly -= overlap_len(new_start.max(s), new_end.min(e), s, e);
-        new_start = new_start.min(s);
-        new_end = new_end.max(e);
-        map.remove(&s);
-    }
-    map.insert(new_start, new_end);
-    newly
-}
-
-fn overlap_len(a: u64, b: u64, s: u64, e: u64) -> u64 {
-    let lo = a.max(s);
-    let hi = b.min(e);
-    hi.saturating_sub(lo)
-}
-
-fn contiguous_prefix(map: &BTreeMap<u64, u64>) -> u64 {
-    match map.first_key_value() {
-        Some((&0, &end)) => end,
-        _ => 0,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::PacketRecord;
-    use h2priv_netsim::packet::{FlowId, HostAddr, TcpFlags, TcpHeader};
+    use h2priv_netsim::packet::{FlowId, HostAddr, TcpFlags, WIRE_OVERHEAD};
     use h2priv_tls::{ContentType, RecordSealer, RecordTag};
-    use h2priv_util::bytes::Bytes;
+    use h2priv_util::check::{self, Gen};
 
-    fn seg(seq: u32, payload: &[u8], t_ms: u64, syn: bool) -> PacketRecord {
-        PacketRecord {
-            time: SimTime::from_millis(t_ms),
-            direction: Direction::ServerToClient,
-            header: TcpHeader {
-                flow: FlowId {
-                    src: HostAddr(2),
-                    dst: HostAddr(1),
-                    sport: 443,
-                    dport: 40_000,
-                },
-                seq,
-                ack: 0,
-                flags: if syn {
-                    TcpFlags::SYN_ACK
-                } else {
-                    TcpFlags::ACK
-                },
-                window: 65_535,
-                ts_val: 0,
-                ts_ecr: 0,
+    fn tcp(seq: u32, syn: bool) -> TcpHeader {
+        TcpHeader {
+            flow: FlowId {
+                src: HostAddr(2),
+                dst: HostAddr(1),
+                sport: 443,
+                dport: 40_000,
             },
-            payload: Bytes::copy_from_slice(payload),
-            dropped_by_policy: false,
+            seq,
+            ack: 0,
+            flags: if syn {
+                TcpFlags::SYN_ACK
+            } else {
+                TcpFlags::ACK
+            },
+            window: 65_535,
+            ts_val: 0,
+            ts_ecr: 0,
         }
     }
 
-    fn trace_of(packets: Vec<PacketRecord>) -> Trace {
-        Trace { packets }
+    /// A stream whose SYN-ACK (ISN 99) passed at 0 ms, so stream offset 0
+    /// is seq 100.
+    fn started() -> TlsStream {
+        let mut s = TlsStream::default();
+        s.push(SimTime::ZERO, &tcp(99, true), &[]);
+        s
     }
 
-    #[test]
-    fn parses_records_split_across_segments() {
-        let mut sealer = RecordSealer::new();
-        let wire = sealer.seal(ContentType::ApplicationData, &[1u8; 3_000], RecordTag::NONE);
-        // ISN 99, so stream offset 0 = seq 100.
-        let mut packets = vec![seg(99, &[], 0, true)];
-        for (i, chunk) in wire.chunks(1_460).enumerate() {
-            packets.push(seg(100 + (i as u32) * 1_460, chunk, 1 + i as u64, false));
-        }
-        let view = reassemble(&trace_of(packets), Direction::ServerToClient, false);
-        assert_eq!(view.records.len(), 1);
-        assert_eq!(view.records[0].plaintext_len, 3_000);
-        assert_eq!(view.records[0].completed_at, SimTime::from_millis(3));
-        assert_eq!(view.retransmitted_segments, 0);
-        assert_eq!(view.unique_bytes, wire.len() as u64);
+    fn push(s: &mut TlsStream, seq: u32, payload: &[u8], t_ms: u64) {
+        s.push(SimTime::from_millis(t_ms), &tcp(seq, false), payload);
     }
 
-    #[test]
-    fn counts_retransmissions_and_dedupes() {
-        let mut sealer = RecordSealer::new();
-        let wire = sealer.seal(ContentType::ApplicationData, &[0u8; 500], RecordTag::NONE);
-        let packets = vec![
-            seg(99, &[], 0, true),
-            seg(100, &wire, 1, false),
-            seg(100, &wire, 5, false), // full retransmission
-        ];
-        let view = reassemble(&trace_of(packets), Direction::ServerToClient, false);
-        assert_eq!(view.records.len(), 1);
-        assert_eq!(view.retransmitted_segments, 1);
-        assert_eq!(view.total_payload_bytes, 2 * wire.len() as u64);
-        assert_eq!(view.unique_bytes, wire.len() as u64);
-    }
-
-    #[test]
-    fn out_of_order_segments_still_parse() {
-        let mut sealer = RecordSealer::new();
-        let wire = sealer.seal(ContentType::ApplicationData, &[7u8; 2_000], RecordTag::NONE);
-        let (a, b) = wire.split_at(1_000);
-        let packets = vec![
-            seg(99, &[], 0, true),
-            seg(1_100, b, 1, false), // arrives first
-            seg(100, a, 2, false),
-        ];
-        let view = reassemble(&trace_of(packets), Direction::ServerToClient, false);
-        assert_eq!(view.records.len(), 1);
-        assert_eq!(view.records[0].completed_at, SimTime::from_millis(2));
-    }
-
-    #[test]
-    fn policy_dropped_packets_are_excluded_by_default() {
-        let mut sealer = RecordSealer::new();
-        let wire = sealer.seal(ContentType::ApplicationData, &[0u8; 100], RecordTag::NONE);
-        let mut p = seg(100, &wire, 1, false);
-        p.dropped_by_policy = true;
-        let packets = vec![seg(99, &[], 0, true), p];
-        let view = reassemble(&trace_of(packets), Direction::ServerToClient, false);
-        assert!(view.records.is_empty());
-        let view = reassemble(
-            &trace_of(packets_clone(&sealer, wire)),
-            Direction::ServerToClient,
-            true,
-        );
-        // helper below re-creates the same packets with the flag set
-        assert_eq!(view.records.len(), 1);
-    }
-
-    fn packets_clone(_s: &RecordSealer, wire: Bytes) -> Vec<PacketRecord> {
-        let mut p = seg(100, &wire, 1, false);
-        p.dropped_by_policy = true;
-        vec![seg(99, &[], 0, true), p]
-    }
-
-    #[test]
-    fn multiple_records_sequence() {
+    fn sealed(sizes: &[usize]) -> Vec<u8> {
         let mut sealer = RecordSealer::new();
         let mut stream = Vec::new();
-        for size in [100usize, 2_000, 50] {
+        for &size in sizes {
             stream.extend_from_slice(&sealer.seal(
                 ContentType::ApplicationData,
                 &vec![0u8; size],
                 RecordTag::NONE,
             ));
         }
-        let packets: Vec<PacketRecord> = std::iter::once(seg(99, &[], 0, true))
-            .chain(
-                stream
-                    .chunks(1_460)
-                    .enumerate()
-                    .map(|(i, c)| seg(100 + (i as u32) * 1_460, c, 1 + i as u64, false)),
-            )
-            .collect();
-        let view = reassemble(&trace_of(packets), Direction::ServerToClient, false);
-        let lens: Vec<u16> = view.records.iter().map(|r| r.plaintext_len).collect();
+        stream
+    }
+
+    #[test]
+    fn parses_records_split_across_segments() {
+        let wire = sealed(&[3_000]);
+        let mut s = started();
+        for (i, chunk) in wire.chunks(1_460).enumerate() {
+            push(&mut s, 100 + (i as u32) * 1_460, chunk, 1 + i as u64);
+        }
+        assert_eq!(s.records().len(), 1);
+        assert_eq!(s.records()[0].plaintext_len, 3_000);
+        assert_eq!(s.records()[0].completed_at, SimTime::from_millis(3));
+        assert_eq!(s.contiguous_end(), wire.len() as u64);
+    }
+
+    #[test]
+    fn counts_retransmissions_and_dedupes() {
+        let wire = sealed(&[500]);
+        let mut s = started();
+        push(&mut s, 100, &wire, 1);
+        push(&mut s, 100, &wire, 5); // full retransmission
+        assert_eq!(s.records().len(), 1);
+        assert_eq!(s.records()[0].completed_at, SimTime::from_millis(1));
+        assert_eq!(s.contiguous_end(), wire.len() as u64);
+    }
+
+    #[test]
+    fn out_of_order_segments_still_parse() {
+        let wire = sealed(&[2_000]);
+        let (a, b) = wire.split_at(1_000);
+        let mut s = started();
+        push(&mut s, 1_100, b, 1); // arrives first
+        push(&mut s, 100, a, 2);
+        assert_eq!(s.records().len(), 1);
+        assert_eq!(s.records()[0].completed_at, SimTime::from_millis(2));
+    }
+
+    #[test]
+    fn multiple_records_sequence() {
+        let stream = sealed(&[100, 2_000, 50]);
+        let mut s = started();
+        for (i, c) in stream.chunks(1_460).enumerate() {
+            push(&mut s, 100 + (i as u32) * 1_460, c, 1 + i as u64);
+        }
+        let lens: Vec<u16> = s.records().iter().map(|r| r.plaintext_len).collect();
         assert_eq!(lens, vec![100, 2_000, 50]);
         // Offsets are strictly increasing.
-        assert!(view
-            .records
+        assert!(s
+            .records()
             .windows(2)
             .all(|w| w[0].stream_offset < w[1].stream_offset));
     }
 
     #[test]
-    fn interval_insertion_merges() {
-        let mut m = BTreeMap::new();
-        assert_eq!(insert_interval(&mut m, 0, 10), 10);
-        assert_eq!(insert_interval(&mut m, 20, 30), 10);
-        assert_eq!(insert_interval(&mut m, 5, 25), 10); // fills the gap
-        assert_eq!(m.len(), 1);
-        assert_eq!(contiguous_prefix(&m), 30);
-        assert_eq!(insert_interval(&mut m, 0, 30), 0);
+    fn policy_dropped_packets_are_excluded_by_default() {
+        use crate::capture::TraceCollector;
+        use h2priv_netsim::capture::{CaptureEvent, CaptureSink};
+        use h2priv_netsim::packet::{Direction, Packet};
+        use h2priv_util::bytes::Bytes;
+
+        let wire = sealed(&[100]);
+        let mut c = TraceCollector::new();
+        for (seq, syn, payload, dropped) in [
+            (99, true, Vec::new(), false),
+            (100, false, wire.clone(), true),
+        ] {
+            let pkt = Packet::new(tcp(seq, syn), Bytes::from(payload));
+            c.record(&CaptureEvent {
+                time: SimTime::from_millis(1),
+                direction: Direction::ServerToClient,
+                packet: &pkt,
+                dropped_by_policy: dropped,
+            });
+        }
+        let t = c.take_trace();
+        assert!(t.stream(Direction::ServerToClient).records().is_empty());
+        // The dropped packet is still in the capture.
+        assert_eq!(t.packets[1].tcp_len(), wire.len() as u32);
+        assert!(t.packets[1].dropped_by_policy);
+    }
+
+    #[test]
+    fn bytes_before_the_syn_are_ignored() {
+        let wire = sealed(&[300]);
+        let mut s = TlsStream::default();
+        push(&mut s, 100, &wire, 1);
+        assert!(s.records().is_empty());
+        assert_eq!(s.contiguous_end(), 0);
+        s.push(SimTime::from_millis(2), &tcp(99, true), &[]);
+        push(&mut s, 100, &wire, 3);
+        assert_eq!(s.records().len(), 1);
+        assert_eq!(s.records()[0].completed_at, SimTime::from_millis(3));
+    }
+
+    #[test]
+    fn bad_header_desyncs_without_panicking() {
+        let mut wire = sealed(&[200, 200]);
+        let second = RECORD_HEADER_LEN + 200 + AEAD_TAG_LEN;
+        wire[second] = 0xEE; // not a content type
+        let mut s = started();
+        push(&mut s, 100, &wire[..second + 2], 1);
+        push(&mut s, 100 + second as u32 + 2, &wire[second + 2..], 2);
+        assert!(s.desynced());
+        assert_eq!(s.records().len(), 1);
+        // Parsing stays stopped.
+        push(&mut s, 100 + wire.len() as u32, &sealed(&[10]), 3);
+        assert_eq!(s.records().len(), 1);
+    }
+
+    #[global_allocator]
+    static ALLOC: h2priv_util::alloc::CountingAlloc = h2priv_util::alloc::CountingAlloc::new();
+
+    /// Random segments, sequence numbers and SYNs never panic, and what
+    /// the stream allocates stays within a fixed multiple of the wire
+    /// bytes it was fed: held segments are copies of their payload, and
+    /// each record read takes at least its 5 header bytes.
+    #[test]
+    fn random_segments_never_panic_and_allocate_in_proportion() {
+        check::run(
+            "random_segments_never_panic_and_allocate_in_proportion",
+            256,
+            |g: &mut Gen| {
+                // Either random bytes or a run of tiny records, which
+                // makes as many records per byte as a stream can.
+                let tiny = g.bool(0.5);
+                let segments: Vec<(u32, bool, Vec<u8>)> = (0..g.usize(1, 60))
+                    .map(|_| {
+                        let seq = if g.bool(0.8) {
+                            g.u32(0, 20_000)
+                        } else {
+                            g.u32(0, u32::MAX)
+                        };
+                        let len = g.usize(0, 1_500);
+                        let bytes = if tiny {
+                            (0..len)
+                                .map(|i| [23, 3, 3, 0, 0][i % RECORD_HEADER_LEN])
+                                .collect()
+                        } else {
+                            (0..len).map(|_| g.u8(0, u8::MAX)).collect()
+                        };
+                        (seq, g.bool(0.1), bytes)
+                    })
+                    .collect();
+                let wire: u64 = segments
+                    .iter()
+                    .map(|(_, _, b)| b.len() as u64 + u64::from(WIRE_OVERHEAD))
+                    .sum();
+                let (s, _, bytes) = h2priv_util::alloc::counting(|| {
+                    let mut s = TlsStream::default();
+                    if g.bool(0.5) {
+                        s.push(SimTime::ZERO, &tcp(g.u32(0, 100), true), &[]);
+                    }
+                    for (i, (seq, syn, payload)) in segments.iter().enumerate() {
+                        s.push(SimTime::from_millis(i as u64), &tcp(*seq, *syn), payload);
+                    }
+                    s
+                });
+                assert!(s.records().len() as u64 <= wire / RECORD_HEADER_LEN as u64);
+                assert!(
+                    bytes <= 16 * wire,
+                    "allocated {bytes} B for {wire} wire bytes"
+                );
+            },
+        );
     }
 }

@@ -2,13 +2,13 @@
 
 use h2priv_netsim::packet::{Direction, Packet, TcpHeader};
 use h2priv_netsim::time::SimTime;
-use h2priv_util::bytes::Bytes;
 
 /// One packet as seen by the monitor at the compromised middlebox.
 ///
 /// Contains only eavesdropper-visible information: the cleartext TCP/IP
-/// header, sizes, timing, and the raw payload bytes (TLS ciphertext with
-/// cleartext 5-byte record headers embedded in the stream).
+/// header, the payload size and the timing. The TLS record headers
+/// embedded in the payload are read as the packet passes
+/// ([`crate::reassembly::TlsStream`]); no payload byte is kept.
 #[derive(Debug, Clone)]
 pub struct PacketRecord {
     /// Capture timestamp.
@@ -17,8 +17,8 @@ pub struct PacketRecord {
     pub direction: Direction,
     /// Cleartext TCP/IP header.
     pub header: TcpHeader,
-    /// TCP payload bytes (ciphertext stream).
-    pub payload: Bytes,
+    /// TCP payload length in bytes.
+    pub len: u32,
     /// Whether the adversary's own policy dropped this packet after
     /// observing it (it still transited the monitor).
     pub dropped_by_policy: bool,
@@ -36,14 +36,14 @@ impl PacketRecord {
             time,
             direction,
             header: pkt.header,
-            payload: pkt.payload.clone(),
+            len: pkt.payload.len() as u32,
             dropped_by_policy,
         }
     }
 
     /// TCP payload length (`tcp.len` in tshark terms).
     pub fn tcp_len(&self) -> u32 {
-        self.payload.len() as u32
+        self.len
     }
 }
 
@@ -51,6 +51,7 @@ impl PacketRecord {
 mod tests {
     use super::*;
     use h2priv_netsim::packet::{FlowId, HostAddr, TcpFlags};
+    use h2priv_util::bytes::Bytes;
 
     #[test]
     fn from_packet_copies_visible_fields() {

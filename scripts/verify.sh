@@ -26,6 +26,9 @@ echo "== event queue: the heap, and the heaps merged with the link lanes, agains
 cargo test -q --offline -p h2priv-netsim --test queue_differential
 cargo test -q --offline -p h2priv-netsim --lib event::tests::lanes_and_heap_pop_like_one_model_queue
 
+echo "== capture: streaming TLS records against the batch oracle"
+cargo test -q --offline -p h2priv-trace --test properties
+
 echo "== allocation-regression pins (counting allocator, exact per-trial counts)"
 # Steady-state allocations per trial are deterministic for a given seed
 # and build profile; any drift is a real hot-path change. Exact pins
