@@ -15,12 +15,18 @@
 //!     [--inject-kill shard=N,trial=K[,repeat]] [--inject-stall ...] [--quiet]
 //! ```
 //!
+//! With `N` shards, worker `i` runs cell `s + i` and every `N`-th cell
+//! after it, `s` being the first cell left to run, so
+//! `--inject-kill shard=i,trial=K` fires only for a `K` that worker runs.
+//!
 //! `--resume` recovers the journal (dropping a truncated final line),
 //! replays its completed trials into the fold, and re-executes only the
-//! missing cells. `--fail-on-crash` aborts on the first worker crash
-//! instead of respawning — together with `--inject-kill` this stops a
-//! campaign at an exact deterministic point, which is how the resume
-//! tests and `scripts/verify.sh` exercise the recovery path.
+//! missing cells. `--fail-on-crash` stops at the first worker crash
+//! instead of respawning: it hands out no more work, lets the other
+//! workers finish every cell below the crashed one, and then aborts, so
+//! with `--inject-kill trial=K` the journal holds exactly cells `0..K`
+//! at any shard count. That is how the resume tests and
+//! `scripts/verify.sh` exercise the recovery path.
 
 use std::time::Duration;
 

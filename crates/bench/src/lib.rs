@@ -80,6 +80,7 @@ const VALUE_FLAGS: &[&str] = &[
     "--inject-kill",
     "--inject-stall",
     "--cells",
+    "--step",
 ];
 
 /// Flags that are bare booleans.

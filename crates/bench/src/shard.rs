@@ -1,17 +1,19 @@
 //! `--shard-worker` mode: the campaign runner's child-process side.
 //!
 //! The `campaign` bin re-invokes itself with the same experiment and
-//! trial count plus `--shard-worker --cells A-B` (and any injected
-//! faults); [`worker`] then runs the assigned cell range and returns.
+//! trial count plus `--shard-worker --cells A-B --step S` (and any
+//! injected faults); [`worker`] then runs cells `A, A + S, …` below `B`
+//! and returns. `S` is the supervisor's slot count, so the slots'
+//! workers together cover the range.
 //!
 //! Protocol (stdout, one checksummed line each, flushed per line so the
 //! supervisor's view is current to the last completed cell):
 //!
-//! 1. `hello` echoing the assigned range,
-//! 2. one `record` per cell, in range order — each cell a pure function
+//! 1. `hello` echoing `A` and `B`,
+//! 2. one `record` per cell, in stride order — each cell a pure function
 //!    of the campaign spec, so any worker (or resume) produces identical
 //!    bytes for the same cell,
-//! 3. `done`.
+//! 3. `done` with the number of cells run.
 //!
 //! Injected faults fire *before* the named cell runs: `--inject-kill K`
 //! exits with status 101 (a crash, from the supervisor's viewpoint),
@@ -24,7 +26,7 @@ use std::io::Write;
 use h2priv_campaign::record;
 use h2priv_core::campaign::CampaignSpec;
 
-use crate::{flag_value, flag_values, oerror};
+use crate::{flag_u64, flag_value, flag_values, oerror};
 
 /// Exit status a worker uses for an injected kill; anything nonzero
 /// reads as a crash to the supervisor.
@@ -49,12 +51,17 @@ fn inject_cells(flag: &str) -> Vec<u64> {
         .collect()
 }
 
-/// Runs the cell range `--cells A-B` of `spec`, streaming one record
-/// per cell to stdout.
+/// Runs cells `A, A + S, …` below `B` of `spec` (`--cells A-B --step
+/// S`, `S` 1 when absent), streaming one record per cell to stdout.
 pub fn worker(spec: &CampaignSpec) {
     let cells = flag_value("--cells").and_then(|v| parse_cells(&v));
     let Some((start, end)) = cells else {
         oerror!("error: --shard-worker requires --cells A-B (half-open, A < B)");
+        std::process::exit(2);
+    };
+    let step = flag_u64("--step", 1);
+    let Some(step) = usize::try_from(step).ok().filter(|&s| s > 0) else {
+        oerror!("error: invalid --step {step} (expected a positive cell stride)");
         std::process::exit(2);
     };
     if end > spec.total_cells() {
@@ -79,7 +86,8 @@ pub fn worker(spec: &CampaignSpec) {
         }
     };
     emit(record::stamp(&record::hello_body(start, end)));
-    for cell in start..end {
+    let mut ran = 0;
+    for cell in (start..end).step_by(step) {
         if kills.contains(&cell) {
             std::process::exit(INJECTED_KILL_EXIT);
         }
@@ -92,6 +100,7 @@ pub fn worker(spec: &CampaignSpec) {
         emit(record::stamp(&record::record_body(
             cell, batch, trial, payload,
         )));
+        ran += 1;
     }
-    emit(record::stamp(&record::done_body(end - start)));
+    emit(record::stamp(&record::done_body(ran)));
 }

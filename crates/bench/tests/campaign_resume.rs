@@ -10,9 +10,11 @@ use std::process::Command;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 const TRIALS: &str = "2";
-/// A robustness_sweep campaign with 2 trials has 6 batches of 2 cells;
-/// these are the first cells of each batch (the batch boundaries).
-const BATCH_BOUNDARIES: [u64; 6] = [0, 2, 4, 6, 8, 10];
+/// The kill test's experiment: at 2 trials, 7 batches of 2 cells that
+/// run in milliseconds, so every cell can be a kill point.
+const KILLED: &str = "fig2";
+/// The first cell of each of `KILLED`'s batches (the batch boundaries).
+const BATCH_BOUNDARIES: [u64; 7] = [0, 2, 4, 6, 8, 10, 12];
 
 fn temp_base(tag: &str) -> PathBuf {
     static COUNTER: AtomicU64 = AtomicU64::new(0);
@@ -59,9 +61,13 @@ fn cleanup(paths: &[&PathBuf]) {
 
 /// The uninterrupted single-shard journal and report bytes.
 fn baseline() -> (Vec<u8>, Vec<u8>) {
+    baseline_of("robustness_sweep")
+}
+
+fn baseline_of(experiment: &str) -> (Vec<u8>, Vec<u8>) {
     let journal = temp_base("baseline").with_extension("jsonl");
     let out = temp_base("baseline").with_extension("json");
-    let run = campaign(&journal, &out, &["--shards", "1"]);
+    let run = campaign_of(experiment, &journal, &out, &["--shards", "1"]);
     assert!(run.status.success(), "baseline failed: {}", run.stderr);
     let bytes = (read(&journal), read(&out));
     cleanup(&[&journal, &out]);
@@ -90,52 +96,73 @@ fn journal_and_report_are_byte_identical_across_shard_counts() {
     }
 }
 
+/// Kills a campaign at every batch boundary and at the cell after each,
+/// on two and on three slots, so each slot runs some killed cell (on two,
+/// slot 0 never runs the cell after a boundary). The killed journal must
+/// be exactly the header plus cells `0..k`; the resume on the same slots
+/// must then match the uninterrupted run byte for byte.
 #[test]
 fn kill_at_every_batch_boundary_then_resume_is_byte_identical() {
-    let (ref_journal, ref_report) = baseline();
-    for boundary in BATCH_BOUNDARIES {
-        let journal = temp_base("kill").with_extension("jsonl");
-        let out = temp_base("kill").with_extension("json");
-        let kill = format!("trial={boundary}");
-        let interrupted = campaign(
-            &journal,
-            &out,
-            &["--shards", "2", "--fail-on-crash", "--inject-kill", &kill],
-        );
-        assert!(
-            !interrupted.status.success(),
-            "kill at cell {boundary} should abort the campaign"
-        );
-        assert!(
-            interrupted.stderr.contains("fail-on-crash"),
-            "cell {boundary}: {}",
-            interrupted.stderr
-        );
-        // The journal must already be a valid prefix: strictly the
-        // header plus cells [0, k) for some k <= boundary's position.
-        let prefix = read(&journal);
-        assert!(
-            ref_journal.starts_with(&prefix),
-            "cell {boundary}: interrupted journal is not a prefix of the reference"
-        );
+    let (ref_journal, ref_report) = baseline_of(KILLED);
+    let ref_text = String::from_utf8(ref_journal.clone()).expect("journal is UTF-8");
+    for shards in ["2", "3"] {
+        for k in BATCH_BOUNDARIES.iter().flat_map(|&b| [b, b + 1]) {
+            let journal = temp_base("kill").with_extension("jsonl");
+            let out = temp_base("kill").with_extension("json");
+            let kill = format!("trial={k}");
+            let interrupted = campaign_of(
+                KILLED,
+                &journal,
+                &out,
+                &[
+                    "--shards",
+                    shards,
+                    "--fail-on-crash",
+                    "--inject-kill",
+                    &kill,
+                ],
+            );
+            assert!(
+                !interrupted.status.success(),
+                "shards={shards}: kill at cell {k} should abort the campaign"
+            );
+            assert!(
+                interrupted
+                    .stderr
+                    .contains(&format!("crashed before cell {k} (fail-on-crash set)")),
+                "shards={shards}, cell {k}: {}",
+                interrupted.stderr
+            );
+            // Whichever slot runs cell k, the others finish every cell below
+            // it first.
+            let header_and_k: String = ref_text
+                .split_inclusive('\n')
+                .take(k as usize + 1)
+                .collect();
+            assert_eq!(
+                String::from_utf8_lossy(&read(&journal)),
+                header_and_k,
+                "shards={shards}: kill at cell {k} did not journal exactly {k} records"
+            );
 
-        let resumed = campaign(&journal, &out, &["--shards", "2", "--resume"]);
-        assert!(
-            resumed.status.success(),
-            "resume after kill at {boundary}: {}",
-            resumed.stderr
-        );
-        assert_eq!(
-            read(&journal),
-            ref_journal,
-            "journal differs after kill at cell {boundary} + resume"
-        );
-        assert_eq!(
-            read(&out),
-            ref_report,
-            "report differs after kill at cell {boundary} + resume"
-        );
-        cleanup(&[&journal, &out]);
+            let resumed = campaign_of(KILLED, &journal, &out, &["--shards", shards, "--resume"]);
+            assert!(
+                resumed.status.success(),
+                "shards={shards}: resume after kill at {k}: {}",
+                resumed.stderr
+            );
+            assert_eq!(
+                read(&journal),
+                ref_journal,
+                "shards={shards}: journal differs after kill at cell {k} + resume"
+            );
+            assert_eq!(
+                read(&out),
+                ref_report,
+                "shards={shards}: report differs after kill at cell {k} + resume"
+            );
+            cleanup(&[&journal, &out]);
+        }
     }
 }
 

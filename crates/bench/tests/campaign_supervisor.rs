@@ -1,6 +1,6 @@
 //! Supervisor failure-policy regression: stalled workers are killed
-//! past the heartbeat timeout and their range is recovered; a retired
-//! shard's range is reassigned to survivors; a permanently-crashing
+//! past the heartbeat timeout and their cells are recovered; a retired
+//! shard's cells are reassigned to survivors; a permanently-crashing
 //! cell fails the campaign with a structured error naming the poisoned
 //! range; and output error paths exit cleanly instead of panicking.
 
@@ -57,8 +57,9 @@ fn stalled_worker_is_killed_after_heartbeat_and_campaign_completes_identically()
     let (ref_journal, ref_report) = baseline();
     let journal = temp_base("stall").with_extension("jsonl");
     let out = temp_base("stall").with_extension("json");
-    // Worker on the second shard hangs before cell 4; a 300 ms
-    // heartbeat reaps it and the respawn finishes the range.
+    // Two slots deal the 6 cells as 0, 2, 4 and 1, 3, 5: the worker on
+    // shard 0 hangs before cell 4; a 300 ms heartbeat reaps it and the
+    // respawn finishes its cells.
     let run = campaign(
         &journal,
         Some(&out),
@@ -92,8 +93,9 @@ fn retired_shards_range_is_reassigned_to_survivors() {
     let (ref_journal, ref_report) = baseline();
     let journal = temp_base("retire").with_extension("jsonl");
     let out = temp_base("retire").with_extension("json");
-    // With a zero respawn budget, the injected crash retires the shard
-    // immediately; the surviving shard must pick up its range.
+    // With a zero respawn budget, the injected crash retires shard 1
+    // (cells 1, 3, 5) at cell 3; the surviving shard must pick up its
+    // unfinished cells.
     let run = campaign(
         &journal,
         Some(&out),
@@ -103,7 +105,7 @@ fn retired_shards_range_is_reassigned_to_survivors() {
             "--max-respawns",
             "0",
             "--inject-kill",
-            "shard=1,trial=4",
+            "shard=1,trial=3",
         ],
     );
     assert!(run.status.success(), "{}", run.stderr);

@@ -1,20 +1,25 @@
 //! Deterministic crash-injection schedules.
 //!
-//! `--inject-kill shard=1,trial=12` tells the supervisor: when (a worker
-//! on) shard 1 is about to execute global cell 12, make it die there.
+//! `--inject-kill shard=1,trial=13` tells the supervisor: when (a worker
+//! on) shard 1 is about to execute global cell 13, make it die there.
+//! `shard=N` addresses a cell in slot N's residue class: with `n` slots
+//! dealt over `[start, end)`, slot N runs cells `start + N, start + N + n,
+//! …`, so an entry for a cell that slot N never runs stays unfired.
 //! The supervisor does not reach into the child — at spawn time it scans
 //! the schedule for entries matching the worker's shard and assigned
-//! cell range and passes them down as bare `--inject-kill 12` worker
-//! flags; the worker then calls `process::exit(101)` immediately before
-//! running that cell (or, for `--inject-stall`, sleeps until the
-//! heartbeat timeout kills it).
+//! cells and passes them down as bare `--inject-kill 13` worker flags;
+//! the worker then calls `process::exit(101)` immediately before running
+//! that cell (or, for `--inject-stall`, sleeps until the heartbeat
+//! timeout kills it).
 //!
 //! Entries are one-shot by default — consumed at the spawn that carries
-//! them, so the respawned worker completes the range and the campaign
+//! them, so the respawned worker completes its cells and the campaign
 //! converges. A `repeat` entry is never consumed: every (re)spawn
 //! covering the cell inherits the injection, which is how the
 //! poisoned-range policy test manufactures a cell that *always* crashes
 //! its worker.
+
+use crate::supervisor::Assignment;
 
 /// What the injected fault does to the worker.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -109,16 +114,17 @@ impl InjectSchedule {
         self.entries.is_empty()
     }
 
-    /// Collects the injections a worker spawned on `shard` for cells
-    /// `[range.0, range.1)` must carry, consuming one-shot entries.
-    pub fn take(&mut self, shard: usize, range: (u64, u64)) -> Vec<(InjectKind, u64)> {
+    /// Collects the injections a worker spawned on `shard` over `cells`
+    /// must carry, consuming one-shot entries. Only an entry whose cell is
+    /// one of `cells` matches; any other stays armed.
+    pub(crate) fn take(&mut self, shard: usize, cells: &Assignment) -> Vec<(InjectKind, u64)> {
         let mut out = Vec::new();
         for entry in &mut self.entries {
             if entry.used && !entry.spec.repeat {
                 continue;
             }
             let shard_ok = entry.spec.shard.is_none() || entry.spec.shard == Some(shard);
-            if shard_ok && entry.spec.cell >= range.0 && entry.spec.cell < range.1 {
+            if shard_ok && cells.contains(entry.spec.cell) {
                 entry.used = true;
                 out.push((entry.kind, entry.spec.cell));
             }
@@ -130,6 +136,10 @@ impl InjectSchedule {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn assigned(start: u64, end: u64, step: u64) -> Assignment {
+        Assignment { start, end, step }
+    }
 
     #[test]
     fn parse_accepts_all_forms() {
@@ -170,9 +180,9 @@ mod tests {
     fn one_shot_entries_fire_exactly_once() {
         let mut sched = InjectSchedule::new();
         sched.add(InjectKind::Kill, InjectSpec::parse("trial=5").unwrap());
-        assert_eq!(sched.take(0, (0, 10)), [(InjectKind::Kill, 5)]);
-        // The respawn covering the same range gets nothing.
-        assert!(sched.take(0, (5, 10)).is_empty());
+        assert_eq!(sched.take(0, &assigned(0, 10, 1)), [(InjectKind::Kill, 5)]);
+        // The respawn covering the same cells gets nothing.
+        assert!(sched.take(0, &assigned(5, 10, 1)).is_empty());
     }
 
     #[test]
@@ -183,7 +193,7 @@ mod tests {
             InjectSpec::parse("trial=5,repeat").unwrap(),
         );
         for _ in 0..3 {
-            assert_eq!(sched.take(1, (0, 10)), [(InjectKind::Kill, 5)]);
+            assert_eq!(sched.take(1, &assigned(0, 10, 1)), [(InjectKind::Kill, 5)]);
         }
     }
 
@@ -194,8 +204,28 @@ mod tests {
             InjectKind::Stall,
             InjectSpec::parse("shard=2,trial=5").unwrap(),
         );
-        assert!(sched.take(1, (0, 10)).is_empty(), "wrong shard");
-        assert!(sched.take(2, (6, 10)).is_empty(), "cell outside range");
-        assert_eq!(sched.take(2, (0, 10)), [(InjectKind::Stall, 5)]);
+        assert!(sched.take(1, &assigned(0, 10, 1)).is_empty(), "wrong shard");
+        assert!(
+            sched.take(2, &assigned(6, 10, 1)).is_empty(),
+            "cell outside range"
+        );
+        assert_eq!(sched.take(2, &assigned(0, 10, 1)), [(InjectKind::Stall, 5)]);
+    }
+
+    #[test]
+    fn a_cell_outside_the_residue_class_stays_armed_for_its_holder() {
+        let mut sched = InjectSchedule::new();
+        sched.add(InjectKind::Kill, InjectSpec::parse("trial=5").unwrap());
+        sched.add(
+            InjectKind::Kill,
+            InjectSpec::parse("shard=0,trial=7").unwrap(),
+        );
+        // Two slots over [0, 10): slot 0 runs the even cells, slot 1 the
+        // odd ones. Cells 5 and 7 lie in slot 0's span but not its class.
+        assert!(sched.take(0, &assigned(0, 10, 2)).is_empty());
+        assert_eq!(sched.take(1, &assigned(1, 10, 2)), [(InjectKind::Kill, 5)]);
+        // `shard=0,trial=7` names a cell slot 0 never runs: it never fires.
+        assert!(sched.take(0, &assigned(0, 10, 2)).is_empty());
+        assert!(sched.take(1, &assigned(1, 10, 2)).is_empty());
     }
 }

@@ -17,8 +17,10 @@
 //!   the partial final line; recovery truncates to the last complete
 //!   record and the campaign resumes from there, re-executing only the
 //!   missing cells.
-//! * [`supervisor`] — per-shard heartbeat timeouts (a stalled worker is
-//!   killed and its range reassigned), bounded seed-deterministic
+//! * [`supervisor`] — cells dealt round-robin, so with `n` shards each
+//!   worker runs every `n`-th cell and all of them feed the journal's
+//!   frontier together; per-shard heartbeat timeouts (a stalled worker is
+//!   killed and its cells run again), bounded seed-deterministic
 //!   exponential respawn backoff ([`backoff`]), and a poisoned-range
 //!   detector: a cell that keeps killing its worker fails the campaign
 //!   with a structured error naming the range instead of looping
@@ -35,7 +37,9 @@
 //! [`order::OrderedSink`] keyed by that index, and duplicate or
 //! already-journaled cells are dropped. The journal is therefore always
 //! a strict prefix of the campaign's canonical record sequence — which
-//! is what makes resume a simple "count the prefix, run the rest".
+//! is what makes resume a simple "count the prefix, run the rest". A
+//! fail-on-crash stop drains to the crashed cell, so its journal is
+//! exactly the cells before it.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

@@ -25,7 +25,7 @@
 //! * `record` — one completed trial: global `cell` index, `(batch,
 //!   trial)` coordinates and the integer-only `payload`.
 //! * `hello` / `done` — pipe-only worker lifecycle markers bracketing
-//!   the worker's assigned cell range.
+//!   the worker's assigned cells.
 
 use h2priv_util::crc32::crc32;
 use h2priv_util::json::Json;
@@ -51,11 +51,12 @@ pub enum LineBody {
         /// JSON round-trip is bit-exact).
         payload: Json,
     },
-    /// Worker greeting: the half-open cell range it was assigned.
+    /// Worker greeting: the bounds of the cells it was assigned, every
+    /// step-th cell of `[start, end)`.
     Hello {
-        /// First cell of the worker's range.
+        /// First cell of the worker's assignment.
         start: u64,
-        /// One past the last cell of the worker's range.
+        /// One past the last cell the worker's assignment may hold.
         end: u64,
     },
     /// Worker completion marker.
@@ -83,7 +84,7 @@ pub fn record_body(cell: u64, batch: u64, trial: u64, payload: Json) -> Json {
     ])
 }
 
-/// Builds a `hello` body for a worker assigned cells `[start, end)`.
+/// Builds a `hello` body for a worker assigned cells within `[start, end)`.
 pub fn hello_body(start: u64, end: u64) -> Json {
     Json::Obj(vec![
         ("kind".to_string(), Json::Str("hello".to_string())),

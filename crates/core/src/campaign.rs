@@ -5,8 +5,8 @@
 //! A [`CampaignSpec`] names a registered experiment (see
 //! [`EXPERIMENTS`](crate::experiments::EXPERIMENTS)), fixes its trial
 //! budget, and enumerates its cells — one `(batch, trial)` pair per
-//! trial, globally ordered batch-major. Worker processes are handed
-//! half-open cell ranges of that enumeration ([`CampaignSpec::cell`]
+//! trial, globally ordered batch-major. Worker processes are each
+//! handed every n-th cell of that enumeration ([`CampaignSpec::cell`]
 //! maps a global index back to its pair), run each cell as a pure
 //! function of the spec ([`CampaignSpec::run_cell`]), and emit the
 //! experiment's trial payload, which holds exactly-representable values

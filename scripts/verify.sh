@@ -29,6 +29,9 @@ cargo test -q --offline -p h2priv-netsim --lib event::tests::lanes_and_heap_pop_
 echo "== capture: streaming TLS records against the batch oracle"
 cargo test -q --offline -p h2priv-trace --test properties
 
+echo "== campaign: a kill on any slot journals exactly K records, and the resume is byte-identical"
+cargo test -q --offline -p h2priv-bench --test campaign_resume --test campaign_supervisor
+
 echo "== allocation-regression pins (counting allocator, exact per-trial counts)"
 # Steady-state allocations per trial are deterministic for a given seed
 # and build profile; any drift is a real hot-path change. Exact pins
