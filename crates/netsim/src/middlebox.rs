@@ -16,7 +16,7 @@ use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
 use crate::units::Bandwidth;
 use h2priv_util::bytes::Bytes;
-use std::collections::HashMap;
+use h2priv_util::fxhash::FxHashMap;
 
 /// What a policy decides to do with one packet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -204,8 +204,11 @@ impl PortMap {
 pub struct Middlebox {
     policy: Box<dyn MiddleboxPolicy>,
     ports: Option<PortMap>,
-    held: HashMap<u64, (Direction, Packet)>,
-    tokens: HashMap<u64, u64>,
+    /// Keyed by timer id. FxHash rather than std's per-process SipHash
+    /// keys, so the maps' tables grow the same way in every run and the
+    /// allocation counts repeat.
+    held: FxHashMap<u64, (Direction, Packet)>,
+    tokens: FxHashMap<u64, u64>,
     stats: MiddleboxStats,
     tapped: bool,
 }
@@ -216,8 +219,8 @@ impl Middlebox {
         Middlebox {
             policy,
             ports: None,
-            held: HashMap::new(),
-            tokens: HashMap::new(),
+            held: FxHashMap::default(),
+            tokens: FxHashMap::default(),
             stats: MiddleboxStats::default(),
             tapped: true,
         }

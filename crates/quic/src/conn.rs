@@ -30,7 +30,7 @@ use crate::frame::{
 };
 use crate::recovery::{AckRanges, Recovery, SentFrame, SentVec};
 use crate::streams::{RecvStream, SendStream};
-use crate::table::StreamTable;
+use crate::table::{MarkSet, StreamTable};
 
 /// Which end of the connection this is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -190,9 +190,14 @@ pub struct QuicConnection {
     queued_server_flight: bool,
     queued_client_finish: bool,
     queued_server_finish: bool,
+    /// Send streams, marked in [`MarkSet::Send`] exactly when
+    /// [`SendStream::ready`] and in [`MarkSet::Retransmit`] exactly when
+    /// [`SendStream::has_retransmit`]; `remark` keeps both wherever a
+    /// stream's readiness can change.
     send_streams: StreamTable<SendStream>,
     recv_streams: StreamTable<RecvStream>,
-    last_sent_stream: Option<u32>,
+    /// The round-robin cursor: the last stream sent and its position.
+    last_sent: Option<(u32, usize)>,
     control_queue: VecDeque<FrameVec>,
     /// Connection-level flow control, send side.
     peer_max_data: u64,
@@ -229,7 +234,7 @@ impl QuicConnection {
             queued_server_finish: false,
             send_streams: StreamTable::new(),
             recv_streams: StreamTable::new(),
-            last_sent_stream: None,
+            last_sent: None,
             control_queue: VecDeque::new(),
             peer_max_data: cfg.initial_max_data,
             conn_data_sent: 0,
@@ -298,12 +303,11 @@ impl QuicConnection {
     /// wire map.
     pub fn stream_send(&mut self, id: u32, data: Bytes, fin: bool, tag: RecordTag) {
         let max = self.cfg.initial_max_stream_data;
-        let stream = self
+        let pos = self
             .send_streams
-            .get_or_insert_with(id, || SendStream::new(max));
-        stream.push(data, fin, tag);
-        let pending = stream.has_pending();
-        self.send_streams.set_mark(id, pending);
+            .position_or_insert_with(id, || SendStream::new(max));
+        self.send_streams.at_mut(pos).push(data, fin, tag);
+        self.remark(pos);
     }
 
     /// Abandons a stream in both directions: our send side is reset, the
@@ -323,10 +327,34 @@ impl QuicConnection {
     /// Resets our send side of a stream, opening it if need be.
     fn reset_send_stream(&mut self, id: u32) {
         let max = self.cfg.initial_max_stream_data;
-        self.send_streams
-            .get_or_insert_with(id, || SendStream::new(max))
-            .reset();
-        self.send_streams.set_mark(id, false);
+        let pos = self
+            .send_streams
+            .position_or_insert_with(id, || SendStream::new(max));
+        self.send_streams.at_mut(pos).reset();
+        self.remark(pos);
+    }
+
+    /// Re-marks the send stream at `pos` after a change that can move
+    /// its readiness: queued data, a reset, a lost frame, a
+    /// MAX_STREAM_DATA grant or a send. In debug builds it then checks
+    /// every stream's marks, so a change without a re-mark shows at the
+    /// next one.
+    fn remark(&mut self, pos: usize) {
+        let s = self.send_streams.at(pos);
+        let (ready, retransmit) = (s.ready(), s.has_retransmit());
+        self.send_streams.set_marks(pos, ready, retransmit);
+        #[cfg(debug_assertions)]
+        for (pos, (id, s)) in self.send_streams.iter().enumerate() {
+            let marks = (
+                self.send_streams.is_marked(pos, MarkSet::Send),
+                self.send_streams.is_marked(pos, MarkSet::Retransmit),
+            );
+            assert_eq!(
+                marks,
+                (s.ready(), s.has_retransmit()),
+                "stream {id}: (send, retransmit) marks are stale"
+            );
+        }
     }
 
     /// Queues a CONNECTION_CLOSE to the peer.
@@ -399,12 +427,15 @@ impl QuicConnection {
                     len,
                     fin,
                 } => {
+                    let Some(pos) = self.send_streams.position(id) else {
+                        continue;
+                    };
                     if self
                         .send_streams
-                        .get_mut(id)
-                        .is_some_and(|s| s.on_frame_lost(offset, len, fin))
+                        .at_mut(pos)
+                        .on_frame_lost(offset, len, fin)
                     {
-                        self.send_streams.set_mark(id, true);
+                        self.remark(pos);
                         n += 1;
                     }
                 }
@@ -494,8 +525,9 @@ impl QuicConnection {
                 self.peer_max_data = self.peer_max_data.max(max);
             }
             QuicFrame::MaxStreamData { id, max } => {
-                if let Some(s) = self.send_streams.get_mut(id) {
-                    s.on_max_stream_data(max);
+                if let Some(pos) = self.send_streams.position(id) {
+                    self.send_streams.at_mut(pos).on_max_stream_data(max);
+                    self.remark(pos);
                 }
             }
             QuicFrame::ResetStream { id } => {
@@ -675,19 +707,27 @@ impl QuicConnection {
         // Round-robin: first sendable stream strictly after the cursor,
         // wrapping; deterministic because the table iterates in id order
         // (the same order the former BTreeMap ranges walked).
-        // With the window shut only probe-class retransmissions go out
-        // (and `next_chunk` serves a stream's retransmissions first).
-        // Every stream with pending data is marked (`has_pending`), so
-        // the probe skips only streams that could not match.
-        let after = self.last_sent_stream.map_or(0, |id| id + 1);
-        let pick = self.send_streams.next_marked(after, |s| {
-            if window_open {
-                s.has_sendable(conn_credit)
-            } else {
-                s.has_retransmit()
-            }
-        })?;
-        let stream = self.send_streams.get_mut(pick)?;
+        // With the window open, the probe visits the streams marked ready,
+        // which include every stream sendable at `conn_credit`; only
+        // connection flow control can fail one of them. With the window
+        // shut only probe-class retransmissions go out (and `next_chunk`
+        // serves a stream's retransmissions first), and the retransmit
+        // marks name exactly the streams holding one, so the first is
+        // the pick and an empty set ends the probe before any search.
+        let pick = if window_open {
+            self.send_streams
+                .next_marked(MarkSet::Send, self.last_sent, |s| {
+                    s.has_sendable(conn_credit)
+                })
+        } else {
+            self.send_streams
+                .next_marked(MarkSet::Retransmit, self.last_sent, |_| true)
+        };
+        #[cfg(debug_assertions)]
+        self.check_pick(pick, window_open, conn_credit);
+        let pos = pick?;
+        let id = self.send_streams.id_at(pos);
+        let stream = self.send_streams.at_mut(pos);
         let chunk = stream.next_chunk(conn_credit)?;
         self.runs_scratch.clear();
         if !chunk.retransmit {
@@ -697,10 +737,8 @@ impl QuicConnection {
                 &mut self.runs_scratch,
             );
         }
-        if !stream.has_pending() {
-            self.send_streams.set_mark(pick, false);
-        }
-        self.last_sent_stream = Some(pick);
+        self.remark(pos);
+        self.last_sent = Some((id, pos));
         if !chunk.retransmit {
             self.conn_data_sent += chunk.data.len() as u64;
             self.stats.stream_bytes_sent += chunk.data.len() as u64;
@@ -717,7 +755,7 @@ impl QuicConnection {
             }
         }
         let sent = smallvec![SentFrame::Stream {
-            id: pick,
+            id,
             offset: chunk.offset,
             len: chunk.data.len() as u32,
             fin: chunk.fin,
@@ -742,7 +780,7 @@ impl QuicConnection {
         };
         let data_handle = chunk.data.clone();
         let frame = QuicFrame::Stream {
-            id: pick,
+            id,
             offset: chunk.offset,
             data: chunk.data,
             fin: chunk.fin,
@@ -754,6 +792,28 @@ impl QuicConnection {
         // slices still have owners in the send queue and are dropped.
         with_pool(|p| p.reclaim(data_handle));
         Some(result)
+    }
+
+    /// Checks the probe's pick against a full scan of the table, the
+    /// probe as it was before the marks: ids after the cursor, then
+    /// wrapping, tested with the same predicate.
+    #[cfg(debug_assertions)]
+    fn check_pick(&self, pick: Option<usize>, window_open: bool, conn_credit: u64) {
+        let from = self.last_sent.map_or(0, |(id, _)| id + 1);
+        let streams = || self.send_streams.iter();
+        let scan = streams()
+            .filter(|&(id, _)| id >= from)
+            .chain(streams().filter(|&(id, _)| id < from))
+            .find(|(_, s)| {
+                if window_open {
+                    s.has_sendable(conn_credit)
+                } else {
+                    s.has_retransmit()
+                }
+            })
+            .map(|(id, _)| id);
+        let got = pick.map(|pos| self.send_streams.id_at(pos));
+        assert_eq!(got, scan, "the send probe and the full scan disagree");
     }
 }
 
@@ -770,6 +830,7 @@ pub fn handshake_tag() -> RecordTag {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frame::MAX_STREAM_CHUNK;
     use h2priv_netsim::packet::HostAddr;
 
     fn flows() -> (FlowId, FlowId) {
@@ -943,5 +1004,52 @@ mod tests {
             }
         }
         assert_eq!(delivered, total);
+    }
+
+    /// Drains the client's events; returns (bytes, fin seen).
+    fn delivered(client: &mut QuicConnection) -> (usize, bool) {
+        let (mut bytes, mut fin) = (0, false);
+        while let Some(ev) = client.poll_event() {
+            if let QuicEvent::Stream { data, fin: f, .. } = ev {
+                bytes += data.len();
+                fin |= f;
+            }
+        }
+        (bytes, fin)
+    }
+
+    #[test]
+    fn max_stream_data_releases_a_stream_held_at_its_window() {
+        let (c2s, s2c) = flows();
+        let cfg = QuicConfig {
+            initial_max_stream_data: 4 * 1024,
+            ..QuicConfig::default()
+        };
+        let mut client = QuicConnection::client(c2s, cfg.clone());
+        let mut server = QuicConnection::server(s2c, cfg);
+        client.open();
+        shuttle(t(0), &mut client, &mut server);
+        // More than the stream's window: three full chunks fit, and the
+        // 622 bytes left in the window would strand a partial frame
+        // without FIN, so the stream waits, unmarked.
+        let total = 10_000;
+        server.stream_send(0, Bytes::from(vec![7u8; total]), true, RecordTag::NONE);
+        shuttle(t(1), &mut client, &mut server);
+        assert_eq!(delivered(&mut client), (3 * MAX_STREAM_CHUNK, false));
+        let pos = server.send_streams.position(0).expect("stream 0");
+        assert!(!server.send_streams.at(pos).ready());
+        assert!(!server.send_streams.is_marked(pos, MarkSet::Send));
+        // No endpoint grants stream credit, so the test queues the frame
+        // on the client's control queue; its arrival re-marks the stream.
+        let grant = QuicFrame::MaxStreamData {
+            id: 0,
+            max: total as u64,
+        };
+        client.control_queue.push_back(smallvec![grant]);
+        shuttle(t(2), &mut client, &mut server);
+        let (bytes, fin) = delivered(&mut client);
+        assert_eq!(3 * MAX_STREAM_CHUNK + bytes, total);
+        assert!(fin);
+        assert!(!server.send_streams.is_marked(pos, MarkSet::Send));
     }
 }

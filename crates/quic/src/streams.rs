@@ -102,15 +102,16 @@ impl SendStream {
         !self.reset && !self.retransmit.is_empty()
     }
 
-    /// Whether the stream holds anything it could still put on the wire:
-    /// a lost frame, or queued bytes or FIN not yet sent. When `false`,
-    /// both [`SendStream::has_retransmit`] and
-    /// [`SendStream::has_sendable`] are `false` at any credit until the
-    /// next [`SendStream::push`] or [`SendStream::on_frame_lost`].
-    pub fn has_pending(&self) -> bool {
-        !self.reset
-            && (!self.retransmit.is_empty()
-                || (!self.fin_sent && (self.next_offset < self.total_len || self.fin_queued)))
+    /// Whether the stream could put a frame on the wire if connection
+    /// flow control allowed any amount: [`SendStream::has_sendable`] at
+    /// `u64::MAX`. Less credit only holds frames back, so
+    /// `has_sendable(c)` implies `ready()` at every `c`, and so does
+    /// [`SendStream::has_retransmit`]. Only [`SendStream::push`],
+    /// [`SendStream::reset`], [`SendStream::on_frame_lost`],
+    /// [`SendStream::on_max_stream_data`] and
+    /// [`SendStream::next_chunk`] change it.
+    pub fn ready(&self) -> bool {
+        self.has_sendable(u64::MAX)
     }
 
     /// Whether [`SendStream::next_chunk`] would yield a frame given

@@ -4,35 +4,56 @@
 //! The connection's send scheduler picks the first sendable stream with
 //! id `>= cursor`, wrapping to ids `< cursor` — formerly
 //! `BTreeMap::range(from..).chain(range(..from)).find(..)`, now
-//! `StreamTable::next_marked`, which visits only the streams the
-//! connection marked as having something left to send. The pick order
-//! is an observable of the simulation (it decides datagram contents and
-//! therefore every golden fixture), so the two structures are driven
-//! side by side through seeded random open/mark/clear/send schedules and
-//! must agree on every probe and on iteration order throughout. Marks
-//! follow the connection's rule: every stream a probe could pick is
-//! marked, and marked streams may still fail the predicate.
+//! `StreamTable::next_marked`, which visits only the streams marked in
+//! the set it is asked about: with the congestion window open the
+//! streams ready to send, with it shut the streams holding a lost frame.
+//! The pick order is an observable of the simulation (it decides
+//! datagram contents and therefore every golden fixture), so the two
+//! structures are driven side by side through seeded random
+//! open/queue/lose/reset/send schedules and must agree on every probe
+//! and on iteration order throughout. Marks follow the connection's
+//! rule: a stream is marked ready exactly when it could send given
+//! unlimited connection credit, and marked for retransmission exactly
+//! when it holds a lost frame. The table is driven as the connection
+//! drives it: by id, and by the position a probe returns, while opens
+//! land below the position the cursor remembers.
 
 use std::collections::BTreeMap;
 
-use h2priv_quic::table::StreamTable;
+use h2priv_quic::table::{MarkSet, StreamTable};
 
-/// Minimal stand-in for a send stream: the scheduler asks either "is
-/// this stream sendable?" (window open) or "does it hold a
-/// retransmission?" (window shut); both flip as data is queued, flushed
-/// and lost, and as streams are reset.
+/// Minimal stand-in for a send stream: whether it holds new data it
+/// could send (and whether that needs more connection credit than a
+/// probe may have), a lost frame, or was reset.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Slot {
-    sendable: bool,
+    id: u32,
+    fresh: bool,
+    needs_credit: bool,
     retransmit: bool,
     reset: bool,
 }
 
 impl Slot {
-    /// What `SendStream::has_pending` stands for: a stream the probe
-    /// could pick under either predicate.
-    fn pending(&self) -> bool {
-        self.sendable || self.retransmit
+    fn new(id: u32) -> Slot {
+        Slot {
+            id,
+            fresh: false,
+            needs_credit: false,
+            retransmit: false,
+            reset: false,
+        }
+    }
+
+    /// What `SendStream::ready` stands for: sendable at unlimited
+    /// credit.
+    fn ready(&self) -> bool {
+        self.fresh || self.retransmit
+    }
+
+    /// What `SendStream::has_sendable(credit)` stands for.
+    fn sendable(&self, credit: bool) -> bool {
+        self.retransmit || (self.fresh && (credit || !self.needs_credit))
     }
 }
 
@@ -67,14 +88,40 @@ fn btree_next_matching(
         .map(|(&id, _)| id)
 }
 
+/// Applies `change` to stream `id` in both structures, reaching the
+/// table's copy by id, and re-marks it from its new state, as the
+/// connection does.
+fn update(
+    table: &mut StreamTable<Slot>,
+    map: &mut BTreeMap<u32, Slot>,
+    id: u32,
+    change: impl Fn(&mut Slot),
+) {
+    let pos = table.position(id).expect("open stream");
+    assert_eq!(table.id_at(pos), id, "lookup of {id} found another stream");
+    remark_at(table, pos, &change);
+    change(map.get_mut(&id).unwrap());
+}
+
+fn remark_at(table: &mut StreamTable<Slot>, pos: usize, change: impl Fn(&mut Slot)) {
+    let s = table.at_mut(pos);
+    change(s);
+    let (ready, retransmit) = (s.ready(), s.retransmit);
+    table.set_marks(pos, ready, retransmit);
+}
+
 #[test]
 fn round_robin_matches_btreemap_across_256_seeded_schedules() {
+    let mut below_cursor = 0u32;
+    let mut shut_picks = 0u32;
     for seed in 0..256u64 {
         let mut rng = Rng(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1);
         let mut table: StreamTable<Slot> = StreamTable::new();
         let mut map: BTreeMap<u32, Slot> = BTreeMap::new();
         let mut ids: Vec<u32> = Vec::new();
-        let mut cursor: Option<u32> = None;
+        // The last stream sent and the position the probe returned for
+        // it; opens below it leave the position stale.
+        let mut cursor: Option<(u32, usize)> = None;
         let mut next_id = 0u32;
         let mut picks = 0u32;
 
@@ -82,9 +129,10 @@ fn round_robin_matches_btreemap_across_256_seeded_schedules() {
             match rng.below(12) {
                 // Open a stream. Mostly ascending ids (client streams are
                 // 0, 4, 8, …); one in four lands anywhere below the
-                // newest, which the sorted-vector insert must slot into
-                // place and the mark bitset must shift past, across word
-                // boundaries once the table holds more than 64 streams.
+                // newest, often below the cursor's remembered position,
+                // which the sorted-vector insert must slot into place and
+                // both bitsets must shift past, across word boundaries
+                // once the table holds more than 64 streams.
                 0..=2 => {
                     let id = if rng.below(4) == 0 {
                         rng.below(u64::from(next_id) + 1) as u32
@@ -93,101 +141,99 @@ fn round_robin_matches_btreemap_across_256_seeded_schedules() {
                         next_id += 4;
                         id
                     };
-                    let fresh = Slot {
-                        sendable: false,
-                        retransmit: false,
-                        reset: false,
-                    };
-                    table.get_or_insert_with(id, || fresh);
-                    map.entry(id).or_insert(fresh);
+                    if cursor.is_some_and(|(c, _)| id < c) && !map.contains_key(&id) {
+                        below_cursor += 1;
+                    }
+                    let pos = table.position_or_insert_with(id, || Slot::new(id));
+                    assert_eq!(table.id_at(pos), id);
+                    map.entry(id).or_insert(Slot::new(id));
                     if !ids.contains(&id) {
                         ids.push(id);
                     }
                 }
-                // Queue data or requeue a loss: the stream becomes
-                // sendable or holds a retransmission, and is marked.
-                3..=5 if !ids.is_empty() => {
+                // Queue data: the stream becomes ready, sometimes only
+                // past a connection credit a probe may lack.
+                3..=4 if !ids.is_empty() => {
                     let id = ids[rng.below(ids.len() as u64) as usize];
-                    let lost = rng.below(3) == 0;
-                    for s in [table.get_mut(id).unwrap(), map.get_mut(&id).unwrap()] {
-                        if lost {
-                            s.retransmit = !s.reset;
-                        } else {
-                            s.sendable = !s.reset;
-                        }
-                    }
-                    table.set_mark(id, true);
+                    let needs_credit = rng.below(3) == 0;
+                    update(&mut table, &mut map, id, |s| {
+                        s.fresh = !s.reset;
+                        s.needs_credit = needs_credit;
+                    });
+                }
+                // Requeue a loss: the stream holds a retransmission.
+                5 if !ids.is_empty() => {
+                    let id = ids[rng.below(ids.len() as u64) as usize];
+                    update(&mut table, &mut map, id, |s| s.retransmit = !s.reset);
                 }
                 // Close (reset) a stream: stays in both structures —
                 // entries were never removed from the old maps either —
-                // but has nothing left to send and is unmarked.
+                // but has nothing left to send.
                 6 if !ids.is_empty() => {
                     let id = ids[rng.below(ids.len() as u64) as usize];
-                    for s in [table.get_mut(id).unwrap(), map.get_mut(&id).unwrap()] {
+                    update(&mut table, &mut map, id, |s| {
                         *s = Slot {
-                            sendable: false,
-                            retransmit: false,
                             reset: true,
-                        };
-                    }
-                    table.set_mark(id, false);
+                            ..Slot::new(s.id)
+                        }
+                    });
                 }
-                // Marked but not pickable (bytes held back under Nagle or
-                // flow control): a spurious mark the predicate filters.
+                // A flow-control grant: data held back becomes sendable
+                // at any credit.
                 7 if !ids.is_empty() => {
                     let id = ids[rng.below(ids.len() as u64) as usize];
-                    table.set_mark(id, true);
+                    update(&mut table, &mut map, id, |s| s.needs_credit = false);
                 }
-                // Clear the mark of a stream with nothing pending.
-                8 if !ids.is_empty() => {
-                    let id = ids[rng.below(ids.len() as u64) as usize];
-                    if !map[&id].pending() {
-                        table.set_mark(id, false);
-                    }
-                }
-                // Send: probe for the next sendable stream from the
-                // cursor, exactly as `poll_stream_datagram` does, and
-                // advance the cursor past the pick.
+                // Send: probe from the cursor exactly as
+                // `poll_stream_datagram` does — the ready set with the
+                // credit predicate while the window is open, the
+                // retransmit set alone while it is shut — then read and
+                // re-mark the pick by the position returned.
                 _ => {
-                    let from = cursor.map_or(0, |id| id + 1);
+                    let from = cursor.map_or(0, |(id, _)| id + 1);
                     let window_open = rng.below(4) != 0;
-                    let pred = |s: &Slot| {
-                        if window_open {
-                            s.pending()
+                    let credit = rng.below(2) == 0;
+                    let (got, want) = if window_open {
+                        (
+                            table.next_marked(MarkSet::Send, cursor, |s| s.sendable(credit)),
+                            btree_next_matching(&map, from, |s| s.sendable(credit)),
+                        )
+                    } else {
+                        (
+                            table.next_marked(MarkSet::Retransmit, cursor, |_| true),
+                            btree_next_matching(&map, from, |s| s.retransmit),
+                        )
+                    };
+                    let got_id = got.map(|pos| table.id_at(pos));
+                    assert_eq!(
+                        got_id, want,
+                        "seed {seed}: probe from {from} diverged (table {got_id:?}, btree {want:?})"
+                    );
+                    let Some(pos) = got else { continue };
+                    let id = table.at(pos).id;
+                    assert_eq!(table.id_at(pos), id);
+                    picks += 1;
+                    shut_picks += u32::from(!window_open);
+                    cursor = Some((id, pos));
+                    // Sending one chunk serves the retransmission first;
+                    // new data empties half the time (the other half the
+                    // stream stays ready).
+                    let drained = rng.below(2) == 0;
+                    let send = |s: &mut Slot| {
+                        if s.retransmit {
+                            s.retransmit = false;
                         } else {
-                            s.retransmit
+                            s.fresh = !drained;
                         }
                     };
-                    let got = table.next_marked(from, pred);
-                    let want = btree_next_matching(&map, from, pred);
-                    assert_eq!(
-                        got, want,
-                        "seed {seed}: probe from {from} diverged (table {got:?}, btree {want:?})"
-                    );
-                    if let Some(id) = got {
-                        picks += 1;
-                        cursor = Some(id);
-                        // Flushing one chunk serves the retransmission
-                        // first, and empties the stream half the time
-                        // (the other half it stays sendable); an emptied
-                        // stream is unmarked, as the connection does.
-                        for s in [table.get_mut(id).unwrap(), map.get_mut(&id).unwrap()] {
-                            if s.retransmit {
-                                s.retransmit = false;
-                            } else {
-                                s.sendable = false;
-                            }
-                        }
-                        if rng.below(2) == 0 {
-                            for s in [table.get_mut(id).unwrap(), map.get_mut(&id).unwrap()] {
-                                s.sendable = !s.reset;
-                            }
-                        }
-                        if !map[&id].pending() {
-                            table.set_mark(id, false);
-                        }
-                    }
+                    remark_at(&mut table, pos, send);
+                    send(map.get_mut(&id).unwrap());
                 }
+            }
+            // The marks are the stand-in's readiness, at every position.
+            for (pos, (_, s)) in table.iter().enumerate() {
+                assert_eq!(table.is_marked(pos, MarkSet::Send), s.ready());
+                assert_eq!(table.is_marked(pos, MarkSet::Retransmit), s.retransmit);
             }
         }
 
@@ -202,4 +248,6 @@ fn round_robin_matches_btreemap_across_256_seeded_schedules() {
             "seed {seed}: marks never spanned two words"
         );
     }
+    assert!(below_cursor > 256, "opens rarely landed below the cursor");
+    assert!(shut_picks > 256, "the shut-window probe rarely picked");
 }

@@ -26,6 +26,14 @@ echo "== event queue: the heap, and the heaps merged with the link lanes, agains
 cargo test -q --offline -p h2priv-netsim --test queue_differential
 cargo test -q --offline -p h2priv-netsim --lib event::tests::lanes_and_heap_pop_like_one_model_queue
 
+echo "== quic: the send probe against a full scan"
+# The stream table's marked probe against its BTreeMap oracle, and the
+# debug-build H3 trials in which every pick is checked against a full
+# scan and every re-mark against each stream's readiness. The workspace
+# `cargo test` above already ran these in the same profile; this step
+# reruns them (a few seconds) so a failure shows under its own heading.
+cargo test -q --offline -p h2priv-quic
+
 echo "== capture: streaming TLS records against the batch oracle"
 cargo test -q --offline -p h2priv-trace --test properties
 
