@@ -1,19 +1,15 @@
-//! The multi-threaded HTTP/2 server model.
+//! The multi-threaded HTTP/2 server: the [`Backend`] worker model
+//! behind a TLS handshake and HTTP/2 framing on one TCP connection.
 //!
-//! Each GET spawns a simulated worker thread (paper Fig. 3): after a
-//! time-to-first-byte drawn from the object's
-//! [`h2priv_web::ServiceProfile`], the worker emits DATA chunks on a
-//! pacing timer. Chunks from concurrent workers are queued per stream and
+//! Workers' frames are queued per stream in an [`OutputScheduler`] and
 //! drained round-robin into TCP — producing the interleaved (multiplexed)
 //! wire stream the paper studies. The drain is gated on a shallow TCP
 //! send buffer so that a client `RST_STREAM` can still flush queued
-//! object segments (paper Section IV-D).
-//!
-//! Duplicate GETs for an object (the client's re-requests) spawn
-//! additional workers serving additional *copies* — the paper's observed
-//! "intensified multiplexing" pathology (Fig. 4).
+//! object segments (paper Section IV-D). The node also implements server
+//! push and constant-rate output shaping.
 
-use crate::config::{MuxPolicy, ServerConfig, ShapingConfig};
+use crate::backend::{Backend, NodeTimer, ResponseTransport};
+use crate::config::{ServerConfig, ShapingConfig};
 use crate::conn::{OutputScheduler, INITIAL_CONNECTION_WINDOW};
 use crate::frame::{ErrorCode, Frame};
 use crate::hpack;
@@ -22,14 +18,14 @@ use crate::stream::{StreamId, StreamIdAllocator};
 use h2priv_netsim::link::LinkId;
 use h2priv_netsim::node::{Ctx, Node, TimerId};
 use h2priv_netsim::packet::{FlowId, Packet};
-use h2priv_netsim::time::{SimDuration, SimTime};
+use h2priv_netsim::time::SimTime;
 use h2priv_tcp::{TcpConnection, TcpStats};
 use h2priv_tls::{ContentType, OpenedRecord, RecordTag, TrafficClass, WireMap};
 use h2priv_util::bytes::BytesMut;
-use h2priv_util::fxhash::FxHashMap;
 use h2priv_util::telemetry;
 use h2priv_web::{ObjectId, Site};
-use std::collections::VecDeque;
+
+pub use crate::backend::ServeRecord;
 
 /// The client's source port in the single-connection model.
 pub const CLIENT_PORT: u16 = 40_000;
@@ -48,81 +44,57 @@ enum TlsPhase {
     Ready,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum WorkerState {
-    /// Waiting for its turn (Serial policy only).
-    Queued,
-    /// Backend working on the first byte.
-    FirstByteWait,
-    /// Emitting DATA chunks.
-    Streaming,
-    /// All bytes enqueued.
-    Done,
-    /// Killed by RST_STREAM.
-    Killed,
-}
-
-#[derive(Debug)]
-struct Worker {
-    stream: StreamId,
-    object: ObjectId,
-    remaining: u64,
-    state: WorkerState,
-    /// Per-chunk emission interval (drawn when the worker starts).
-    chunk_interval: SimDuration,
-}
-
-/// Ground-truth log entry for one served request (one object copy).
-#[derive(Debug, Clone, Copy)]
-pub struct ServeRecord {
-    /// The object served.
-    pub object: ObjectId,
-    /// Copy index (0 = first request for this object).
-    pub copy: u16,
-    /// Stream it was served on.
-    pub stream: StreamId,
-    /// When the GET arrived.
-    pub requested_at: SimTime,
-    /// When the worker produced its first byte (None if killed first).
-    pub first_byte_at: Option<SimTime>,
-    /// When the last byte was enqueued (None if killed first).
-    pub completed_at: Option<SimTime>,
-    /// Whether the client reset the stream before completion.
-    pub killed: bool,
-}
-
-#[derive(Debug)]
-enum TimerPurpose {
-    TcpTick,
-    Worker(usize),
-    Shape,
-}
-
 /// The HTTP/2 server as a netsim node. Construct, hand to
 /// [`h2priv_netsim::topology::PathTopology::build`], and inspect
 /// [`ServerNode::serve_log`] / [`ServerNode::wire_map`] after the run.
 #[derive(Debug)]
 pub struct ServerNode {
     cfg: ServerConfig,
-    site: Site,
+    backend: Backend,
     stack: Stack,
     tls: TlsPhase,
     settings_sent: bool,
     sched: OutputScheduler,
     conn_send_window: u64,
-    workers: Vec<Worker>,
-    serve_log: Vec<ServeRecord>,
-    serial_queue: VecDeque<usize>,
-    copies: FxHashMap<ObjectId, u16>,
     push_alloc: StreamIdAllocator,
-    timers: FxHashMap<TimerId, TimerPurpose>,
-    dead: bool,
     /// Deadline of the currently scheduled shaping tick, if any.
     shape_tick_at: Option<SimTime>,
     /// Last real activity (GET arrival or real DATA emission) — the
     /// shaping hangover is measured from here.
     last_activity_at: Option<SimTime>,
     dummy_cells_sent: u64,
+}
+
+/// Workers' responses over HTTP/2: frames queued per stream.
+impl ResponseTransport for OutputScheduler {
+    fn send_headers(&mut self, stream: StreamId, size: u64, media: &str, tag: RecordTag) {
+        let mut block = BytesMut::with_capacity(64 + media.len());
+        hpack::encode_response_into(&mut block, size, media);
+        let block = block.freeze();
+        self.enqueue(
+            Frame::Headers {
+                stream,
+                block,
+                end_stream: false,
+            },
+            tag,
+        );
+    }
+
+    fn send_data(&mut self, stream: StreamId, len: u64, end_stream: bool, tag: RecordTag) {
+        self.enqueue(
+            Frame::Data {
+                stream,
+                len: len as u32,
+                end_stream,
+            },
+            tag,
+        );
+    }
+
+    fn refuse(&mut self, stream: StreamId, error: ErrorCode) {
+        self.enqueue(Frame::RstStream { stream, error }, RecordTag::NONE);
+    }
 }
 
 impl ServerNode {
@@ -140,20 +112,14 @@ impl ServerNode {
             false,
         );
         ServerNode {
+            backend: Backend::new(site, cfg.mux, cfg.serve_duplicates),
             cfg,
-            site,
             stack,
             tls: TlsPhase::AwaitClientHello,
             settings_sent: false,
             sched: OutputScheduler::new(),
             conn_send_window: INITIAL_CONNECTION_WINDOW,
-            workers: Vec::new(),
-            serve_log: Vec::new(),
-            serial_queue: VecDeque::new(),
-            copies: FxHashMap::default(),
             push_alloc: StreamIdAllocator::server_push(),
-            timers: FxHashMap::default(),
-            dead: false,
             shape_tick_at: None,
             last_activity_at: None,
             dummy_cells_sent: 0,
@@ -162,7 +128,7 @@ impl ServerNode {
 
     /// Ground-truth serve log (one entry per GET actually served).
     pub fn serve_log(&self) -> &[ServeRecord] {
-        &self.serve_log
+        self.backend.serve_log()
     }
 
     /// Ground-truth wire map of everything this server sent (the
@@ -179,7 +145,7 @@ impl ServerNode {
     /// Copies served per object (≥2 indicates the duplicate-serving
     /// pathology fired).
     pub fn copies_served(&self, object: ObjectId) -> u16 {
-        self.copies.get(&object).copied().unwrap_or(0)
+        self.backend.copies_served(object)
     }
 
     /// Shaping dummy cells emitted (0 when shaping is off).
@@ -247,18 +213,7 @@ impl ServerNode {
             }
             Frame::RstStream { stream, .. } => {
                 self.sched.clear_stream(stream);
-                let mut killed_any = false;
-                for (idx, w) in self.workers.iter_mut().enumerate() {
-                    if w.stream == stream && !matches!(w.state, WorkerState::Done | WorkerState::Killed)
-                    {
-                        w.state = WorkerState::Killed;
-                        self.serve_log[idx].killed = true;
-                        killed_any = true;
-                    }
-                }
-                if killed_any && self.cfg.mux == MuxPolicy::Serial {
-                    self.start_next_serial(ctx);
-                }
+                self.backend.kill(ctx, stream);
             }
             Frame::WindowUpdate { stream, increment } => {
                 if stream == StreamId::CONNECTION {
@@ -278,38 +233,9 @@ impl ServerNode {
 
     fn handle_request(&mut self, ctx: &mut Ctx<'_>, stream: StreamId, block: &[u8]) {
         self.last_activity_at = Some(ctx.now());
-        let Some(req) = hpack::decode_request_ref(block) else {
-            self.sched.enqueue(
-                Frame::RstStream {
-                    stream,
-                    error: ErrorCode::ProtocolError,
-                },
-                RecordTag::NONE,
-            );
+        let Some(object) = self.backend.on_request(ctx, stream, block, &mut self.sched) else {
             return;
         };
-        let Some(object) = self.site.by_path(req.path).map(|o| o.id) else {
-            self.sched.enqueue(
-                Frame::RstStream {
-                    stream,
-                    error: ErrorCode::RefusedStream,
-                },
-                RecordTag::NONE,
-            );
-            return;
-        };
-        let copy = {
-            let c = self.copies.entry(object).or_insert(0);
-            let this = *c;
-            *c += 1;
-            this
-        };
-        if copy > 0 && !self.cfg.serve_duplicates {
-            // Deduplicating server (ablation): the original stream is
-            // already serving this object; ignore the duplicate.
-            return;
-        }
-        self.spawn_worker(ctx, stream, object, copy);
         // Server push: announce and serve the manifest children of this
         // object on server-initiated streams (paper Section VII).
         let children: Vec<ObjectId> = self
@@ -320,17 +246,11 @@ impl ServerNode {
             .map(|(_, c)| c.clone())
             .unwrap_or_default();
         for child in children {
-            let child_copy = {
-                let c = self.copies.entry(child).or_insert(0);
-                let this = *c;
-                *c += 1;
-                this
-            };
-            if child_copy > 0 {
+            if self.backend.next_copy(child) > 0 {
                 continue; // already served or being served
             }
             let promised = self.push_alloc.next_id();
-            let path = &self.site.object(child).path;
+            let path = &self.backend.site().object(child).path;
             let mut block = BytesMut::with_capacity(64 + path.len());
             hpack::encode_request_into(&mut block, "pushed", path);
             self.sched.enqueue(
@@ -346,134 +266,7 @@ impl ServerNode {
                     class: TrafficClass::Control,
                 },
             );
-            self.spawn_worker(ctx, promised, child, 0);
-        }
-    }
-
-    fn spawn_worker(&mut self, ctx: &mut Ctx<'_>, stream: StreamId, object: ObjectId, copy: u16) {
-        let idx = self.workers.len();
-        self.workers.push(Worker {
-            stream,
-            object,
-            remaining: self.site.object(object).size,
-            state: WorkerState::Queued,
-            chunk_interval: SimDuration::ZERO,
-        });
-        self.serve_log.push(ServeRecord {
-            object,
-            copy,
-            stream,
-            requested_at: ctx.now(),
-            first_byte_at: None,
-            completed_at: None,
-            killed: false,
-        });
-        let someone_active = self
-            .workers
-            .iter()
-            .any(|w| matches!(w.state, WorkerState::FirstByteWait | WorkerState::Streaming));
-        if self.cfg.mux == MuxPolicy::Serial && someone_active {
-            self.serial_queue.push_back(idx);
-        } else {
-            self.start_worker(ctx, idx);
-        }
-    }
-
-    fn start_worker(&mut self, ctx: &mut Ctx<'_>, idx: usize) {
-        let object = self.workers[idx].object;
-        let obj = self.site.object(object);
-        let fb = obj.service.draw_first_byte(ctx.rng());
-        self.workers[idx].chunk_interval = obj.service.draw_chunk_interval(ctx.rng(), obj.size);
-        self.workers[idx].state = WorkerState::FirstByteWait;
-        let t = ctx.schedule(fb);
-        self.timers.insert(t, TimerPurpose::Worker(idx));
-    }
-
-    fn start_next_serial(&mut self, ctx: &mut Ctx<'_>) {
-        while let Some(next) = self.serial_queue.pop_front() {
-            if matches!(self.workers[next].state, WorkerState::Queued) {
-                self.start_worker(ctx, next);
-                return;
-            }
-        }
-    }
-
-    fn worker_tick(&mut self, ctx: &mut Ctx<'_>, idx: usize) {
-        if self.dead {
-            return;
-        }
-        let (stream, object, state) = {
-            let w = &self.workers[idx];
-            (w.stream, w.object, w.state)
-        };
-        let obj = self.site.object(object);
-        let copy = self.serve_log[idx].copy;
-        match state {
-            WorkerState::FirstByteWait => {
-                self.serve_log[idx].first_byte_at = Some(ctx.now());
-                let media = match obj.media {
-                    h2priv_web::MediaType::Html => "text/html",
-                    h2priv_web::MediaType::Js => "application/javascript",
-                    h2priv_web::MediaType::Css => "text/css",
-                    h2priv_web::MediaType::Image => "image/png",
-                    h2priv_web::MediaType::Json => "application/json",
-                    h2priv_web::MediaType::Font => "font/woff2",
-                };
-                let mut block = BytesMut::with_capacity(64 + media.len());
-                hpack::encode_response_into(&mut block, obj.size, media);
-                self.sched.enqueue(
-                    Frame::Headers {
-                        stream,
-                        block: block.freeze(),
-                        end_stream: false,
-                    },
-                    RecordTag {
-                        stream_id: stream.0,
-                        object_id: object.0,
-                        copy,
-                        class: TrafficClass::ResponseHeaders,
-                    },
-                );
-                self.workers[idx].state = WorkerState::Streaming;
-                let interval = self.workers[idx].chunk_interval;
-                let t = ctx.schedule(interval);
-                self.timers.insert(t, TimerPurpose::Worker(idx));
-            }
-            WorkerState::Streaming => {
-                let chunk = (obj.service.chunk_size as u64).min(self.workers[idx].remaining);
-                self.workers[idx].remaining -= chunk;
-                let end_stream = self.workers[idx].remaining == 0;
-                self.sched.enqueue(
-                    Frame::Data {
-                        stream,
-                        len: chunk as u32,
-                        end_stream,
-                    },
-                    RecordTag {
-                        stream_id: stream.0,
-                        object_id: object.0,
-                        copy,
-                        class: TrafficClass::ObjectData,
-                    },
-                );
-                if end_stream {
-                    self.workers[idx].state = WorkerState::Done;
-                    self.serve_log[idx].completed_at = Some(ctx.now());
-                    let requested = self.serve_log[idx].requested_at;
-                    telemetry::observe(
-                        "h2.serve_ns",
-                        ctx.now().as_nanos().saturating_sub(requested.as_nanos()),
-                    );
-                    if self.cfg.mux == MuxPolicy::Serial {
-                        self.start_next_serial(ctx);
-                    }
-                } else {
-                    let interval = self.workers[idx].chunk_interval;
-                    let t = ctx.schedule(interval);
-                    self.timers.insert(t, TimerPurpose::Worker(idx));
-                }
-            }
-            WorkerState::Queued | WorkerState::Done | WorkerState::Killed => {}
+            self.backend.spawn_worker(ctx, promised, child, 0);
         }
     }
 
@@ -496,7 +289,7 @@ impl ServerNode {
     /// DATA cell, or a dummy cell while within the hangover of real
     /// activity. All sizes and timings are deterministic (no RNG).
     fn shape_tick(&mut self, ctx: &mut Ctx<'_>, sh: ShapingConfig) {
-        if self.dead {
+        if self.backend.is_dead() {
             return;
         }
         let mut sent_data = false;
@@ -544,24 +337,20 @@ impl ServerNode {
     }
 
     fn shape_work_pending(&self, now: SimTime, sh: ShapingConfig) -> bool {
-        !self.sched.is_empty()
-            || self.workers.iter().any(|w| {
-                matches!(
-                    w.state,
-                    WorkerState::Queued | WorkerState::FirstByteWait | WorkerState::Streaming
-                )
-            })
-            || self.within_hangover(now, sh)
+        !self.sched.is_empty() || self.backend.has_pending_work() || self.within_hangover(now, sh)
     }
 
     fn ensure_shape_tick(&mut self, ctx: &mut Ctx<'_>) {
         let Some(sh) = self.cfg.shaping else { return };
-        if self.dead || self.shape_tick_at.is_some() || !self.shape_work_pending(ctx.now(), sh) {
+        if self.backend.is_dead()
+            || self.shape_tick_at.is_some()
+            || !self.shape_work_pending(ctx.now(), sh)
+        {
             return;
         }
         let timer = ctx.schedule(sh.interval);
         self.shape_tick_at = Some(ctx.now() + sh.interval);
-        self.timers.insert(timer, TimerPurpose::Shape);
+        self.backend.arm(timer, NodeTimer::Shape);
     }
 
     fn after_activity(&mut self, ctx: &mut Ctx<'_>) {
@@ -574,7 +363,7 @@ impl ServerNode {
         self.stack.pump(ctx);
         if let Some(t) = self.stack.timer_needs_rescheduling() {
             let timer = ctx.schedule_at(t);
-            self.timers.insert(timer, TimerPurpose::TcpTick);
+            self.backend.arm(timer, NodeTimer::Tick);
             self.stack.tcp_tick_at = Some(t);
         }
     }
@@ -582,7 +371,7 @@ impl ServerNode {
     fn handle_events(&mut self, events: &[TransportEvent]) {
         for ev in events {
             if *ev == TransportEvent::Aborted {
-                self.dead = true;
+                self.backend.abort();
             }
         }
     }
@@ -604,18 +393,15 @@ impl Node for ServerNode {
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, timer: TimerId) {
-        match self.timers.remove(&timer) {
-            Some(TimerPurpose::TcpTick) => {
+        match self.backend.on_timer(ctx, timer, &mut self.sched) {
+            Some(NodeTimer::Tick) => {
                 self.stack.tcp_tick_at = None;
                 let inbound = self.stack.on_tcp_timer(ctx.now());
                 self.handle_events(&inbound.events);
                 self.handle_records(ctx, &inbound.records);
                 self.stack.recycle(inbound);
             }
-            Some(TimerPurpose::Worker(idx)) => {
-                self.worker_tick(ctx, idx);
-            }
-            Some(TimerPurpose::Shape) => {
+            Some(NodeTimer::Shape) => {
                 self.shape_tick_at = None;
                 if let Some(sh) = self.cfg.shaping {
                     self.shape_tick(ctx, sh);

@@ -12,10 +12,21 @@ fn run_page_load(
     seed: u64,
     server_cfg: ServerConfig,
 ) -> (h2priv_h2::ClientReport, Simulator, PathTopology) {
+    run_page_load_against(site.clone(), site, seed, server_cfg)
+}
+
+/// [`run_page_load`] with the server holding `server_site`, which may
+/// lack objects the client's site plans.
+fn run_page_load_against(
+    site: h2priv_web::Site,
+    server_site: h2priv_web::Site,
+    seed: u64,
+    server_cfg: ServerConfig,
+) -> (h2priv_h2::ClientReport, Simulator, PathTopology) {
     let mut sim = Simulator::new(seed);
     let cfg = PathConfig::default();
-    let client = ClientNode::new(site.clone(), ClientConfig::default());
-    let server = ServerNode::new(site, server_cfg);
+    let client = ClientNode::new(site, ClientConfig::default());
+    let server = ServerNode::new(server_site, server_cfg);
     let topo = PathTopology::build(&mut sim, client, Box::new(Passthrough), server, &cfg);
     sim.run_until(SimTime::from_secs(90));
     let report = sim.node_mut::<ClientNode>(topo.client).take_report();
@@ -260,4 +271,52 @@ fn pushed_and_requested_transfers_share_the_connection() {
     // The pushed object's bytes are labelled on the same wire map.
     let server = sim.node_ref::<ServerNode>(topo.server);
     assert!(server.wire_map().object_bytes(4) >= 31_000);
+}
+
+/// The blog site without its last planned object, `/app.js`, a leaf no
+/// other step waits on.
+fn blog_site_without_app_js() -> (h2priv_web::Site, ObjectId) {
+    let site = blog_site();
+    let missing = site.by_path("/app.js").expect("blog plans /app.js").id;
+    let objects = site
+        .objects()
+        .iter()
+        .filter(|o| o.id != missing)
+        .cloned()
+        .collect();
+    let plan = site
+        .plan
+        .iter()
+        .filter(|s| s.object != missing)
+        .cloned()
+        .collect();
+    (
+        h2priv_web::Site::new("blog-without-app", objects, plan),
+        missing,
+    )
+}
+
+#[test]
+fn a_get_for_an_unknown_path_is_refused() {
+    let (server_site, missing) = blog_site_without_app_js();
+    let (report, sim, topo) =
+        run_page_load_against(blog_site(), server_site, 47, ServerConfig::default());
+    let server = sim.node_ref::<ServerNode>(topo.server);
+    // RST_STREAM(REFUSED_STREAM): no worker, no served copy.
+    assert_eq!(server.copies_served(missing), 0);
+    assert!(server.serve_log().iter().all(|s| s.object != missing));
+    let refused: Vec<_> = report
+        .requests
+        .iter()
+        .filter(|r| r.object == missing)
+        .collect();
+    assert!(!refused.is_empty(), "the client asked for {missing:?}");
+    assert!(
+        refused.iter().all(|r| r.reset && r.completed_at.is_none()),
+        "every GET for the missing object ends reset: {refused:?}"
+    );
+    for o in report.objects.iter().filter(|o| o.object != missing) {
+        assert!(o.completed_at.is_some(), "object {:?} completes", o.object);
+    }
+    assert!(report.page_completed_at.is_none());
 }

@@ -1,25 +1,22 @@
-//! The browser-like HTTP/3 client model.
-//!
-//! Behaviourally a mirror of `h2priv_h2::client::ClientNode` — same
-//! request plan walking, dependency triggers, re-request watchdog and
-//! stall/reset recovery — but running over the QUIC-lite transport:
-//! requests ride independent QUIC streams (no cross-stream head-of-line
-//! blocking) and the reset volley becomes RESET_STREAM + STOP_SENDING
-//! control datagrams instead of RST_STREAM frames inside the shared TLS
-//! stream. Reports reuse the H2 report types so the experiment harness
-//! is transport-agnostic.
+//! The browser over HTTP/3: the `h2priv_h2::browser::Browser` page-load
+//! model, the same one the HTTP/2 client runs, over the QUIC-lite
+//! transport. Requests ride independent QUIC streams (no cross-stream
+//! head-of-line blocking), each response is parsed by its own
+//! [`H3FrameReader`], and the browser's reset volley becomes
+//! RESET_STREAM + STOP_SENDING control datagrams instead of RST_STREAM
+//! frames inside the shared TLS stream. Reports are the H2 report types,
+//! so the experiment harness is transport-agnostic.
 
 use h2priv_h2::hpack;
 use h2priv_h2::server::{CLIENT_PORT, SERVER_PORT};
-use h2priv_h2::{ClientConfig, ClientReport, ObjectOutcome, RequestRecord, StreamId};
+use h2priv_h2::{Browser, ClientConfig, ClientReport, GetTransport, StreamId};
 use h2priv_netsim::link::LinkId;
 use h2priv_netsim::node::{Ctx, Node, TimerId};
 use h2priv_netsim::packet::{FlowId, Packet};
-use h2priv_netsim::time::{SimDuration, SimTime};
 use h2priv_tcp::TcpStats;
 use h2priv_tls::{RecordTag, TrafficClass, WireMap};
 use h2priv_util::fxhash::FxHashMap;
-use h2priv_web::{ObjectId, Site, Trigger};
+use h2priv_web::{ObjectId, Site};
 
 use crate::conn::{QuicConfig, QuicConnection, QuicEvent, QuicStats};
 use crate::h3::{headers_frame_with, H3Event, H3FrameReader};
@@ -36,57 +33,60 @@ pub(crate) fn quic_config_from(conn_window: u64, window_update_threshold: u64) -
     }
 }
 
-#[derive(Debug)]
-enum TimerPurpose {
-    TransportTick,
-    IssueStep(usize),
-    Rerequest(usize),
-    StallCheck(ObjectId),
-    ReissueAfterReset(ObjectId),
-}
-
-#[derive(Debug, Default, Clone, Copy)]
-struct ObjState {
-    requested_at: Option<SimTime>,
-    first_byte_at: Option<SimTime>,
-    completed_at: Option<SimTime>,
-    last_progress: Option<SimTime>,
-    attempts: u32,
-    resets: u32,
-    stall_armed: bool,
-    gave_up: bool,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Milestone {
-    Requested,
-    FirstByte,
-    Completed,
-}
-
 /// The browser client as a netsim node, HTTP/3 edition.
 #[derive(Debug)]
 pub struct H3ClientNode {
-    cfg: ClientConfig,
-    site: Site,
+    page: Browser,
     stack: QuicStack,
     next_stream: u32,
-    step_scheduled: Vec<bool>,
-    objects: Vec<ObjState>,
-    requests: Vec<RequestRecord>,
-    stream_map: FxHashMap<u32, usize>,
     readers: FxHashMap<u32, H3FrameReader>,
-    timers: FxHashMap<TimerId, TimerPurpose>,
     /// Reusable transport-event buffer (cleared before each use).
     event_scratch: Vec<QuicEvent>,
     /// Reusable H3-event buffer (cleared before each use).
     h3_scratch: Vec<H3Event>,
-    h2_rerequests: u64,
-    resets_sent: u64,
-    broken: bool,
-    timeout_scale: f64,
-    page_started_at: Option<SimTime>,
-    page_completed_at: Option<SimTime>,
+}
+
+/// The browser's GETs over HTTP/3: one FIN'd HEADERS frame on each new
+/// client bidirectional stream, and RESET_STREAM + STOP_SENDING to reset
+/// one.
+struct Gets<'a> {
+    quic: &'a mut QuicConnection,
+    next_stream: &'a mut u32,
+    readers: &'a mut FxHashMap<u32, H3FrameReader>,
+}
+
+impl GetTransport for Gets<'_> {
+    fn open_get(
+        &mut self,
+        authority: &str,
+        path: &str,
+        object: ObjectId,
+        attempt: u32,
+    ) -> StreamId {
+        let stream = *self.next_stream;
+        *self.next_stream += 4; // client-initiated bidirectional: 0, 4, 8, …
+        let frame = headers_frame_with(96 + authority.len() + path.len(), |out| {
+            hpack::encode_request_into(out, authority, path)
+        });
+        self.readers.insert(stream, H3FrameReader::new());
+        // One HEADERS frame, FIN'd: the whole GET is a single sub-MTU
+        // datagram (this is what the adversary's pacer keys on).
+        let tag = RecordTag {
+            stream_id: stream,
+            object_id: object.0,
+            copy: attempt as u16,
+            class: TrafficClass::Request,
+        };
+        self.quic.stream_send(stream, frame, true, tag);
+        StreamId(stream)
+    }
+
+    fn reset(&mut self, stream: StreamId, _object: ObjectId) {
+        // Over QUIC each reset is a small RESET_STREAM + STOP_SENDING
+        // datagram, the burst the adversary's reset-signature detector
+        // watches for.
+        self.quic.reset_stream(stream.0);
+    }
 }
 
 impl H3ClientNode {
@@ -100,27 +100,13 @@ impl H3ClientNode {
         };
         let qcfg = quic_config_from(cfg.conn_window, cfg.window_update_threshold);
         let stack = QuicStack::new(QuicConnection::client(flow, qcfg));
-        let n_objects = site.len();
-        let n_steps = site.plan.len();
         H3ClientNode {
-            cfg,
-            site,
+            page: Browser::new(site, cfg),
             stack,
             next_stream: 0,
-            step_scheduled: vec![false; n_steps],
-            objects: vec![ObjState::default(); n_objects],
-            requests: Vec::new(),
-            stream_map: FxHashMap::default(),
             readers: FxHashMap::default(),
-            timers: FxHashMap::default(),
             event_scratch: Vec::new(),
             h3_scratch: Vec::new(),
-            h2_rerequests: 0,
-            resets_sent: 0,
-            broken: false,
-            timeout_scale: 1.0,
-            page_started_at: None,
-            page_completed_at: None,
         }
     }
 
@@ -129,31 +115,9 @@ impl H3ClientNode {
     /// read the report once, at end of trial, so there is no reason to
     /// clone the records.
     pub fn take_report(&mut self) -> ClientReport {
-        ClientReport {
-            page_started_at: self.page_started_at,
-            page_completed_at: self.page_completed_at,
-            requests: std::mem::take(&mut self.requests),
-            objects: self
-                .objects
-                .iter()
-                .enumerate()
-                .map(|(i, o)| ObjectOutcome {
-                    object: ObjectId(i as u32),
-                    requested_at: o.requested_at,
-                    first_byte_at: o.first_byte_at,
-                    completed_at: o.completed_at,
-                    attempts: o.attempts,
-                    resets: o.resets,
-                })
-                .collect(),
-            h2_rerequests: self.h2_rerequests,
-            resets_sent: self.resets_sent,
-            connection_broken: self.broken,
-            tcp_retransmits: {
-                let s = self.stack.quic.stats();
-                s.loss_retransmits + s.pto_retransmits
-            },
-        }
+        let s = self.stack.quic.stats();
+        let retransmits = s.loss_retransmits + s.pto_retransmits;
+        self.page.take_report(retransmits)
     }
 
     /// Final transport statistics.
@@ -169,18 +133,7 @@ impl H3ClientNode {
     /// A cheap forward-progress fingerprint for stall watchdogs, with the
     /// same shape as the H2 client's probe.
     pub fn progress_probe(&self) -> (u64, u64, bool, bool) {
-        let objects_done = self
-            .objects
-            .iter()
-            .filter(|o| o.completed_at.is_some())
-            .count() as u64;
-        let data_bytes: u64 = self.requests.iter().map(|r| r.bytes).sum();
-        (
-            data_bytes,
-            objects_done,
-            self.page_completed_at.is_some(),
-            self.broken,
-        )
+        self.page.progress_probe()
     }
 
     /// Ground-truth wire map of everything this client sent.
@@ -190,304 +143,43 @@ impl H3ClientNode {
 
     // ------------------------------------------------------------------
 
-    fn obj(&mut self, id: ObjectId) -> &mut ObjState {
-        &mut self.objects[id.0 as usize]
-    }
-
-    fn is_document(&self, id: ObjectId) -> bool {
-        self.cfg.document_priority && self.site.object(id).media == h2priv_web::MediaType::Html
-    }
-
-    fn alloc_stream(&mut self) -> StreamId {
-        let id = self.next_stream;
-        self.next_stream += 4; // client-initiated bidirectional: 0, 4, 8, …
-        StreamId(id)
-    }
-
-    fn start_plan(&mut self, ctx: &mut Ctx<'_>) {
-        self.page_started_at = Some(ctx.now());
-        for i in 0..self.site.plan.len() {
-            if let Trigger::AtStart { gap } = self.site.plan[i].trigger {
-                self.schedule_step(ctx, i, gap);
-            }
-        }
-    }
-
-    fn schedule_step(&mut self, ctx: &mut Ctx<'_>, step: usize, gap: SimDuration) {
-        if self.step_scheduled[step] {
-            return;
-        }
-        self.step_scheduled[step] = true;
-        let spread = match self.site.plan[step].trigger {
-            Trigger::AfterFirstByte { .. } | Trigger::AfterComplete { .. } => {
-                self.cfg.discovery_jitter
-            }
-            _ => self.cfg.gap_jitter,
-        };
-        let jf = ctx.rng().jitter_factor(spread);
-        let t = ctx.schedule(gap.mul_f64(jf));
-        self.timers.insert(t, TimerPurpose::IssueStep(step));
-    }
-
-    /// Fires dependency triggers after `object` reached `milestone`.
-    fn trigger_deps(&mut self, ctx: &mut Ctx<'_>, object: ObjectId, milestone: Milestone) {
-        for i in 0..self.site.plan.len() {
-            if self.step_scheduled[i] {
-                continue;
-            }
-            let gap = match (self.site.plan[i].trigger, milestone) {
-                (Trigger::AfterRequest { prev, gap }, Milestone::Requested) if prev == object => {
-                    Some(gap)
-                }
-                (Trigger::AfterFirstByte { parent, gap }, Milestone::FirstByte)
-                    if parent == object =>
-                {
-                    Some(gap)
-                }
-                (Trigger::AfterComplete { parent, gap }, Milestone::Completed)
-                    if parent == object =>
-                {
-                    Some(gap)
-                }
-                _ => None,
-            };
-            if let Some(gap) = gap {
-                self.schedule_step(ctx, i, gap);
-            }
-        }
-    }
-
-    fn issue_get(&mut self, ctx: &mut Ctx<'_>, object: ObjectId) {
-        if self.broken || self.obj(object).gave_up {
-            return;
-        }
-        let attempt = self.obj(object).attempts;
-        self.obj(object).attempts += 1;
-        let stream = self.alloc_stream();
-        let frame = {
-            let authority = &self.cfg.authority;
-            let path = &self.site.object(object).path;
-            headers_frame_with(96 + authority.len() + path.len(), |out| {
-                hpack::encode_request_into(out, authority, path)
-            })
-        };
-        let req_idx = self.requests.len();
-        self.requests.push(RequestRecord {
-            object,
-            stream,
-            attempt,
-            issued_at: ctx.now(),
-            headers_at: None,
-            first_data_at: None,
-            completed_at: None,
-            bytes: 0,
-            reset: false,
-        });
-        self.stream_map.insert(stream.0, req_idx);
-        self.readers.insert(stream.0, H3FrameReader::new());
-        // One HEADERS frame, FIN'd: the whole GET is a single sub-MTU
-        // datagram (this is what the adversary's pacer keys on).
-        self.stack.quic.stream_send(
-            stream.0,
-            frame,
-            true,
-            RecordTag {
-                stream_id: stream.0,
-                object_id: object.0,
-                copy: attempt as u16,
-                class: TrafficClass::Request,
-            },
-        );
-        let first = self.obj(object).requested_at.is_none();
-        if first {
-            self.obj(object).requested_at = Some(ctx.now());
-        }
-        if self.cfg.rerequest.enabled {
-            let mut factor = self.cfg.rerequest.backoff.powi(attempt as i32) * self.timeout_scale;
-            if self.is_document(object) {
-                factor *= 0.5;
-            }
-            let t = ctx.schedule(self.cfg.rerequest.timeout.mul_f64(factor));
-            self.timers.insert(t, TimerPurpose::Rerequest(req_idx));
-        }
-        if !self.obj(object).stall_armed {
-            self.obj(object).stall_armed = true;
-            let t = ctx.schedule(self.cfg.reset.stall_timeout);
-            self.timers.insert(t, TimerPurpose::StallCheck(object));
-        }
-        if first {
-            self.trigger_deps(ctx, object, Milestone::Requested);
-        }
-    }
-
     fn handle_quic_events(&mut self, ctx: &mut Ctx<'_>, events: &mut Vec<QuicEvent>) {
         for ev in events.drain(..) {
             match ev {
-                QuicEvent::Connected => {
-                    if self.page_started_at.is_none() {
-                        self.start_plan(ctx);
-                    }
-                }
+                QuicEvent::Connected => self.page.start(ctx),
                 QuicEvent::Stream { id, data, fin } => {
                     self.on_stream_data(ctx, id, &data, fin);
                 }
-                QuicEvent::StreamReset { id } => {
-                    if let Some(&idx) = self.stream_map.get(&id) {
-                        self.requests[idx].reset = true;
-                    }
-                }
-                QuicEvent::Aborted => {
-                    self.broken = true;
-                }
+                QuicEvent::StreamReset { id } => self.page.on_reset(StreamId(id)),
+                QuicEvent::Aborted => self.page.abort(),
                 QuicEvent::StreamStopped { .. } | QuicEvent::Closed => {}
             }
         }
     }
 
     fn on_stream_data(&mut self, ctx: &mut Ctx<'_>, id: u32, data: &[u8], fin: bool) {
-        let Some(&idx) = self.stream_map.get(&id) else {
+        let Some(idx) = self.page.live_request(StreamId(id)) else {
             return;
         };
-        if self.requests[idx].reset {
-            return; // bytes of a cancelled copy still in flight
-        }
         let mut events = std::mem::take(&mut self.h3_scratch);
         events.clear();
         if let Some(reader) = self.readers.get_mut(&id) {
             reader.push(data, &mut events);
         }
-        let now = ctx.now();
-        let object = self.requests[idx].object;
         for ev in events.drain(..) {
             match ev {
                 H3Event::Headers(block) => {
-                    self.requests[idx].headers_at = Some(now);
-                    self.obj(object).last_progress = Some(now);
-                    // Decoding the response is a sanity check only; skip the
-                    // String allocations in release builds.
-                    #[cfg(debug_assertions)]
-                    {
-                        let resp = hpack::decode_response(&block);
-                        debug_assert_eq!(resp.map(|r| r.status), Some(200));
-                    }
+                    self.page.on_headers(ctx, idx, &block);
                     if let Some(reader) = self.readers.get_mut(&id) {
                         reader.recycle(block);
                     }
                 }
-                H3Event::Data { len } => {
-                    self.requests[idx].bytes += len as u64;
-                    if self.requests[idx].first_data_at.is_none() {
-                        self.requests[idx].first_data_at = Some(now);
-                    }
-                    self.obj(object).last_progress = Some(now);
-                    if self.obj(object).first_byte_at.is_none() {
-                        self.obj(object).first_byte_at = Some(now);
-                        self.trigger_deps(ctx, object, Milestone::FirstByte);
-                    }
-                }
+                H3Event::Data { len } => self.page.on_data(ctx, idx, len as u64),
             }
         }
         self.h3_scratch = events;
         if fin {
-            self.complete_request(ctx, idx);
-        }
-    }
-
-    fn complete_request(&mut self, ctx: &mut Ctx<'_>, idx: usize) {
-        let now = ctx.now();
-        self.requests[idx].completed_at = Some(now);
-        let object = self.requests[idx].object;
-        if self.obj(object).completed_at.is_none() {
-            self.obj(object).completed_at = Some(now);
-            self.trigger_deps(ctx, object, Milestone::Completed);
-            self.check_page_complete(now);
-        }
-    }
-
-    fn check_page_complete(&mut self, now: SimTime) {
-        if self.page_completed_at.is_some() {
-            return;
-        }
-        let all = self
-            .site
-            .plan
-            .iter()
-            .all(|s| self.objects[s.object.0 as usize].completed_at.is_some());
-        if all {
-            self.page_completed_at = Some(now);
-        }
-    }
-
-    fn rerequest_check(&mut self, ctx: &mut Ctx<'_>, req_idx: usize) {
-        let (object, stale) = {
-            let r = &self.requests[req_idx];
-            (
-                r.object,
-                r.headers_at.is_none() && r.first_data_at.is_none() && !r.reset,
-            )
-        };
-        if !stale || self.obj(object).completed_at.is_some() || self.broken {
-            return;
-        }
-        if self.obj(object).attempts < self.cfg.rerequest.max_attempts {
-            self.h2_rerequests += 1;
-            self.issue_get(ctx, object);
-        }
-    }
-
-    fn stall_check(&mut self, ctx: &mut Ctx<'_>, object: ObjectId) {
-        let now = ctx.now();
-        let state = *self.obj(object);
-        if state.completed_at.is_some() || state.gave_up || self.broken {
-            self.obj(object).stall_armed = false;
-            return;
-        }
-        let last = state.last_progress.or(state.requested_at).unwrap_or(now);
-        let idle = now.saturating_since(last);
-        if idle >= self.cfg.reset.stall_timeout {
-            if state.resets >= self.cfg.reset.max_resets_per_object {
-                self.obj(object).gave_up = true;
-                self.obj(object).stall_armed = false;
-                return;
-            }
-            // Reset *all* ongoing streams (paper Fig. 6) — over QUIC each
-            // becomes a small RESET_STREAM + STOP_SENDING datagram, the
-            // burst the adversary's reset-signature detector watches for.
-            for i in 0..self.requests.len() {
-                let r = &self.requests[i];
-                if r.completed_at.is_none() && !r.reset {
-                    let stream: StreamId = r.stream;
-                    self.stack.quic.reset_stream(stream.0);
-                }
-            }
-            for r in self.requests.iter_mut() {
-                if r.completed_at.is_none() {
-                    r.reset = true;
-                }
-            }
-            self.resets_sent += 1;
-            self.timeout_scale = self.cfg.reset.post_reset_timeout_scale;
-            for idx in 0..self.objects.len() {
-                let o = ObjectId(idx as u32);
-                let st = self.objects[idx];
-                if st.requested_at.is_none() || st.completed_at.is_some() || st.gave_up {
-                    continue;
-                }
-                self.obj(o).resets += 1;
-                self.obj(o).last_progress = Some(now);
-                let backoff = if self.is_document(o) {
-                    self.cfg.reset.backoff.mul_f64(0.3)
-                } else {
-                    self.cfg.reset.backoff
-                };
-                let t = ctx.schedule(backoff);
-                self.timers.insert(t, TimerPurpose::ReissueAfterReset(o));
-                let t = ctx.schedule(self.cfg.reset.stall_timeout + backoff);
-                self.timers.insert(t, TimerPurpose::StallCheck(o));
-            }
-        } else {
-            let t = ctx.schedule_at(last + self.cfg.reset.stall_timeout);
-            self.timers.insert(t, TimerPurpose::StallCheck(object));
+            self.page.on_end(ctx, idx);
         }
     }
 
@@ -495,7 +187,7 @@ impl H3ClientNode {
         self.stack.pump(ctx);
         if let Some(t) = self.stack.timer_needs_rescheduling() {
             let timer = ctx.schedule_at(t);
-            self.timers.insert(timer, TimerPurpose::TransportTick);
+            self.page.arm_tick(timer);
             self.stack.tick_at = Some(t);
         }
     }
@@ -527,33 +219,18 @@ impl Node for H3ClientNode {
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, timer: TimerId) {
-        match self.timers.remove(&timer) {
-            Some(TimerPurpose::TransportTick) => {
-                self.stack.tick_at = None;
-                let mut events = std::mem::take(&mut self.event_scratch);
-                events.clear();
-                self.stack.on_transport_timer_into(ctx.now(), &mut events);
-                self.handle_quic_events(ctx, &mut events);
-                self.event_scratch = events;
-            }
-            Some(TimerPurpose::IssueStep(step)) => {
-                let object = self.site.plan[step].object;
-                if self.obj(object).attempts == 0 {
-                    self.issue_get(ctx, object);
-                }
-            }
-            Some(TimerPurpose::Rerequest(req_idx)) => {
-                self.rerequest_check(ctx, req_idx);
-            }
-            Some(TimerPurpose::StallCheck(object)) => {
-                self.stall_check(ctx, object);
-            }
-            Some(TimerPurpose::ReissueAfterReset(object))
-                if self.obj(object).completed_at.is_none() && !self.obj(object).gave_up =>
-            {
-                self.issue_get(ctx, object);
-            }
-            Some(TimerPurpose::ReissueAfterReset(_)) | None => {}
+        let mut gets = Gets {
+            quic: &mut self.stack.quic,
+            next_stream: &mut self.next_stream,
+            readers: &mut self.readers,
+        };
+        if self.page.on_timer(ctx, timer, &mut gets) {
+            self.stack.tick_at = None;
+            let mut events = std::mem::take(&mut self.event_scratch);
+            events.clear();
+            self.stack.on_transport_timer_into(ctx.now(), &mut events);
+            self.handle_quic_events(ctx, &mut events);
+            self.event_scratch = events;
         }
         self.after_activity(ctx);
     }

@@ -1,11 +1,13 @@
 //! # h2priv-quic — QUIC-lite / HTTP-3 transport model
 //!
 //! A deterministic QUIC-lite transport over `h2priv-netsim` datagrams,
-//! plus an HTTP/3-lite layer and browser/server nodes mirroring the H2
-//! pair, so the paper's isidewith attack pipeline can run unchanged
-//! against either transport and answer the question the related work
-//! poses: does the forced-serialization attack survive the migration
-//! off TCP?
+//! plus an HTTP/3-lite layer and client/server nodes that run
+//! `h2priv-h2`'s browser and server worker model over it, so the paper's
+//! isidewith attack pipeline can run unchanged against either transport
+//! and answer the question the related work poses: does the
+//! forced-serialization attack survive the migration off TCP? The
+//! endpoints behave identically on both transports because the model is
+//! the same code; only the transport glue here differs.
 //!
 //! What is modelled (and what the attack observes):
 //!

@@ -1,9 +1,6 @@
-//! The multi-threaded HTTP/3 server model.
-//!
-//! Mirrors `h2priv_h2::server::ServerNode` — same worker-per-GET model,
-//! the same first-byte and chunk-pacing draws (in the same RNG order),
-//! the same serial/concurrent mux policies and duplicate-serving
-//! pathology — but responses ride independent QUIC streams. There is no
+//! The multi-threaded HTTP/3 server: the `h2priv_h2::backend::Backend`
+//! worker model, the same one the HTTP/2 server runs, over the QUIC-lite
+//! transport. Responses ride independent QUIC streams. There is no
 //! shared output scheduler: the QUIC connection's deterministic
 //! round-robin over sendable streams plays that role, and a client
 //! STOP_SENDING clears the stream's queued bytes inside the transport
@@ -12,17 +9,16 @@
 //! Server push is not modelled for H3-lite (no PUSH_PROMISE analogue):
 //! a `push_manifest` in the config is ignored.
 
-use std::collections::VecDeque;
-
 use h2priv_h2::hpack;
 use h2priv_h2::server::{CLIENT_PORT, SERVER_PORT};
-use h2priv_h2::{MuxPolicy, ServeRecord, ServerConfig, StreamId};
+use h2priv_h2::{
+    Backend, ErrorCode, NodeTimer, ResponseTransport, ServeRecord, ServerConfig, StreamId,
+};
 use h2priv_netsim::link::LinkId;
 use h2priv_netsim::node::{Ctx, Node, TimerId};
 use h2priv_netsim::packet::{FlowId, Packet};
-use h2priv_netsim::time::SimDuration;
 use h2priv_tcp::TcpStats;
-use h2priv_tls::{RecordTag, TrafficClass, WireMap};
+use h2priv_tls::{RecordTag, WireMap};
 use h2priv_util::bytes::Bytes;
 use h2priv_util::fxhash::FxHashMap;
 use h2priv_web::{ObjectId, Site};
@@ -32,35 +28,6 @@ use crate::conn::{QuicConnection, QuicEvent, QuicStats};
 use crate::h3::{data_frame, headers_frame_with, H3Event, H3FrameReader};
 use crate::stack::QuicStack;
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum WorkerState {
-    /// Waiting for its turn (Serial policy only).
-    Queued,
-    /// Backend working on the first byte.
-    FirstByteWait,
-    /// Emitting DATA chunks.
-    Streaming,
-    /// All bytes enqueued.
-    Done,
-    /// Killed by a client stream reset.
-    Killed,
-}
-
-#[derive(Debug)]
-struct Worker {
-    stream: StreamId,
-    object: ObjectId,
-    remaining: u64,
-    state: WorkerState,
-    chunk_interval: SimDuration,
-}
-
-#[derive(Debug)]
-enum TimerPurpose {
-    TransportTick,
-    Worker(usize),
-}
-
 /// The HTTP/3 server as a netsim node. Construct, hand to
 /// [`h2priv_netsim::topology::PathTopology::build`], and inspect
 /// [`H3ServerNode::serve_log`] / [`H3ServerNode::wire_map`] after the
@@ -68,14 +35,9 @@ enum TimerPurpose {
 #[derive(Debug)]
 pub struct H3ServerNode {
     cfg: ServerConfig,
-    site: Site,
+    backend: Backend,
     stack: QuicStack,
-    workers: Vec<Worker>,
-    serve_log: Vec<ServeRecord>,
-    serial_queue: VecDeque<usize>,
-    copies: FxHashMap<ObjectId, u16>,
     readers: FxHashMap<u32, H3FrameReader>,
-    timers: FxHashMap<TimerId, TimerPurpose>,
     /// DATA-frame wire images keyed by body length. Bodies are opaque
     /// zeros, so every frame of a given length is byte-identical; caching
     /// replaces two allocations per streamed chunk with an `Arc` clone.
@@ -84,7 +46,35 @@ pub struct H3ServerNode {
     event_scratch: Vec<QuicEvent>,
     /// Reusable H3-event buffer (cleared before each use).
     h3_scratch: Vec<H3Event>,
-    dead: bool,
+}
+
+/// Workers' responses over HTTP/3: H3-lite frames on each request's own
+/// stream, and RESET_STREAM to refuse one.
+struct Responses<'a> {
+    quic: &'a mut QuicConnection,
+    data_frames: &'a mut FxHashMap<u64, Bytes>,
+}
+
+impl ResponseTransport for Responses<'_> {
+    fn send_headers(&mut self, stream: StreamId, size: u64, media: &str, tag: RecordTag) {
+        let frame = headers_frame_with(96 + media.len(), |out| {
+            hpack::encode_response_into(out, size, media)
+        });
+        self.quic.stream_send(stream.0, frame, false, tag);
+    }
+
+    fn send_data(&mut self, stream: StreamId, len: u64, end_stream: bool, tag: RecordTag) {
+        let frame = self
+            .data_frames
+            .entry(len)
+            .or_insert_with(|| data_frame(len as usize))
+            .clone();
+        self.quic.stream_send(stream.0, frame, end_stream, tag);
+    }
+
+    fn refuse(&mut self, stream: StreamId, _error: ErrorCode) {
+        self.quic.reset_stream(stream.0);
+    }
 }
 
 impl H3ServerNode {
@@ -98,31 +88,25 @@ impl H3ServerNode {
             sport: SERVER_PORT,
             dport: CLIENT_PORT,
         };
-        // Server-side transport tunables mirror the defaults the H2
+        // Server-side transport tunables match the defaults the H2
         // server gets from its peer's grants.
         let mut qcfg = quic_config_from(12 * 1024 * 1024, 256 * 1024);
         qcfg.pad_block = cfg.pad_block;
         let stack = QuicStack::new(QuicConnection::server(flow, qcfg));
         H3ServerNode {
+            backend: Backend::new(site, cfg.mux, cfg.serve_duplicates),
             cfg,
-            site,
             stack,
-            workers: Vec::new(),
-            serve_log: Vec::new(),
-            serial_queue: VecDeque::new(),
-            copies: FxHashMap::default(),
             readers: FxHashMap::default(),
-            timers: FxHashMap::default(),
             data_frames: FxHashMap::default(),
             event_scratch: Vec::new(),
             h3_scratch: Vec::new(),
-            dead: false,
         }
     }
 
     /// Ground-truth serve log (one entry per GET actually served).
     pub fn serve_log(&self) -> &[ServeRecord] {
-        &self.serve_log
+        self.backend.serve_log()
     }
 
     /// Ground-truth wire map of everything this server sent (the
@@ -144,7 +128,7 @@ impl H3ServerNode {
     /// Copies served per object (≥2 indicates the duplicate-serving
     /// pathology fired).
     pub fn copies_served(&self, object: ObjectId) -> u16 {
-        self.copies.get(&object).copied().unwrap_or(0)
+        self.backend.copies_served(object)
     }
 
     /// Datagrams routed via the alternate path when traffic splitting is
@@ -159,12 +143,12 @@ impl H3ServerNode {
                 QuicEvent::Stream { id, data, fin } => {
                     self.on_stream_data(ctx, id, &data, fin);
                 }
+                // The transport already dropped the stream's queued bytes
+                // when STOP_SENDING arrived; the workers stop queuing more.
                 QuicEvent::StreamReset { id } | QuicEvent::StreamStopped { id } => {
-                    self.kill_stream_workers(ctx, id);
+                    self.backend.kill(ctx, StreamId(id));
                 }
-                QuicEvent::Aborted => {
-                    self.dead = true;
-                }
+                QuicEvent::Aborted => self.backend.abort(),
                 QuicEvent::Connected | QuicEvent::Closed => {}
             }
         }
@@ -176,7 +160,11 @@ impl H3ServerNode {
         self.readers.entry(id).or_default().push(data, &mut events);
         for ev in events.drain(..) {
             if let H3Event::Headers(block) = ev {
-                self.handle_request(ctx, StreamId(id), &block);
+                let mut io = Responses {
+                    quic: &mut self.stack.quic,
+                    data_frames: &mut self.data_frames,
+                };
+                self.backend.on_request(ctx, StreamId(id), &block, &mut io);
                 if let Some(reader) = self.readers.get_mut(&id) {
                     reader.recycle(block);
                 }
@@ -185,175 +173,11 @@ impl H3ServerNode {
         self.h3_scratch = events;
     }
 
-    /// Kills workers for a stream the client abandoned. The transport
-    /// already dropped the stream's queued bytes when STOP_SENDING
-    /// arrived; this stops the pacing timers from queuing more.
-    fn kill_stream_workers(&mut self, ctx: &mut Ctx<'_>, id: u32) {
-        let mut killed_any = false;
-        for (idx, w) in self.workers.iter_mut().enumerate() {
-            if w.stream.0 == id && !matches!(w.state, WorkerState::Done | WorkerState::Killed) {
-                w.state = WorkerState::Killed;
-                self.serve_log[idx].killed = true;
-                killed_any = true;
-            }
-        }
-        if killed_any && self.cfg.mux == MuxPolicy::Serial {
-            self.start_next_serial(ctx);
-        }
-    }
-
-    fn handle_request(&mut self, ctx: &mut Ctx<'_>, stream: StreamId, block: &[u8]) {
-        let Some(req) = hpack::decode_request_ref(block) else {
-            self.stack.quic.reset_stream(stream.0);
-            return;
-        };
-        let Some(object) = self.site.by_path(req.path).map(|o| o.id) else {
-            self.stack.quic.reset_stream(stream.0);
-            return;
-        };
-        let copy = {
-            let c = self.copies.entry(object).or_insert(0);
-            let this = *c;
-            *c += 1;
-            this
-        };
-        if copy > 0 && !self.cfg.serve_duplicates {
-            // Deduplicating server (ablation): the original stream is
-            // already serving this object; ignore the duplicate.
-            return;
-        }
-        self.spawn_worker(ctx, stream, object, copy);
-    }
-
-    fn spawn_worker(&mut self, ctx: &mut Ctx<'_>, stream: StreamId, object: ObjectId, copy: u16) {
-        let idx = self.workers.len();
-        self.workers.push(Worker {
-            stream,
-            object,
-            remaining: self.site.object(object).size,
-            state: WorkerState::Queued,
-            chunk_interval: SimDuration::ZERO,
-        });
-        self.serve_log.push(ServeRecord {
-            object,
-            copy,
-            stream,
-            requested_at: ctx.now(),
-            first_byte_at: None,
-            completed_at: None,
-            killed: false,
-        });
-        let someone_active = self
-            .workers
-            .iter()
-            .any(|w| matches!(w.state, WorkerState::FirstByteWait | WorkerState::Streaming));
-        if self.cfg.mux == MuxPolicy::Serial && someone_active {
-            self.serial_queue.push_back(idx);
-        } else {
-            self.start_worker(ctx, idx);
-        }
-    }
-
-    fn start_worker(&mut self, ctx: &mut Ctx<'_>, idx: usize) {
-        let object = self.workers[idx].object;
-        let obj = self.site.object(object);
-        let fb = obj.service.draw_first_byte(ctx.rng());
-        self.workers[idx].chunk_interval = obj.service.draw_chunk_interval(ctx.rng(), obj.size);
-        self.workers[idx].state = WorkerState::FirstByteWait;
-        let t = ctx.schedule(fb);
-        self.timers.insert(t, TimerPurpose::Worker(idx));
-    }
-
-    fn start_next_serial(&mut self, ctx: &mut Ctx<'_>) {
-        while let Some(next) = self.serial_queue.pop_front() {
-            if matches!(self.workers[next].state, WorkerState::Queued) {
-                self.start_worker(ctx, next);
-                return;
-            }
-        }
-    }
-
-    fn worker_tick(&mut self, ctx: &mut Ctx<'_>, idx: usize) {
-        if self.dead {
-            return;
-        }
-        let (stream, object, state) = {
-            let w = &self.workers[idx];
-            (w.stream, w.object, w.state)
-        };
-        let obj = self.site.object(object);
-        let copy = self.serve_log[idx].copy;
-        match state {
-            WorkerState::FirstByteWait => {
-                self.serve_log[idx].first_byte_at = Some(ctx.now());
-                let media = match obj.media {
-                    h2priv_web::MediaType::Html => "text/html",
-                    h2priv_web::MediaType::Js => "application/javascript",
-                    h2priv_web::MediaType::Css => "text/css",
-                    h2priv_web::MediaType::Image => "image/png",
-                    h2priv_web::MediaType::Json => "application/json",
-                    h2priv_web::MediaType::Font => "font/woff2",
-                };
-                let frame = headers_frame_with(96 + media.len(), |out| {
-                    hpack::encode_response_into(out, obj.size, media)
-                });
-                self.stack.quic.stream_send(
-                    stream.0,
-                    frame,
-                    false,
-                    RecordTag {
-                        stream_id: stream.0,
-                        object_id: object.0,
-                        copy,
-                        class: TrafficClass::ResponseHeaders,
-                    },
-                );
-                self.workers[idx].state = WorkerState::Streaming;
-                let interval = self.workers[idx].chunk_interval;
-                let t = ctx.schedule(interval);
-                self.timers.insert(t, TimerPurpose::Worker(idx));
-            }
-            WorkerState::Streaming => {
-                let chunk = (obj.service.chunk_size as u64).min(self.workers[idx].remaining);
-                self.workers[idx].remaining -= chunk;
-                let end_stream = self.workers[idx].remaining == 0;
-                let frame = self
-                    .data_frames
-                    .entry(chunk)
-                    .or_insert_with(|| data_frame(chunk as usize))
-                    .clone();
-                self.stack.quic.stream_send(
-                    stream.0,
-                    frame,
-                    end_stream,
-                    RecordTag {
-                        stream_id: stream.0,
-                        object_id: object.0,
-                        copy,
-                        class: TrafficClass::ObjectData,
-                    },
-                );
-                if end_stream {
-                    self.workers[idx].state = WorkerState::Done;
-                    self.serve_log[idx].completed_at = Some(ctx.now());
-                    if self.cfg.mux == MuxPolicy::Serial {
-                        self.start_next_serial(ctx);
-                    }
-                } else {
-                    let interval = self.workers[idx].chunk_interval;
-                    let t = ctx.schedule(interval);
-                    self.timers.insert(t, TimerPurpose::Worker(idx));
-                }
-            }
-            WorkerState::Queued | WorkerState::Done | WorkerState::Killed => {}
-        }
-    }
-
     fn after_activity(&mut self, ctx: &mut Ctx<'_>) {
         self.stack.pump(ctx);
         if let Some(t) = self.stack.timer_needs_rescheduling() {
             let timer = ctx.schedule_at(t);
-            self.timers.insert(timer, TimerPurpose::TransportTick);
+            self.backend.arm(timer, NodeTimer::Tick);
             self.stack.tick_at = Some(t);
         }
     }
@@ -386,19 +210,17 @@ impl Node for H3ServerNode {
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, timer: TimerId) {
-        match self.timers.remove(&timer) {
-            Some(TimerPurpose::TransportTick) => {
-                self.stack.tick_at = None;
-                let mut events = std::mem::take(&mut self.event_scratch);
-                events.clear();
-                self.stack.on_transport_timer_into(ctx.now(), &mut events);
-                self.handle_quic_events(ctx, &mut events);
-                self.event_scratch = events;
-            }
-            Some(TimerPurpose::Worker(idx)) => {
-                self.worker_tick(ctx, idx);
-            }
-            None => {}
+        let mut io = Responses {
+            quic: &mut self.stack.quic,
+            data_frames: &mut self.data_frames,
+        };
+        if self.backend.on_timer(ctx, timer, &mut io) == Some(NodeTimer::Tick) {
+            self.stack.tick_at = None;
+            let mut events = std::mem::take(&mut self.event_scratch);
+            events.clear();
+            self.stack.on_transport_timer_into(ctx.now(), &mut events);
+            self.handle_quic_events(ctx, &mut events);
+            self.event_scratch = events;
         }
         self.after_activity(ctx);
     }

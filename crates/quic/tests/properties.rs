@@ -27,7 +27,8 @@ use h2priv_tls::{RecordTag, TrafficClass};
 use h2priv_util::bytes::Bytes;
 use h2priv_util::check::{run, Gen};
 use h2priv_util::{prop_assert, prop_assert_eq};
-use h2priv_web::IsideWith;
+use h2priv_web::sites::blog_site;
+use h2priv_web::{IsideWith, Site};
 use std::collections::BTreeSet;
 
 fn flows() -> (FlowId, FlowId) {
@@ -257,10 +258,10 @@ struct FaultedTrial {
     ended_at: SimTime,
 }
 
-fn h3_faulted_trial(seed: u64, target_loss: f64, burst: f64) -> FaultedTrial {
+/// An H3 client loading `site` from a server holding `server_site` (which
+/// may lack objects the client plans) on a default path, not yet run.
+fn h3_page_load(seed: u64, site: Site, server_site: Site) -> (Simulator, PathTopology) {
     let mut sim = Simulator::new(seed);
-    let mut perm_rng = SimRng::new(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1));
-    let site = IsideWith::generate(&mut perm_rng).site;
     let path = PathConfig::default();
     let client_cfg = ClientConfig {
         addr: path.client_addr,
@@ -272,9 +273,16 @@ fn h3_faulted_trial(seed: u64, target_loss: f64, burst: f64) -> FaultedTrial {
         client_addr: path.client_addr,
         ..ServerConfig::default()
     };
-    let client = H3ClientNode::new(site.clone(), client_cfg);
-    let server = H3ServerNode::new(site, server_cfg);
+    let client = H3ClientNode::new(site, client_cfg);
+    let server = H3ServerNode::new(server_site, server_cfg);
     let topo = PathTopology::build(&mut sim, client, Box::new(Passthrough), server, &path);
+    (sim, topo)
+}
+
+fn h3_faulted_trial(seed: u64, target_loss: f64, burst: f64) -> FaultedTrial {
+    let mut perm_rng = SimRng::new(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1));
+    let site = IsideWith::generate(&mut perm_rng).site;
+    let (mut sim, topo) = h3_page_load(seed, site.clone(), site);
     let ge = FaultConfig::none().with_burst_loss(GilbertElliott::bursty(target_loss, burst));
     sim.attach_faults(topo.mbox_to_server, ge.clone());
     sim.attach_faults(topo.server_to_mbox, ge);
@@ -327,4 +335,46 @@ fn h3_netsim_replay_is_deterministic() {
     assert_eq!(a.page_done, b.page_done);
     assert_eq!(a.objects_completed, b.objects_completed);
     assert_eq!(a.ended_at, b.ended_at);
+}
+
+#[test]
+fn h3_get_for_an_unknown_path_is_refused() {
+    // The server lacks the blog's last planned object, a leaf no other
+    // step waits on.
+    let site = blog_site();
+    let missing = site.by_path("/app.js").expect("blog plans /app.js").id;
+    let objects = site
+        .objects()
+        .iter()
+        .filter(|o| o.id != missing)
+        .cloned()
+        .collect();
+    let plan = site
+        .plan
+        .iter()
+        .filter(|s| s.object != missing)
+        .cloned()
+        .collect();
+    let server_site = Site::new("blog-without-app", objects, plan);
+    let (mut sim, topo) = h3_page_load(47, site, server_site);
+    sim.run_until(SimTime::ZERO + SimDuration::from_secs(90));
+    let report = sim.node_mut::<H3ClientNode>(topo.client).take_report();
+    let server = sim.node_ref::<H3ServerNode>(topo.server);
+    // RESET_STREAM: no worker, no served copy.
+    assert_eq!(server.copies_served(missing), 0);
+    assert!(server.serve_log().iter().all(|s| s.object != missing));
+    let refused: Vec<_> = report
+        .requests
+        .iter()
+        .filter(|r| r.object == missing)
+        .collect();
+    assert!(!refused.is_empty(), "the client asked for {missing:?}");
+    assert!(
+        refused.iter().all(|r| r.reset && r.completed_at.is_none()),
+        "every GET for the missing object ends reset: {refused:?}"
+    );
+    for o in report.objects.iter().filter(|o| o.object != missing) {
+        assert!(o.completed_at.is_some(), "object {:?} completes", o.object);
+    }
+    assert!(report.page_completed_at.is_none());
 }

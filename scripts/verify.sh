@@ -96,6 +96,14 @@ echo "== trace smoke (--trace jsonl parses and is byte-identical across --jobs)"
 test -s /tmp/h2priv_trace_j1.jsonl
 cmp /tmp/h2priv_trace_j1.jsonl /tmp/h2priv_trace_j2.jsonl
 cargo run --release --offline -p h2priv-bench --bin trace_check -- /tmp/h2priv_trace_j1.jsonl
+# table1 runs H2 only; transport_transfer runs the same page-load model
+# over H2 and H3, so its trace holds QUIC `pto`/`loss_retransmit`,
+# monitor, predictor and watchdog events too.
+"$RUN" transport_transfer 2 --jobs 1 --trace /tmp/h2priv_trace_tt_j1.jsonl >/dev/null 2>&1
+"$RUN" transport_transfer 2 --jobs 2 --trace /tmp/h2priv_trace_tt_j2.jsonl >/dev/null 2>&1
+test -s /tmp/h2priv_trace_tt_j1.jsonl
+cmp /tmp/h2priv_trace_tt_j1.jsonl /tmp/h2priv_trace_tt_j2.jsonl
+cargo run --release --offline -p h2priv-bench --bin trace_check -- /tmp/h2priv_trace_tt_j1.jsonl
 
 echo "== defense matrix smoke (--jobs identity)"
 # A 6-trial matrix is byte-identical across --jobs levels. Its success
