@@ -215,13 +215,6 @@ impl OutputScheduler {
     pub fn queued_data_bytes(&self) -> u64 {
         self.queued_data
     }
-
-    /// Streams currently holding queued frames.
-    pub fn active_streams(&self) -> Vec<StreamId> {
-        let mut v: Vec<StreamId> = self.queues.keys().copied().collect();
-        v.sort();
-        v
-    }
 }
 
 #[cfg(test)]
@@ -414,9 +407,5 @@ mod tests {
         s.enqueue(Frame::Ping { ack: false }, RecordTag::NONE);
         s.enqueue(data(3, 50), RecordTag::NONE);
         assert_eq!(s.queued_data_bytes(), 150);
-        assert_eq!(
-            s.active_streams(),
-            vec![StreamId(0), StreamId(1), StreamId(3)]
-        );
     }
 }

@@ -2,9 +2,9 @@
 //!
 //! An HTTP/2 protocol model for the `h2priv` reproduction of *"Depending
 //! on HTTP/2 for Privacy? Good Luck!"* (DSN 2020): RFC 7540-style
-//! framing, a minimal HPACK, stream states, connection-level flow
-//! control, and — most importantly — the endpoint *behaviour models*,
-//! written once for both transports this workspace models:
+//! framing, a minimal HPACK, connection-level flow control, and — most
+//! importantly — the endpoint *behaviour models*, written once for both
+//! transports this workspace models:
 //!
 //! * [`backend::Backend`] models the paper's multi-threaded server: each
 //!   GET spawns a simulated worker thread that, after a

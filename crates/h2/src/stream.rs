@@ -1,4 +1,4 @@
-//! HTTP/2 stream identifiers and the stream state machine (RFC 7540 §5.1).
+//! HTTP/2 stream identifiers and their allocators.
 
 use core::fmt;
 use h2priv_util::impl_to_json;
@@ -51,54 +51,6 @@ impl StreamIdAllocator {
     }
 }
 
-/// Stream lifecycle states (condensed RFC 7540 §5.1 set, receiver view).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StreamState {
-    /// No frames exchanged yet.
-    Idle,
-    /// Request sent/received, response not finished.
-    Open,
-    /// We sent END_STREAM, peer has not.
-    HalfClosedLocal,
-    /// Peer sent END_STREAM, we have not.
-    HalfClosedRemote,
-    /// Fully closed (END_STREAM both ways or RST_STREAM).
-    Closed,
-}
-
-impl StreamState {
-    /// Transition on sending END_STREAM.
-    pub fn on_local_end(self) -> StreamState {
-        match self {
-            StreamState::Idle | StreamState::Open => StreamState::HalfClosedLocal,
-            StreamState::HalfClosedRemote => StreamState::Closed,
-            s => s,
-        }
-    }
-
-    /// Transition on receiving END_STREAM.
-    pub fn on_remote_end(self) -> StreamState {
-        match self {
-            StreamState::Idle | StreamState::Open => StreamState::HalfClosedRemote,
-            StreamState::HalfClosedLocal => StreamState::Closed,
-            s => s,
-        }
-    }
-
-    /// Transition on RST_STREAM (either direction).
-    pub fn on_reset(self) -> StreamState {
-        StreamState::Closed
-    }
-
-    /// `true` if more frames may arrive from the peer.
-    pub fn peer_may_send(self) -> bool {
-        matches!(
-            self,
-            StreamState::Idle | StreamState::Open | StreamState::HalfClosedLocal
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -118,31 +70,5 @@ mod tests {
         let ids: Vec<u32> = (0..3).map(|_| a.next_id().0).collect();
         assert_eq!(ids, vec![2, 4, 6]);
         assert!(ids.iter().all(|i| !StreamId(*i).is_client_initiated()));
-    }
-
-    #[test]
-    fn full_lifecycle_request_response() {
-        // Client view: send request with END_STREAM, then receive
-        // response END_STREAM.
-        let s = StreamState::Idle;
-        let s = s.on_local_end();
-        assert_eq!(s, StreamState::HalfClosedLocal);
-        assert!(s.peer_may_send());
-        let s = s.on_remote_end();
-        assert_eq!(s, StreamState::Closed);
-        assert!(!s.peer_may_send());
-    }
-
-    #[test]
-    fn reset_closes_from_any_state() {
-        for s in [
-            StreamState::Idle,
-            StreamState::Open,
-            StreamState::HalfClosedLocal,
-            StreamState::HalfClosedRemote,
-            StreamState::Closed,
-        ] {
-            assert_eq!(s.on_reset(), StreamState::Closed);
-        }
     }
 }

@@ -10,9 +10,18 @@
 //! `EventQueue::pop_until` returns exactly the order one heap holding
 //! every event would. A timer's `seq` is also its [`TimerId`].
 //!
+//! No event carries a packet. Every packet the network owns waits in the
+//! world's packet slab from `Ctx::send` until `Simulator::dispatch` hands
+//! it to `Node::on_packet` (or a link or the fault layer drops it), and
+//! an event names it by its 4-byte handle: a `LinkDeliver` owns the
+//! handle of the packet it delivers, a fault `Release` that of the packet
+//! it hands back to its link. The link itself owns the handles on its
+//! wire and in its queue, so a `LinkTxComplete` names only the link.
+//!
 //! Timers and fault events live in separate heaps so that a timer entry
-//! stays 24 bytes (time, `seq`, node) while a fault event carries a
-//! whole [`Packet`]; most trials schedule no fault event at all.
+//! stays 24 bytes (time, `seq`, node) while a fault event carries a link
+//! and a scripted action or a handle; most trials schedule no fault
+//! event at all.
 //!
 //! A lane needs no heap because of two invariants of the link model,
 //! both asserted at push:
@@ -28,8 +37,8 @@
 use crate::faults;
 use crate::link::LinkId;
 use crate::node::{NodeId, TimerId};
-use crate::packet::Packet;
 use crate::queue::EventHeap;
+use crate::slab::PacketHandle;
 use crate::time::SimTime;
 use std::collections::VecDeque;
 
@@ -41,7 +50,7 @@ pub(crate) enum EventKind {
     /// A link finishes serializing the packet currently on its wire.
     LinkTxComplete { link: LinkId },
     /// A packet arrives at the receiving end of a link.
-    LinkDeliver { link: LinkId, pkt: Packet },
+    LinkDeliver { link: LinkId, pkt: PacketHandle },
     /// An event of the fault layer.
     Fault(FaultEvent),
 }
@@ -52,7 +61,7 @@ pub(crate) enum EventKind {
 pub(crate) enum FaultEvent {
     /// A packet held by the fault layer (reordering delay or duplicate
     /// copy) is released to its link.
-    Release { link: LinkId, pkt: Packet },
+    Release { link: LinkId, pkt: PacketHandle },
     /// A scripted fault action fires against a link.
     Action {
         link: LinkId,
@@ -71,14 +80,14 @@ pub(crate) struct ScheduledEvent {
 struct Lane {
     /// The pending `LinkTxComplete`, while the link serializes a packet.
     tx: Option<(SimTime, u64)>,
-    /// Packets in propagation, in delivery order.
-    deliveries: VecDeque<(SimTime, u64, Packet)>,
+    /// Packets in propagation, in delivery order, by handle.
+    deliveries: VecDeque<(SimTime, u64, PacketHandle)>,
 }
 
-/// Initial delivery capacity of a lane, allocated with its link. It
-/// covers the packets one link keeps in flight in the pinned trials of
-/// `alloc_regression.rs`, so no lane regrows there; at 64 the H3 trial's
-/// lanes regrow twice.
+/// Initial delivery capacity of a lane, allocated with its link: 128
+/// entries of 24 bytes (time, `seq`, handle). It covers the packets one
+/// link keeps in flight in the pinned trials of `alloc_regression.rs`, so
+/// no lane regrows there; at 64 the H3 trial's lanes regrow twice.
 const LANE_CAPACITY: usize = 128;
 
 /// Where the earliest pending event waits.
@@ -153,7 +162,7 @@ impl EventQueue {
 
     /// Schedules the delivery of `pkt` over `link` at `time`, which may
     /// not precede the lane's latest delivery.
-    pub fn push_delivery(&mut self, link: LinkId, time: SimTime, pkt: Packet) {
+    pub fn push_delivery(&mut self, link: LinkId, time: SimTime, pkt: PacketHandle) {
         let seq = self.take_seq();
         let lane = &mut self.lanes[link.index()];
         debug_assert!(
@@ -206,7 +215,7 @@ impl EventQueue {
                 }
             }
             Head::Deliver(i) => {
-                let (_, _, pkt) = self.lanes[i]
+                let (.., pkt) = self.lanes[i]
                     .deliveries
                     .pop_front()
                     .expect("the lane's head is pending");
@@ -217,6 +226,20 @@ impl EventQueue {
             }
         };
         Some(ScheduledEvent { time, seq, kind })
+    }
+
+    /// The handle of every packet a lane delivers or a fault event
+    /// releases.
+    pub fn handles(&self) -> impl Iterator<Item = PacketHandle> + '_ {
+        let delivering = self
+            .lanes
+            .iter()
+            .flat_map(|l| l.deliveries.iter().map(|&(.., pkt)| pkt));
+        let released = self.faults.payloads().filter_map(|ev| match ev {
+            FaultEvent::Release { pkt, .. } => Some(*pkt),
+            FaultEvent::Action { .. } => None,
+        });
+        delivering.chain(released)
     }
 
     /// Number of pending events.
@@ -244,7 +267,8 @@ impl core::fmt::Debug for EventQueue {
 mod tests {
     use super::*;
     use crate::faults::FaultAction;
-    use crate::packet::{FlowId, HostAddr, PacketId, TcpFlags, TcpHeader};
+    use crate::packet::{FlowId, HostAddr, Packet, PacketId, TcpFlags, TcpHeader};
+    use crate::slab::PacketSlab;
     use crate::time::SimDuration;
     use h2priv_util::bytes::Bytes;
     use h2priv_util::check::{self, Gen};
@@ -338,16 +362,17 @@ mod tests {
     }
 
     /// A timer's tag is the id `push_timer` returned, so comparing tags
-    /// also checks that a timer pops with its id as its `seq`.
-    fn tag(ev: &ScheduledEvent) -> Tag {
-        match &ev.kind {
+    /// also checks that a timer pops with its id as its `seq`; a packet's
+    /// is the id of the packet its handle names in `slab`.
+    fn tag(ev: &ScheduledEvent, slab: &PacketSlab) -> Tag {
+        match ev.kind {
             EventKind::NodeTimer { .. } => Tag::Timer(ev.seq),
             EventKind::Fault(FaultEvent::Release { link, pkt }) => {
-                Tag::Release(link.index(), pkt.id.0)
+                Tag::Release(link.index(), slab.get(pkt).id.0)
             }
             EventKind::Fault(FaultEvent::Action { link, .. }) => Tag::Action(link.index()),
             EventKind::LinkTxComplete { link } => Tag::Tx(link.index()),
-            EventKind::LinkDeliver { link, pkt } => Tag::Deliver(link.index(), pkt.id.0),
+            EventKind::LinkDeliver { link, pkt } => Tag::Deliver(link.index(), slab.get(pkt).id.0),
         }
     }
 
@@ -409,9 +434,11 @@ mod tests {
         }
     }
 
-    /// The queue and the model driven in lockstep over `links` lanes.
+    /// The queue and the model driven in lockstep over `links` lanes. The
+    /// packets the queue's events name wait in `slab`, as in the world.
     struct Lockstep {
         queue: EventQueue,
+        slab: PacketSlab,
         model: Model,
         /// Each link's latest delivery time.
         last_delivery: Vec<SimTime>,
@@ -426,6 +453,7 @@ mod tests {
             }
             Lockstep {
                 queue,
+                slab: PacketSlab::with_capacity(0),
                 model: Model::default(),
                 last_delivery: vec![SimTime::ZERO; links],
                 next_packet: 0,
@@ -448,7 +476,7 @@ mod tests {
         fn push_fault(&mut self, time: SimTime, link: usize, release: bool) {
             let lid = LinkId::from_raw(link);
             if release {
-                let pkt = packet(self.next_packet);
+                let pkt = self.slab.park(packet(self.next_packet));
                 self.model.push(time, Tag::Release(link, self.next_packet));
                 self.next_packet += 1;
                 self.queue
@@ -469,25 +497,39 @@ mod tests {
         fn push_delivery(&mut self, time: SimTime, link: usize) {
             let id = self.next_packet;
             self.next_packet += 1;
-            self.queue
-                .push_delivery(LinkId::from_raw(link), time, packet(id));
+            let pkt = self.slab.park(packet(id));
+            self.queue.push_delivery(LinkId::from_raw(link), time, pkt);
             self.model.push(time, Tag::Deliver(link, id));
             self.last_delivery[link] = time;
         }
 
+        /// Pops from both and, as dispatch does, takes the popped
+        /// event's packet out of the slab.
         fn pop_until(&mut self, deadline: SimTime) -> Option<(SimTime, u64, Tag)> {
             let got = self.queue.pop_until(deadline);
             let want = self.model.pop_until(deadline);
             assert_eq!(
-                got.as_ref().map(|e| (e.time, e.seq, tag(e))),
+                got.as_ref().map(|e| (e.time, e.seq, tag(e, &self.slab))),
                 want,
                 "pop_until({deadline:?}) diverged"
             );
+            if let Some(ScheduledEvent {
+                kind:
+                    EventKind::LinkDeliver { pkt, .. }
+                    | EventKind::Fault(FaultEvent::Release { pkt, .. }),
+                ..
+            }) = got
+            {
+                self.slab.take(pkt);
+            }
             want
         }
 
-        fn assert_len(&self) {
+        /// The queue's length is the model's, and its handles name
+        /// exactly the packets parked.
+        fn assert_len(&mut self) {
             assert_eq!(self.queue.len(), self.model.live.len(), "len diverged");
+            self.slab.assert_held_exactly(self.queue.handles());
         }
     }
 
@@ -545,6 +587,7 @@ mod tests {
             q.assert_len();
         }
         assert_eq!(q.queue.len(), 0);
+        assert_eq!(q.slab.len(), 0);
         q.model.mixed_ties
     }
 

@@ -72,6 +72,7 @@ pub mod packet;
 pub mod queue;
 pub mod rng;
 pub mod sim;
+mod slab;
 pub mod stats;
 pub mod time;
 pub mod topology;

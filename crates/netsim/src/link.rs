@@ -7,7 +7,7 @@
 //! (paper Section IV-C).
 
 use crate::node::NodeId;
-use crate::packet::Packet;
+use crate::slab::PacketHandle;
 use crate::time::SimDuration;
 use crate::units::Bandwidth;
 use core::fmt;
@@ -145,15 +145,20 @@ pub struct LinkStats {
     pub bytes_delivered: u64,
 }
 
+/// A link holds its packets by handle: each waits in the world's packet
+/// slab, and the link owns the handle from the `submit` that accepts it
+/// until the `tx_complete` that hands it to the lane.
 #[derive(Debug)]
 pub(crate) struct Link {
     pub cfg: LinkConfig,
     pub from: NodeId,
     pub to: NodeId,
     pub reverse: Option<LinkId>,
-    /// Packet currently being serialized, if any.
-    pub transmitting: Option<Packet>,
-    pub queue: VecDeque<Packet>,
+    /// The packet currently being serialized, if any.
+    pub transmitting: Option<PacketHandle>,
+    /// The drop-tail queue behind it: each packet with its wire size, so
+    /// `queued_bytes` and serialization times never read the slab.
+    pub queue: VecDeque<(PacketHandle, u32)>,
     pub queued_bytes: u64,
     pub stats: LinkStats,
 }
@@ -234,6 +239,11 @@ impl Links {
     pub fn stats(&self, id: LinkId) -> LinkStats {
         self.links[id.0].stats
     }
+
+    /// The handle of every packet on a wire or in a queue.
+    pub fn handles(&self) -> impl Iterator<Item = PacketHandle> + '_ {
+        self.links.iter().flat_map(Link::handles)
+    }
 }
 
 /// What a link does with a packet submitted to it (computed by the world).
@@ -252,40 +262,42 @@ pub(crate) enum SubmitOutcome {
 }
 
 impl Link {
-    /// Decides what to do with `pkt`, updating queue state. `lossy_draw`
-    /// is the pre-drawn uniform sample for the loss decision (drawn by the
-    /// caller so that the RNG lives in one place).
+    /// Decides what to do with the packet `pkt` of `wire_size` bytes,
+    /// updating queue state. `lossy_draw` is the pre-drawn uniform sample
+    /// for the loss decision (drawn by the caller so that the RNG lives in
+    /// one place). The link keeps `pkt` when it starts or queues it; on
+    /// any other outcome the caller still holds it.
     ///
     /// A packet never overtakes one on the wire or queued: even on an
     /// unconstrained link (throttling lifted mid-transmission) it waits
     /// behind them, so a link delivers in submission order.
     pub(crate) fn submit(
         &mut self,
-        pkt: Packet,
+        pkt: PacketHandle,
+        wire_size: u32,
         lossy_draw: f64,
-    ) -> (SubmitOutcome, Option<Packet>) {
+    ) -> SubmitOutcome {
         if self.cfg.loss > 0.0 && lossy_draw < self.cfg.loss {
             self.stats.dropped_loss += 1;
-            return (SubmitOutcome::DroppedLoss, Some(pkt));
+            return SubmitOutcome::DroppedLoss;
         }
         self.stats.sent += 1;
         if self.transmitting.is_some() {
-            if self.queued_bytes + pkt.wire_size() as u64 <= self.cfg.queue_bytes {
-                self.queued_bytes += pkt.wire_size() as u64;
-                self.queue.push_back(pkt);
-                (SubmitOutcome::Queued, None)
+            if self.queued_bytes + wire_size as u64 <= self.cfg.queue_bytes {
+                self.queued_bytes += wire_size as u64;
+                self.queue.push_back((pkt, wire_size));
+                SubmitOutcome::Queued
             } else {
                 self.stats.sent -= 1; // not actually sent
                 self.stats.dropped_queue += 1;
-                (SubmitOutcome::DroppedQueue, Some(pkt))
+                SubmitOutcome::DroppedQueue
             }
         } else {
             match self.cfg.bandwidth {
-                None => (SubmitOutcome::DeliverAfter(self.cfg.delay), Some(pkt)),
+                None => SubmitOutcome::DeliverAfter(self.cfg.delay),
                 Some(bw) => {
-                    let tx = bw.transmit_time(pkt.wire_size());
                     self.transmitting = Some(pkt);
-                    (SubmitOutcome::StartTx(tx), None)
+                    SubmitOutcome::StartTx(bw.transmit_time(wire_size))
                 }
             }
         }
@@ -295,29 +307,35 @@ impl Link {
     /// queued, the serialization time of the next one (which becomes the
     /// new in-flight packet). Once the link is unconstrained, queued
     /// packets leave in order with zero serialization time.
-    pub(crate) fn tx_complete(&mut self) -> (Packet, Option<SimDuration>) {
+    pub(crate) fn tx_complete(&mut self) -> (PacketHandle, Option<SimDuration>) {
         let done = self.transmitting.take().expect("tx_complete on idle link");
-        let next = self.queue.pop_front().map(|p| {
-            self.queued_bytes -= p.wire_size() as u64;
-            let tx = self
-                .cfg
+        let next = self.queue.pop_front().map(|(pkt, wire_size)| {
+            self.queued_bytes -= wire_size as u64;
+            self.transmitting = Some(pkt);
+            self.cfg
                 .bandwidth
-                .map_or(SimDuration::ZERO, |bw| bw.transmit_time(p.wire_size()));
-            self.transmitting = Some(p);
-            tx
+                .map_or(SimDuration::ZERO, |bw| bw.transmit_time(wire_size))
         });
         (done, next)
+    }
+
+    /// The packet on the wire, then the queue in order.
+    fn handles(&self) -> impl Iterator<Item = PacketHandle> + '_ {
+        let queued = self.queue.iter().map(|&(pkt, _)| pkt);
+        self.transmitting.into_iter().chain(queued)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::packet::{FlowId, HostAddr, TcpFlags, TcpHeader};
+    use crate::packet::{FlowId, HostAddr, Packet, TcpFlags, TcpHeader};
+    use crate::slab::PacketSlab;
     use h2priv_util::bytes::Bytes;
 
-    fn mk(size: usize) -> Packet {
-        Packet::new(
+    /// Parks a packet of `size` payload bytes and sequence number `seq`.
+    fn mk(slab: &mut PacketSlab, size: usize, seq: u32) -> (PacketHandle, u32) {
+        let pkt = Packet::new(
             TcpHeader {
                 flow: FlowId {
                     src: HostAddr(0),
@@ -325,7 +343,7 @@ mod tests {
                     sport: 1,
                     dport: 2,
                 },
-                seq: 0,
+                seq,
                 ack: 0,
                 flags: TcpFlags::ACK,
                 window: 0,
@@ -333,74 +351,90 @@ mod tests {
                 ts_ecr: 0,
             },
             Bytes::from(vec![0u8; size]),
-        )
+        );
+        let wire_size = pkt.wire_size();
+        (slab.park(pkt), wire_size)
     }
 
     #[test]
     fn idle_link_starts_transmitting() {
+        let mut slab = PacketSlab::with_capacity(1);
         let mut l = Link::new(NodeId(0), NodeId(1), LinkConfig::lan());
-        let (o, _) = l.submit(mk(1446), 1.0);
-        match o {
+        let (pkt, wire) = mk(&mut slab, 1446, 0);
+        match l.submit(pkt, wire, 1.0) {
             SubmitOutcome::StartTx(tx) => {
                 // 1500 bytes at 1 Gbps = 12 us
                 assert_eq!(tx, SimDuration::from_micros(12));
             }
             other => panic!("unexpected outcome {other:?}"),
         }
-        assert!(l.transmitting.is_some());
+        assert_eq!(l.transmitting, Some(pkt));
     }
 
     #[test]
     fn busy_link_queues_then_drains_fifo() {
+        let mut slab = PacketSlab::with_capacity(3);
         let mut l = Link::new(NodeId(0), NodeId(1), LinkConfig::lan());
-        let _ = l.submit(mk(100), 1.0);
-        let mut a = mk(200);
-        a.header.seq = 1;
-        let mut b = mk(300);
-        b.header.seq = 2;
-        assert_eq!(l.submit(a, 1.0).0, SubmitOutcome::Queued);
-        assert_eq!(l.submit(b, 1.0).0, SubmitOutcome::Queued);
+        let (p0, w0) = mk(&mut slab, 100, 0);
+        let (p1, w1) = mk(&mut slab, 200, 1);
+        let (p2, w2) = mk(&mut slab, 300, 2);
+        assert!(matches!(l.submit(p0, w0, 1.0), SubmitOutcome::StartTx(_)));
+        assert_eq!(l.submit(p1, w1, 1.0), SubmitOutcome::Queued);
+        assert_eq!(l.submit(p2, w2, 1.0), SubmitOutcome::Queued);
+        assert_eq!(l.queued_bytes, u64::from(w1 + w2));
 
+        let bw = Bandwidth::gbps(1);
         let (first, next) = l.tx_complete();
-        assert_eq!(first.header.seq, 0);
-        assert!(next.is_some());
+        assert_eq!(slab.get(first).header.seq, 0);
+        assert_eq!(next, Some(bw.transmit_time(w1)));
         let (second, next) = l.tx_complete();
-        assert_eq!(second.header.seq, 1);
-        assert!(next.is_some());
+        assert_eq!(slab.get(second).header.seq, 1);
+        assert_eq!(next, Some(bw.transmit_time(w2)));
         let (third, next) = l.tx_complete();
-        assert_eq!(third.header.seq, 2);
+        assert_eq!(slab.get(third).header.seq, 2);
         assert!(next.is_none());
+        assert_eq!(l.queued_bytes, 0);
+        assert_eq!(l.handles().collect::<Vec<_>>(), vec![]);
     }
 
     #[test]
     fn queue_overflow_drops() {
+        let mut slab = PacketSlab::with_capacity(2);
         let mut cfg = LinkConfig::lan();
         cfg.queue_bytes = 100; // too small for one more packet
         let mut l = Link::new(NodeId(0), NodeId(1), cfg);
-        let _ = l.submit(mk(1000), 1.0); // in-flight
-        let (o, returned) = l.submit(mk(1000), 1.0);
-        assert_eq!(o, SubmitOutcome::DroppedQueue);
-        assert!(returned.is_some());
+        let (on_wire, w) = mk(&mut slab, 1000, 0);
+        let _ = l.submit(on_wire, w, 1.0);
+        let (pkt, w) = mk(&mut slab, 1000, 1);
+        assert_eq!(l.submit(pkt, w, 1.0), SubmitOutcome::DroppedQueue);
         assert_eq!(l.stats.dropped_queue, 1);
+        // The link kept only the packet on the wire.
+        assert_eq!(l.handles().collect::<Vec<_>>(), vec![on_wire]);
     }
 
     #[test]
     fn loss_draw_below_threshold_drops() {
+        let mut slab = PacketSlab::with_capacity(2);
         let cfg = LinkConfig::lan().with_loss(0.5);
         let mut l = Link::new(NodeId(0), NodeId(1), cfg);
-        let (o, _) = l.submit(mk(10), 0.2);
-        assert_eq!(o, SubmitOutcome::DroppedLoss);
-        let (o, _) = l.submit(mk(10), 0.9);
-        assert!(matches!(o, SubmitOutcome::StartTx(_)));
+        let (pkt, w) = mk(&mut slab, 10, 0);
+        assert_eq!(l.submit(pkt, w, 0.2), SubmitOutcome::DroppedLoss);
+        assert!(l.transmitting.is_none());
+        let (pkt, w) = mk(&mut slab, 10, 1);
+        assert!(matches!(l.submit(pkt, w, 0.9), SubmitOutcome::StartTx(_)));
     }
 
     #[test]
     fn unconstrained_link_delivers_after_delay() {
+        let mut slab = PacketSlab::with_capacity(1);
         let cfg = LinkConfig::unconstrained(SimDuration::from_millis(7));
         let mut l = Link::new(NodeId(0), NodeId(1), cfg);
-        let (o, p) = l.submit(mk(10_000), 1.0);
-        assert_eq!(o, SubmitOutcome::DeliverAfter(SimDuration::from_millis(7)));
-        assert!(p.is_some());
+        let (pkt, w) = mk(&mut slab, 10_000, 0);
+        assert_eq!(
+            l.submit(pkt, w, 1.0),
+            SubmitOutcome::DeliverAfter(SimDuration::from_millis(7))
+        );
+        assert_eq!(l.handles().collect::<Vec<_>>(), vec![]);
     }
 
     #[test]

@@ -100,6 +100,7 @@ impl<'a> Ctx<'a> {
         let id = PacketId(self.world.next_packet_id);
         self.world.next_packet_id += 1;
         pkt.id = id;
+        let pkt = self.world.packets.park(pkt);
         self.world.submit(self.now, link, pkt);
         id
     }

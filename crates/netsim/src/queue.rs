@@ -96,6 +96,11 @@ impl<T> EventHeap<T> {
         self.heap.peek().map(|top| (top.time, top.seq))
     }
 
+    /// Every pending payload, in no particular order.
+    pub(crate) fn payloads(&self) -> impl Iterator<Item = &T> {
+        self.heap.iter().map(|e| &e.payload)
+    }
+
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.heap.len()

@@ -25,6 +25,9 @@ cargo fmt --all -- --check
 echo "== event queue: the heap, and the heaps merged with the link lanes, against brute-force models"
 cargo test -q --offline -p h2priv-netsim --test queue_differential
 cargo test -q --offline -p h2priv-netsim --lib event::tests::lanes_and_heap_pop_like_one_model_queue
+# The packet slab parks exactly the packets the links, lanes and fault
+# events hold handles to, at random stops of 256 seeded fault storms.
+cargo test -q --offline -p h2priv-netsim --lib sim::tests::the_slab_holds_exactly_the_packets_in_flight
 
 echo "== quic: the send probe against a full scan"
 # The stream table's marked probe against its BTreeMap oracle, and the
